@@ -269,8 +269,9 @@ def _run_eddy() -> dict:
             OperatorSpec("eddy", "eddy", {"members": members, "policy": policy, "seed": 7}),
             context,
         )
-        for index in range(2000):
-            eddy.receive(Tuple.make("t", value=index, flag=1 if index % 10 == 0 else 0))
+        eddy.receive(
+            [Tuple.make("t", value=index, flag=1 if index % 10 == 0 else 0) for index in range(2000)]
+        )
         weighted_cost = sum(
             stats.seen * stats.cost for stats in eddy.member_stats.values()
         )

@@ -305,7 +305,7 @@ class PIERNetwork:
         for node in self.nodes:
             node.overlay.join()
         for node in self.nodes:
-            node.overlay.router.refresh(self.directory.members())
+            node.overlay.router.sync(self.directory)
         for node in self.nodes:
             node.start()
         # Let tree advertisements and initial maintenance traffic settle.

@@ -16,10 +16,10 @@ Two properties matter more than feature count:
   the physical runtime, and the span *topology* is identical in both
   modes (pierlint P03 enforces the no-wall-clock rule here too).
 * **Near-zero cost when off.**  No tracer installed means every hook site
-  is one attribute load and an ``is None`` branch; per-tuple operator work
-  is recorded through a pooled :class:`_OperatorActivity` accumulator (two
-  float stores per tuple) instead of one span object per tuple, and the
-  span buffer is bounded (drops are counted, never raised).
+  is one attribute load and an ``is None`` branch; operator work is
+  recorded through a pooled :class:`_OperatorActivity` accumulator (two
+  float stores per received batch) instead of one span object per tuple,
+  and the span buffer is bounded (drops are counted, never raised).
 
 Sampling is deterministic: ``sampled(trace_id)`` hashes the trace id with
 ``zlib.crc32``, so every node of a deployment — and every rerun of a
@@ -91,7 +91,7 @@ class _OperatorActivity:
     """Per-operator work accumulator: the cheap stand-in for per-tuple spans.
 
     One instance per installed operator per trace.  ``enter``/``exit``
-    bracket each ``receive_tuple`` (also swapping the tracer's ambient
+    bracket each received batch (also swapping the tracer's ambient
     scope so downstream sends attribute to this operator), ``note_timer``
     counts ``arm_timer`` calls.  The tracer materializes each activity as
     a single ``operator.work`` span whose window is [first, last] touch.
@@ -132,12 +132,13 @@ class _OperatorActivity:
         self.tuples = 0
         self.timer_arms = 0
 
-    def enter(self, now: float) -> Optional[Tuple[str, str]]:
-        """Start a tuple's work; returns the previous ambient scope."""
+    def enter(self, now: float, tuples: int = 1) -> Optional[Tuple[str, str]]:
+        """Start the work for ``tuples`` received rows; returns the
+        previous ambient scope."""
         if self.first_time is None:
             self.first_time = now
         self.last_time = now
-        self.tuples += 1
+        self.tuples += tuples
         tracer = self.tracer
         previous = tracer._current
         tracer._current = (self.trace_id, self.span_id)

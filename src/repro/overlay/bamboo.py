@@ -45,7 +45,7 @@ class BambooRouter(Router):
         self._contacts: Dict[int, NodeContact] = {}
 
     # -- maintenance --------------------------------------------------------- #
-    def refresh(self, members: Sequence[NodeContact]) -> None:
+    def _rebuild(self, members: Sequence[NodeContact]) -> None:
         usable = [
             member
             for member in members

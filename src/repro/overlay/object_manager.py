@@ -8,6 +8,7 @@ publisher has failed are eventually garbage-collected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -40,6 +41,10 @@ class ObjectManager:
         self._clock = clock
         self.max_lifetime = max_lifetime
         self._store: Dict[str, Dict[object, Dict[str, StoredObject]]] = {}
+        # No stored object expires before this: put and renew lower it, a
+        # real expiry walk recomputes it.  Reads return before the walk
+        # while the clock is below it.
+        self._earliest_expiry = math.inf
         self.objects_stored = 0
         self.objects_expired = 0
 
@@ -51,6 +56,8 @@ class ObjectManager:
         stored = StoredObject(
             name=name, value=value, stored_at=now, expires_at=now + lifetime
         )
+        if stored.expires_at < self._earliest_expiry:
+            self._earliest_expiry = stored.expires_at
         namespace = self._store.setdefault(name.namespace, {})
         bucket = namespace.setdefault(name.partitioning_key, {})
         if name.suffix not in bucket:
@@ -68,6 +75,8 @@ class ObjectManager:
             return False
         lifetime = min(max(0.0, lifetime), self.max_lifetime)
         stored.expires_at = self._clock() + lifetime
+        if stored.expires_at < self._earliest_expiry:
+            self._earliest_expiry = stored.expires_at
         return True
 
     def remove(self, name: ObjectName) -> bool:
@@ -114,6 +123,9 @@ class ObjectManager:
     # -- expiry ---------------------------------------------------------------- #
     def _expire(self) -> None:
         now = self._clock()
+        if now < self._earliest_expiry:
+            return
+        earliest = math.inf
         for namespace, buckets in list(self._store.items()):
             for key, bucket in list(buckets.items()):
                 expired = [suffix for suffix, obj in bucket.items() if obj.expired(now)]
@@ -122,8 +134,11 @@ class ObjectManager:
                     self.objects_expired += 1
                 if not bucket:
                     del buckets[key]
+                else:
+                    earliest = min(earliest, min(obj.expires_at for obj in bucket.values()))
             if not buckets:
                 del self._store[namespace]
+        self._earliest_expiry = earliest
 
     def sweep(self) -> int:
         """Force an expiry pass; returns the number of live objects remaining."""

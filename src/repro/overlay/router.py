@@ -44,19 +44,34 @@ class BootstrapDirectory:
     This stands in for the knowledge a stabilization protocol spreads: the
     set of member identifiers.  It deliberately does *not* expose liveness;
     routers discover failures themselves.
+
+    ``version`` counts membership changes, so a router can tell "nothing
+    joined or left since I last looked" from one integer instead of
+    comparing (or copying) the membership.
     """
 
     def __init__(self) -> None:
         self._members: Dict[int, NodeContact] = {}
+        self._sorted: Optional[List[NodeContact]] = None
+        self.version = 0
 
     def register(self, contact: NodeContact) -> None:
         self._members[contact.identifier] = contact
+        self._changed()
 
     def deregister(self, identifier: int) -> None:
         self._members.pop(identifier, None)
+        self._changed()
+
+    def _changed(self) -> None:
+        self._sorted = None
+        self.version += 1
 
     def members(self) -> List[NodeContact]:
-        return sorted(self._members.values(), key=lambda c: c.identifier)
+        """Every member, by identifier (a fresh list; the sort is cached)."""
+        if self._sorted is None:
+            self._sorted = sorted(self._members.values(), key=lambda c: c.identifier)
+        return list(self._sorted)
 
     def contact(self, identifier: int) -> Optional[NodeContact]:
         return self._members.get(identifier)
@@ -72,18 +87,38 @@ class Router:
         self.contact = contact
         self.identifier = contact.identifier
         self._suspected_dead: Set[int] = set()
+        # The directory version the neighbor tables were last built from;
+        # None once anything else they depend on (the suspicion set, a
+        # contact dropped in place, a caller-supplied membership) changed.
+        self._synced_version: Optional[int] = None
 
     # -- membership / maintenance ----------------------------------------- #
     def refresh(self, members: Sequence[NodeContact]) -> None:
         """Rebuild neighbor tables from the known membership."""
+        self._synced_version = None
+        self._rebuild(members)
+
+    def sync(self, directory: BootstrapDirectory) -> None:
+        """:meth:`refresh` from the directory, unless neither its
+        membership nor this router's suspicion set changed since the last
+        sync — the tables are a pure function of the two, and periodic
+        stabilization mostly finds both unchanged."""
+        version = directory.version
+        if version != self._synced_version:
+            self._rebuild(directory.members())
+            self._synced_version = version
+
+    def _rebuild(self, members: Sequence[NodeContact]) -> None:
         raise NotImplementedError
 
     def mark_dead(self, identifier: int) -> None:
         """Locally note that a neighbor did not acknowledge a message."""
         self._suspected_dead.add(identifier)
+        self._synced_version = None
 
     def mark_alive(self, identifier: int) -> None:
         self._suspected_dead.discard(identifier)
+        self._synced_version = None
 
     def is_suspected_dead(self, identifier: int) -> bool:
         return identifier in self._suspected_dead
@@ -154,7 +189,7 @@ class ChordRouter(Router):
         self._unique_fingers: List[NodeContact] = []
 
     # -- maintenance ------------------------------------------------------- #
-    def refresh(self, members: Sequence[NodeContact]) -> None:
+    def _rebuild(self, members: Sequence[NodeContact]) -> None:
         usable = [
             member
             for member in members

@@ -32,7 +32,9 @@ DHT_PORT = 5100
 GetCallback = Callable[[str, object, List[object]], None]
 LookupCallback = Callable[[Optional[NodeContact], int], None]
 AckCallback = Callable[[bool], None]
-NewDataCallback = Callable[[str, object, object], None]
+# (namespace, key, value) — or, registered with ``batched=True``,
+# (namespace, key, values): every object of one arrival in one call.
+NewDataCallback = Callable[[str, object, Any], None]
 LScanCallback = Callable[[str, object, object], None]
 # Upcall handlers return True to continue routing, False to stop the message.
 UpcallHandler = Callable[[str, object, object], bool]
@@ -130,6 +132,7 @@ class OverlayNode:
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, _PendingRequest] = {}
         self._new_data_handlers: Dict[str, List[NewDataCallback]] = {}
+        self._new_batch_handlers: Dict[str, List[NewDataCallback]] = {}
         self._upcall_handlers: Dict[str, List[UpcallHandler]] = {}
         self._joined = False
         # Bumped on rejoin so a stabilization timer armed before a failure
@@ -145,7 +148,7 @@ class OverlayNode:
             return
         self.runtime.listen(self.port, self)
         self.directory.register(self.contact)
-        self.router.refresh(self.directory.members())
+        self.router.sync(self.directory)
         self._joined = True
         self._schedule_stabilization()
 
@@ -176,7 +179,7 @@ class OverlayNode:
         node and re-admit it to their neighbor tables.
         """
         self.directory.register(self.contact)
-        self.router.refresh(self.directory.members())
+        self.router.sync(self.directory)
         self._joined = True
         self._stabilization_epoch += 1
         self._schedule_stabilization()
@@ -219,7 +222,7 @@ class OverlayNode:
     def _stabilize(self, epoch: Any) -> None:
         if not self._joined or epoch != self._stabilization_epoch:
             return
-        self.router.refresh(self.directory.members())
+        self.router.sync(self.directory)
         self.object_manager.sweep()
         self._schedule_stabilization()
 
@@ -334,8 +337,7 @@ class OverlayNode:
                     callback(False)
                 return
             if owner.identifier == self.identifier:
-                for suffix, value in entries:
-                    self._store_locally(ObjectName(namespace, key, suffix), value, lifetime)
+                self._store_batch_locally(namespace, key, entries, lifetime)
                 if callback is not None:
                     callback(True)
                 return
@@ -466,9 +468,17 @@ class OverlayNode:
             count += 1
         return count
 
-    def new_data(self, namespace: str, callback_client: NewDataCallback) -> None:
-        """Register for notification when an object in ``namespace`` arrives here."""
-        self._new_data_handlers.setdefault(namespace, []).append(callback_client)
+    def new_data(
+        self, namespace: str, callback_client: NewDataCallback, batched: bool = False
+    ) -> None:
+        """Register for notification when an object in ``namespace`` arrives here.
+
+        A ``batched`` client is called once per arrival with the list of
+        its values — all the objects of a ``put_batch``, or a list of one —
+        instead of once per object.
+        """
+        handlers = self._new_batch_handlers if batched else self._new_data_handlers
+        handlers.setdefault(namespace, []).append(callback_client)
 
     def upcall(self, namespace: str, callback_client: UpcallHandler) -> None:
         """Register an interceptor for ``send`` messages passing through this node."""
@@ -613,9 +623,9 @@ class OverlayNode:
                     {"kind": "ack", "request_id": payload["request_id"], "success": True},
                 )
         elif kind == "put_batch":
-            for suffix, value in payload["entries"]:
-                name = ObjectName(payload["namespace"], payload["key"], suffix)
-                self._store_locally(name, value, payload["lifetime"])
+            self._store_batch_locally(
+                payload["namespace"], payload["key"], payload["entries"], payload["lifetime"]
+            )
             if payload.get("request_id") is not None:
                 self._send_direct(
                     payload["origin"],
@@ -626,7 +636,7 @@ class OverlayNode:
         elif kind == "direct":
             # Application-level point-to-point message (used by distribution
             # trees and hierarchical operators); treated like arriving data.
-            self._notify_new_data(payload["namespace"], payload["key"], payload["value"])
+            self._notify_new_data(payload["namespace"], payload["key"], [payload["value"]])
         elif kind == "send":
             payload["hops"] = payload.get("hops", 0) + 1  # pierlint: disable=P02
             self._handle_send(payload, arrived_over_network=True)
@@ -660,7 +670,7 @@ class OverlayNode:
             # A recovered/new node announcing itself: clear any suspicion
             # and fold it back into the neighbor tables.
             self.router.mark_alive(payload["identifier"])
-            self.router.refresh(self.directory.members())
+            self.router.sync(self.directory)
 
     def _handle_send(self, message: Dict[str, Any], arrived_over_network: bool) -> None:
         namespace = message["namespace"]
@@ -717,12 +727,23 @@ class OverlayNode:
 
     def _store_locally(self, name: ObjectName, value: object, lifetime: float) -> StoredObject:
         stored = self.object_manager.put(name, value, lifetime)
-        self._notify_new_data(name.namespace, name.partitioning_key, value)
+        self._notify_new_data(name.namespace, name.partitioning_key, [value])
         return stored
 
-    def _notify_new_data(self, namespace: str, key: object, value: object) -> None:
-        for handler in self._new_data_handlers.get(namespace, []):
-            handler(namespace, key, value)
+    def _store_batch_locally(
+        self, namespace: str, key: object, entries: List[Tuple[str, object]], lifetime: float
+    ) -> None:
+        """Store the objects of one ``put_batch`` and announce them together."""
+        for suffix, value in entries:
+            self.object_manager.put(ObjectName(namespace, key, suffix), value, lifetime)
+        self._notify_new_data(namespace, key, [value for _suffix, value in entries])
+
+    def _notify_new_data(self, namespace: str, key: object, values: List[object]) -> None:
+        for handler in self._new_data_handlers.get(namespace, ()):
+            for value in values:
+                handler(namespace, key, value)
+        for handler in self._new_batch_handlers.get(namespace, ()):
+            handler(namespace, key, values)
 
     def _register_request(
         self,

@@ -188,10 +188,8 @@ class HierarchicalAggregate(_BaseGroupBy):
     def _drain_groups(self) -> Dict[PyTuple[Any, ...], List[Any]]:
         """Move accumulated group states out of ``_groups`` and fold them
         into the cumulative local contribution."""
-        groups, self._groups = self._groups, {}
-        drained = {key: list(state.states) for key, state in groups.items()}
-        for key, states in drained.items():
-            self._merge_into(self._local_cum, key, states)
+        drained, self._groups = self._groups, {}
+        self._merge_all(self._local_cum, drained.items())
         return drained
 
     def _ship_local(self, _data: object) -> None:
@@ -204,8 +202,7 @@ class HierarchicalAggregate(_BaseGroupBy):
             if self._monitoring:
                 self._pack_batch(self._make_batch(drained, cumulative=False))
             else:
-                for key, states in drained.items():
-                    self._enqueue_partial(key, states)
+                self._hold_partials(drained.items())
         if self.window:
             self.arm_timer(self.window, self._ship_local)
 
@@ -229,14 +226,12 @@ class HierarchicalAggregate(_BaseGroupBy):
         window totals stay exact across a root failure or rejoin.
         """
         prefixed = {(epoch, *key): list(st) for key, st in states.items()}
-        for key, st in prefixed.items():
-            self._merge_into(self._local_cum, key, st)
+        self._merge_all(self._local_cum, prefixed.items())
         if not self._is_root_owner:
             if self._monitoring:
                 self._pack_batch(self._make_batch(prefixed, cumulative=False))
             else:
-                for key, st in prefixed.items():
-                    self._enqueue_partial(key, st)
+                self._hold_partials(prefixed.items())
         self._note_epoch(epoch)
 
     def _note_epoch(self, epoch: Any) -> None:
@@ -260,9 +255,14 @@ class HierarchicalAggregate(_BaseGroupBy):
         self.arm_timer(delay, self._on_epoch_watermark, data=epoch)
 
     def _note_partial_keys(self, keys: Iterable[Any]) -> None:
-        for key in keys:
-            if isinstance(key, (list, tuple)) and key:
-                self._note_epoch(key[0])
+        """Note the epochs a message's (epoch-prefixed) group keys name,
+        each once, in order of first appearance."""
+        if self.window_spec is None or not self._is_root_owner:
+            return
+        for epoch in dict.fromkeys(
+            key[0] for key in keys if isinstance(key, (list, tuple)) and key
+        ):
+            self._note_epoch(epoch)
 
     def _epoch_retention(self) -> float:
         """How long after an epoch's watermark its ledger entries are kept.
@@ -361,26 +361,27 @@ class HierarchicalAggregate(_BaseGroupBy):
             # contributor count.
             self._emit_window_states(epoch, final, contributors=contributors)
             return
-        stamp = epoch_stamp(self.window_spec, epoch)
-        for key, states in final.items():
-            payload = {
-                spec.output: function.result(state)
-                for spec, function, state in zip(
-                    self.aggregate_specs, self._merge_functions, states
-                )
-            }
-            payload.update(stamp)
-            self.emit(self._group_tuple(key, payload))
+        self.emit(self._result_rows(final, epoch_stamp(self.window_spec, epoch)))
         self.epochs_emitted += 1
 
-    def _enqueue_partial(self, key: PyTuple[Any, ...], states: List[Any]) -> None:
-        """Legacy combining: fold a partial state into the held buffer (or
-        the root's merged state) and arm the hold timer."""
+    def _hold_partials(
+        self, partials: Iterable[PyTuple[PyTuple[Any, ...], List[Any]]]
+    ) -> None:
+        """Legacy combining: fold one shipment's ``(key, states)`` pairs
+        into the held buffer (or the root's merged state) in one pass and
+        arm the hold timer once.  Callers pass at least one pair."""
         if self._is_root_owner:
-            self._merge_into(self._root_states, key, states)
+            self._merge_all(self._root_states, partials)
             return
-        self._merge_into(self._held, key, states)
+        self._merge_all(self._held, partials)
         self._arm_hold_timer()
+
+    @staticmethod
+    def _entry_pairs(
+        entries: List[Dict[str, Any]]
+    ) -> Iterable[PyTuple[PyTuple[Any, ...], List[Any]]]:
+        """A message's ``partials`` list as ``(key, states)`` pairs."""
+        return ((tuple(entry["key"]), entry["states"]) for entry in entries)
 
     def _arm_hold_timer(self) -> None:
         if not self._hold_scheduled:
@@ -528,11 +529,9 @@ class HierarchicalAggregate(_BaseGroupBy):
     def _fold_states(self, entry: Dict[str, Any]) -> Dict[PyTuple[Any, ...], List[Any]]:
         merged: Dict[PyTuple[Any, ...], List[Any]] = {}
         if entry["base"]:
-            for key, states in entry["base"].items():
-                self._merge_into(merged, key, states)
+            self._merge_all(merged, entry["base"].items())
         for _seq, partials in sorted(entry["deltas"].items()):
-            for key, states in partials.items():
-                self._merge_into(merged, key, states)
+            self._merge_all(merged, partials.items())
         return merged
 
     def _relay_folds(self) -> None:
@@ -705,9 +704,9 @@ class HierarchicalAggregate(_BaseGroupBy):
         entries = value["partials"]
         if self._attacker is not None:
             entries = self._attack_legacy_partials(entries)
-        for entry in entries:
-            self._enqueue_partial(tuple(entry["key"]), entry["states"])
-            self._note_partial_keys([entry["key"]])
+        if entries:
+            self._hold_partials(self._entry_pairs(entries))
+            self._note_partial_keys(entry["key"] for entry in entries)
         return False  # hold; a combined partial will be forwarded later
 
     # -- ownership monitor ------------------------------------------------------ #
@@ -779,9 +778,9 @@ class HierarchicalAggregate(_BaseGroupBy):
             return
         if "partials" not in value:
             return
-        for entry in value["partials"]:
-            self._merge_into(self._root_states, tuple(entry["key"]), entry["states"])
-            self._note_partial_keys([entry["key"]])
+        entries = value["partials"]
+        self._merge_all(self._root_states, self._entry_pairs(entries))
+        self._note_partial_keys(entry["key"] for entry in entries)
 
     def flush(self) -> None:
         if self.window_spec is not None:
@@ -794,8 +793,7 @@ class HierarchicalAggregate(_BaseGroupBy):
             if self._monitoring:
                 self._pack_batch(self._make_batch(drained, cumulative=False))
             else:
-                for key, states in drained.items():
-                    self._enqueue_partial(key, states)
+                self._hold_partials(drained.items())
         if self._held or self._held_batches:
             self._forward_held(None)
         self._send_integrity_report()
@@ -815,27 +813,17 @@ class HierarchicalAggregate(_BaseGroupBy):
             self._send_root_claims()
             return
         final: Dict[PyTuple[Any, ...], List[Any]] = {}
-        for key, states in self._root_states.items():
-            self._merge_into(final, key, states)
+        self._merge_all(final, self._root_states.items())
         for origin, entry in self._origin_folds.items():
             if origin == self._origin_id:
                 continue  # own contribution is merged from _local_cum below
-            for key, states in self._root_fold_states(origin, entry).items():
-                self._merge_into(final, key, states)
+            self._merge_all(final, self._root_fold_states(origin, entry).items())
         if self._is_root_owner:
             # A salvage root already shipped its local data down the delta
             # path (it self-delivered into _root_states); only the true
             # owner contributes _local_cum directly.
-            for key, states in self._local_cum.items():
-                self._merge_into(final, key, states)
-        for key, states in final.items():
-            payload = {
-                spec.output: function.result(state)
-                for spec, function, state in zip(
-                    self.aggregate_specs, self._merge_functions, states
-                )
-            }
-            self.emit(self._group_tuple(key, payload))
+            self._merge_all(final, self._local_cum.items())
+        self.emit(self._result_rows(final))
 
     # -- integrity (spot-check commitments and proxy-side reconciliation) ------- #
     def _root_fold_states(
@@ -916,10 +904,8 @@ class HierarchicalAggregate(_BaseGroupBy):
         # The root's own contribution (and any pre-monitor legacy partials)
         # travels as its self-claim, verified like everyone else's.
         own: Dict[PyTuple[Any, ...], List[Any]] = {}
-        for key, states in self._root_states.items():
-            self._merge_into(own, key, states)
-        for key, states in self._local_cum.items():
-            self._merge_into(own, key, states)
+        self._merge_all(own, self._root_states.items())
+        self._merge_all(own, self._local_cum.items())
         if own:
             origins[self._origin_id] = {
                 "partials": [
@@ -1100,4 +1086,4 @@ class HierarchicalJoinExchange(PhysicalOperator):
                 self.early_results += 1
             else:
                 self.final_results += 1
-            self.emit(left.join(right, table=self.output_table))
+            self.emit([left.join(right, table=self.output_table)])

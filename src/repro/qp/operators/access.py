@@ -38,8 +38,29 @@ def _coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
     return None
 
 
+class _AccessMethod(PhysicalOperator):
+    """A source operator: no inputs; whatever the data source hands over in
+    one go enters the dataflow as one batch."""
+
+    table: str  # what a bare mapping from the source is a row of
+
+    def _inject(self, values: Iterable[Any], tag: str) -> None:
+        """Convert ``values`` to tuples and emit them as one batch; what
+        cannot be made a tuple is dropped and counted."""
+        batch = list(values)
+        if set(map(type, batch)) - {Tuple}:
+            coerced = [_coerce_tuple(self.table, value) for value in batch]
+            batch = [tup for tup in coerced if tup is not None]
+            self.stats.tuples_dropped += len(coerced) - len(batch)
+        if batch:
+            self.emit(batch, tag)
+
+    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
+        raise MalformedTupleError("access methods have no inputs")
+
+
 @register_operator
-class DHTScanAccess(PhysicalOperator):
+class DHTScanAccess(_AccessMethod):
     """Scan a DHT namespace at this node: existing objects via ``localScan``
     plus newly arriving ones via ``newData`` (Table 2's intra-node calls).
 
@@ -58,29 +79,21 @@ class DHTScanAccess(PhysicalOperator):
         self.table = self.param("table", self.require_param("namespace"))
 
     def start(self) -> None:
-        self.context.overlay.new_data(self.namespace, self._on_new_data)
+        self.context.overlay.new_data(self.namespace, self._on_new_data, batched=True)
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
+        stored: List[object] = []
         self.context.overlay.local_scan(
-            self.namespace, lambda _ns, _key, value: self._inject(value, tag)
+            self.namespace, lambda _ns, _key, value: stored.append(value)
         )
+        self._inject(stored, tag)
 
-    def _on_new_data(self, _namespace: str, _key: object, value: object) -> None:
-        self._inject(value, DEFAULT_PROBE_TAG)
-
-    def _inject(self, value: object, tag: str) -> None:
-        tup = _coerce_tuple(self.table, value)
-        if tup is None:
-            self.stats.tuples_dropped += 1
-            return
-        self.emit(tup, tag)
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        raise MalformedTupleError("access methods have no inputs")
+    def _on_new_data(self, _namespace: str, _key: object, values: List[object]) -> None:
+        self._inject(values, DEFAULT_PROBE_TAG)
 
 
 @register_operator
-class DHTGetAccess(PhysicalOperator):
+class DHTGetAccess(_AccessMethod):
     """Equality-predicate access: fetch all objects published under one
     partitioning-key value with a DHT ``get`` (a distributed index lookup).
 
@@ -99,21 +112,13 @@ class DHTGetAccess(PhysicalOperator):
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         def on_get(_namespace: str, _key: object, objects: List[object]) -> None:
-            for value in objects:
-                tup = _coerce_tuple(self.table, value)
-                if tup is None:
-                    self.stats.tuples_dropped += 1
-                    continue
-                self.emit(tup, tag)
+            self._inject(objects, tag)
 
         self.context.overlay.get(self.namespace, self.key, on_get)
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        raise MalformedTupleError("access methods have no inputs")
-
 
 @register_operator
-class LocalTableAccess(PhysicalOperator):
+class LocalTableAccess(_AccessMethod):
     """Scan a node-local, in-memory table registered with the executor.
 
     This is how per-node data sources such as firewall logs or packet
@@ -151,26 +156,15 @@ class LocalTableAccess(PhysicalOperator):
         super().stop()
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
-        self._emit_rows(self._rows(), tag)
+        self._inject(self._rows(), tag)
 
     def _on_rows_appended(self, rows: List[Tuple]) -> None:
         if not self._stopped:
-            self._emit_rows(rows, DEFAULT_PROBE_TAG)
-
-    def _emit_rows(self, rows: Iterable[Tuple], tag: str) -> None:
-        for tup in list(rows):
-            coerced = tup if isinstance(tup, Tuple) else _coerce_tuple(self.table, tup)
-            if coerced is None:
-                self.stats.tuples_dropped += 1
-                continue
-            self.emit(coerced, tag)
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        raise MalformedTupleError("access methods have no inputs")
+            self._inject(rows, DEFAULT_PROBE_TAG)
 
 
 @register_operator
-class StreamAccess(PhysicalOperator):
+class StreamAccess(_AccessMethod):
     """A push-based streaming source driven by timers.
 
     A generator callable registered under ``extras['streams'][name]`` is
@@ -184,7 +178,7 @@ class StreamAccess(PhysicalOperator):
 
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         super().__init__(spec, context)
-        self.stream_name = self.require_param("stream")
+        self.table = self.require_param("stream")
         self.interval = float(self.param("interval", 1.0))
         self._active = False
 
@@ -199,15 +193,7 @@ class StreamAccess(PhysicalOperator):
     def _tick(self, _data: object) -> None:
         if not self._active or self._stopped:
             return
-        producer = self.context.extras.get("streams", {}).get(self.stream_name)
+        producer = self.context.extras.get("streams", {}).get(self.table)
         if producer is not None:
-            for item in producer(self.context.now):
-                tup = item if isinstance(item, Tuple) else _coerce_tuple(self.stream_name, item)
-                if tup is None:
-                    self.stats.tuples_dropped += 1
-                    continue
-                self.emit(tup)
+            self._inject(producer(self.context.now), DEFAULT_PROBE_TAG)
         self.arm_timer(self.interval, self._tick)
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        raise MalformedTupleError("access methods have no inputs")

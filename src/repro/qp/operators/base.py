@@ -7,6 +7,14 @@ pushed from child to parent as they arrive (Section 3.3.5).  Each pushed
 tuple carries the tag of the probe that requested it, which lets operators
 match data with the state they set up for that probe even when nested
 probes are arbitrarily reordered.
+
+The unit of the data channel is the *batch*: a list of tuples that share
+one input slot and one probe tag.  A producer builds the list, hands it to
+:meth:`PhysicalOperator.emit`, and never touches it again; consumers read
+it and may keep it, but do not mutate it.  What is bookkeeping — the
+stopped check, the counters, the trace scope — happens once per batch;
+what is policy — dropping a tuple that does not fit the query — stays per
+row (docs/PERFORMANCE.md, "Batch data channel").
 """
 
 from __future__ import annotations
@@ -107,9 +115,10 @@ class ExecutionContext:
 class PhysicalOperator:
     """Base class for all physical operators.
 
-    Subclasses implement :meth:`on_receive` (one input tuple arrived on a
-    given slot) and optionally :meth:`start`, :meth:`probe`, :meth:`flush`
-    and :meth:`stop`.
+    Subclasses implement either :meth:`on_receive` (the body for one input
+    row; the base class loops it over each batch) or :meth:`on_batch` (a
+    body for the whole batch), and optionally :meth:`start`, :meth:`probe`,
+    :meth:`flush` and :meth:`stop`.
     """
 
     op_type = "abstract"
@@ -224,35 +233,46 @@ class PhysicalOperator:
         """
 
     # -- dataflow ------------------------------------------------------------ #
-    def receive(self, tup: Tuple, slot: int = 0, tag: str = DEFAULT_PROBE_TAG) -> None:
-        """Data-channel entry point: a child pushed ``tup`` into ``slot``."""
-        if self._stopped:
+    def receive(
+        self, batch: List[Tuple], slot: int = 0, tag: str = DEFAULT_PROBE_TAG
+    ) -> None:
+        """Data-channel entry point: a child pushed ``batch`` into ``slot``."""
+        if self._stopped or not batch:
             return
-        self.stats.tuples_in += 1
+        self.stats.tuples_in += len(batch)
         obs = self._obs
-        previous = obs.enter(self.context.now) if obs is not None else None
+        if obs is None:
+            self.on_batch(batch, slot, tag)
+            return
+        previous = obs.enter(self.context.now, len(batch))
         try:
-            self.on_receive(tup, slot, tag)
-        except MalformedTupleError:
-            # Best-effort policy (Section 3.3.4): drop tuples that do not
-            # match the query's expectations.
-            self.stats.tuples_dropped += 1
-        except (TypeError, KeyError):
-            self.stats.tuples_dropped += 1
+            self.on_batch(batch, slot, tag)
         finally:
-            if obs is not None:
-                obs.exit(previous)
+            obs.exit(previous)
+
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        """Consume one batch.  The default runs :meth:`on_receive` per row
+        under the best-effort policy (Section 3.3.4): a row that does not
+        match the query's expectations is dropped and counted, and its
+        neighbours are processed.  An operator that overrides this applies
+        the same policy to its own rows."""
+        on_receive = self.on_receive
+        for tup in batch:
+            try:
+                on_receive(tup, slot, tag)
+            except (MalformedTupleError, TypeError, KeyError):
+                self.stats.tuples_dropped += 1
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         raise NotImplementedError
 
-    def emit(self, tup: Tuple, tag: str = DEFAULT_PROBE_TAG) -> None:
-        """Push ``tup`` to every downstream consumer."""
+    def emit(self, batch: List[Tuple], tag: str = DEFAULT_PROBE_TAG) -> None:
+        """Push ``batch`` to every downstream consumer."""
         if self._stopped:
             return
-        self.stats.tuples_out += 1
+        self.stats.tuples_out += len(batch)
         for parent, slot in self._parents:
-            parent.receive(tup, slot, tag)
+            parent.receive(batch, slot, tag)
 
 
 _OPERATOR_REGISTRY: Dict[str, Type[PhysicalOperator]] = {}

@@ -54,5 +54,5 @@ class ControlFlowManager(PhysicalOperator):
         for child in self._children:
             child.probe(tag)
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        self.emit(tup, tag)
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        self.emit(batch, tag)

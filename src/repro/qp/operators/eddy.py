@@ -100,4 +100,4 @@ class Eddy(PhysicalOperator):
                 stats.passed += 1
             else:
                 return
-        self.emit(tup, tag)
+        self.emit([tup], tag)

@@ -207,17 +207,27 @@ class Queue(PhysicalOperator):
         if self._stopped:
             self._buffer.clear()
             return
-        for _ in range(min(self.batch, len(self._buffer))):
-            tup, tag = self._buffer.popleft()
-            self.emit(tup, tag)
+        self._reinject(min(self.batch, len(self._buffer)))
         if self._buffer and not self._drain_scheduled:
             self._drain_scheduled = True
             self.arm_timer(0.0, self._drain)
 
-    def flush(self) -> None:
-        while self._buffer:
+    def _reinject(self, count: int) -> None:
+        """Emit the ``count`` oldest buffered tuples, consecutive tuples
+        of one probe tag as one batch."""
+        run: List[Tuple] = []
+        run_tag = DEFAULT_PROBE_TAG
+        for _ in range(count):
             tup, tag = self._buffer.popleft()
-            self.emit(tup, tag)
+            if tag != run_tag and run:
+                self.emit(run, run_tag)
+                run = []
+            run_tag = tag
+            run.append(tup)
+        self.emit(run, run_tag)
+
+    def flush(self) -> None:
+        self._reinject(len(self._buffer))
 
     def stop(self) -> None:
         # Teardown drops whatever a pending drain would have re-injected;

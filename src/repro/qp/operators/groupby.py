@@ -22,10 +22,10 @@ Two window mechanisms coexist:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple as PyTuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple as PyTuple
 
 from repro.cq.windows import EPOCH_COLUMN, LATE_EPOCH_SETTLE, WindowSpec, epoch_stamp
-from repro.qp.aggregates import AggregateFunction, AggregateSpec, make_aggregate
+from repro.qp.aggregates import AggregateSpec
 from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.tuples import Tuple
 
@@ -56,27 +56,9 @@ def parse_aggregate_specs(raw_specs: List[Any]) -> List[AggregateSpec]:
     return specs
 
 
-class _GroupState:
-    """Aggregate partial states for one group key."""
-
-    def __init__(self, functions: List[AggregateFunction]) -> None:
-        self.functions = functions
-        self.states: List[Any] = [function.initial() for function in functions]
-
-    def add(self, values: List[Any]) -> None:
-        self.states = [
-            function.add(state, value)
-            for function, state, value in zip(self.functions, self.states, values)
-        ]
-
-    def merge_states(self, other_states: List[Any]) -> None:
-        self.states = [
-            function.merge(state, other)
-            for function, state, other in zip(self.functions, self.states, other_states)
-        ]
-
-    def results(self) -> List[Any]:
-        return [function.result(state) for function, state in zip(self.functions, self.states)]
+# One group's aggregate partial states, in ``aggregate_specs`` order.
+States = List[Any]
+Groups = Dict[PyTuple[Any, ...], States]
 
 
 class _BaseGroupBy(PhysicalOperator):
@@ -100,15 +82,15 @@ class _BaseGroupBy(PhysicalOperator):
         # partial-state rows instead of final values so subscribers can
         # re-assemble epochs at their own slides client-side.
         self.emit_states = bool(self.param("emit_states", False))
-        # Merge functions are stateless combiners shared by every merge on
-        # this node (building them per merge was hot-path waste).
+        # Aggregate functions are stateless, so one instance per aggregate
+        # serves every group's folds and every merge on this node.
         self._merge_functions = [spec.build() for spec in self.aggregate_specs]
-        self._groups: Dict[PyTuple[Any, ...], _GroupState] = {}
-        # Time-indexed state: pane index -> group key -> state.  Pane
+        self._groups: Groups = {}
+        # Time-indexed state: pane index -> group key -> states.  Pane
         # boundaries are aligned to absolute virtual time (repro.cq.windows)
         # so every node agrees on them without coordination.
-        self._panes: Dict[int, Dict[PyTuple[Any, ...], _GroupState]] = {}
-        self._landmark_cum: Dict[PyTuple[Any, ...], List[Any]] = {}
+        self._panes: Dict[int, Groups] = {}
+        self._landmark_cum: Groups = {}
         self._next_close_epoch: Optional[int] = None
         self._window_scheduled = False
         self.epochs_emitted = 0
@@ -168,46 +150,29 @@ class _BaseGroupBy(PhysicalOperator):
         if spec.landmark:
             pane = self._panes.pop(epoch, None)
             if pane:
-                for key, state in pane.items():
-                    self._merge_into(self._landmark_cum, key, state.states)
+                self._merge_all(self._landmark_cum, pane.items())
             return {key: list(states) for key, states in self._landmark_cum.items()}
-        merged: Dict[PyTuple[Any, ...], List[Any]] = {}
+        merged: Groups = {}
         for pane_index in spec.epoch_panes(epoch):
             pane = self._panes.get(pane_index)
-            if not pane:
-                continue
-            for key, state in pane.items():
-                self._merge_into(merged, key, state.states)
+            if pane:
+                self._merge_all(merged, pane.items())
         oldest_needed = spec.oldest_live_pane(epoch)
         for pane_index in [index for index in self._panes if index < oldest_needed]:
             del self._panes[pane_index]
             self.panes_evicted += 1
         return merged
 
-    def _emit_window(
-        self, epoch: int, states: Dict[PyTuple[Any, ...], List[Any]]
-    ) -> None:
+    def _emit_window(self, epoch: int, states: Groups) -> None:
         """Ship one closed epoch downstream; final-row form by default."""
         if self.emit_states:
             self._emit_window_states(epoch, states)
             return
-        stamp = epoch_stamp(self.window_spec, epoch)
-        for key, state_list in states.items():
-            payload = {
-                spec.output: function.result(state)
-                for spec, function, state in zip(
-                    self.aggregate_specs, self._merge_functions, state_list
-                )
-            }
-            payload.update(stamp)
-            self.emit(self._group_tuple(key, payload))
+        self.emit(self._result_rows(states, epoch_stamp(self.window_spec, epoch)))
         self.epochs_emitted += 1
 
     def _emit_window_states(
-        self,
-        epoch: int,
-        states: Dict[PyTuple[Any, ...], List[Any]],
-        contributors: Optional[int] = None,
+        self, epoch: int, states: Groups, contributors: Optional[int] = None
     ) -> None:
         """Ship one closed epoch as mergeable partial-state rows.
 
@@ -216,6 +181,7 @@ class _BaseGroupBy(PhysicalOperator):
         many distinct sources were folded in, so downstream buffers can
         refuse to replace a more complete emission with a thinner one.
         """
+        rows = []
         for key, state_list in states.items():
             payload = {
                 "__partial_states__": list(state_list),
@@ -224,58 +190,115 @@ class _BaseGroupBy(PhysicalOperator):
             }
             if contributors is not None:
                 payload["__contributors__"] = contributors
-            self.emit(self._group_tuple(key, payload))
+            rows.append(self._group_tuple(key, payload))
+        self.emit(rows)
         self.epochs_emitted += 1
 
     # -- state access ------------------------------------------------------------ #
-    def _merge_into(
-        self,
-        buffer: Dict[PyTuple[Any, ...], List[Any]],
-        key: PyTuple[Any, ...],
-        states: List[Any],
+    def _merge_into(self, buffer: Groups, key: PyTuple[Any, ...], states: States) -> None:
+        self._merge_all(buffer, ((key, states),))
+
+    def _merge_all(
+        self, buffer: Groups, partials: Iterable[PyTuple[PyTuple[Any, ...], States]]
     ) -> None:
-        existing = buffer.get(key)
-        if existing is None:
-            buffer[key] = list(states)
-            return
-        buffer[key] = [
-            function.merge(left, right)
-            for function, left, right in zip(self._merge_functions, existing, states)
-        ]
+        """Merge every ``(key, states)`` of ``partials`` into ``buffer``
+        (which never shares a state list with its input)."""
+        functions = self._merge_functions
+        for key, states in partials:
+            existing = buffer.get(key)
+            if existing is None:
+                buffer[key] = list(states)
+            else:
+                buffer[key] = [
+                    function.merge(left, right)
+                    for function, left, right in zip(functions, existing, states)
+                ]
 
-    def _state_for(self, key: PyTuple[Any, ...]) -> _GroupState:
-        state = self._groups.get(key)
-        if state is None:
-            state = _GroupState([spec.build() for spec in self.aggregate_specs])
-            self._groups[key] = state
-        return state
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        self._fold(batch)
 
-    def _pane_state(self, pane_index: int, key: PyTuple[Any, ...]) -> _GroupState:
-        pane = self._panes.setdefault(pane_index, {})
-        state = pane.get(key)
-        if state is None:
-            state = _GroupState([spec.build() for spec in self.aggregate_specs])
-            pane[key] = state
-        return state
+    def _fold(self, batch: List[Tuple]) -> None:
+        """Fold raw rows into their groups' partial states.
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        key = tup.key(self.group_columns) if self.group_columns else ()
-        values = [
-            tup.require(spec.column) if spec.column is not None else None
-            for spec in self.aggregate_specs
-        ]
+        Per batch: the target group table and the function list.  Per
+        schema: the column positions.  Per row: one key, one dictionary
+        lookup, one state update — applied whole or not at all, so a row
+        that cannot be folded (missing column, unhashable key, a value the
+        aggregate cannot take) is dropped without touching its neighbours.
+        """
+        pane_index = None
         if self.window_spec is not None and self._uses_pane_timer:
+            # Every row of a batch arrives at one ``now``: one pane.
             pane_index = self.window_spec.pane_of(self.context.now)
-            self._pane_state(pane_index, key).add(values)
+            groups = self._panes.get(pane_index, {})
         else:
             # Operators without a pane clock (watermark-driven merge
             # sites) fold raw tuples cumulatively, emitted at flush.
-            self._state_for(key).add(values)
+            groups = self._groups
+        functions = self._merge_functions
+        add_only = functions[0].add if len(functions) == 1 else None
+        # Every column a row is read at: the group columns, then each
+        # aggregate's input (None for COUNT(*)).
+        group_width = len(self.group_columns)
+        input_columns = (*self.group_columns, *[spec.column for spec in self.aggregate_specs])
+        schema = positions = None
+        dropped = 0
+        for tup in batch:
+            if tup.schema is not schema:
+                schema = tup.schema
+                positions = schema.positions(input_columns)
+                if positions is not None:
+                    group_positions = positions[:group_width]
+                    group_position = group_positions[0] if group_width == 1 else None
+                    value_positions = positions[group_width:]
+                    value_position = value_positions[0] if add_only is not None else None
+            if positions is None:
+                dropped += 1
+                continue
+            row = tup.values()
+            try:
+                if group_position is not None:
+                    key = (row[group_position],)
+                else:
+                    key = tuple([row[position] for position in group_positions])
+                states = groups.get(key)
+                if states is None:
+                    states = groups[key] = [function.initial() for function in functions]
+                if add_only is not None:
+                    states[0] = add_only(
+                        states[0], None if value_position is None else row[value_position]
+                    )
+                else:
+                    states[:] = [
+                        function.add(state, None if position is None else row[position])
+                        for function, state, position in zip(functions, states, value_positions)
+                    ]
+            except (TypeError, KeyError):
+                dropped += 1
+        if dropped:
+            self.stats.tuples_dropped += dropped
+        if pane_index is not None and groups:
+            self._panes[pane_index] = groups
 
     def _group_tuple(self, key: PyTuple[Any, ...], payload: Dict[str, Any]) -> Tuple:
         values = dict(zip(self.group_columns, key))
         values.update(payload)
         return Tuple(self.output_table, values)
+
+    def _result_rows(self, groups: Groups, stamp: Optional[Dict[str, Any]] = None) -> List[Tuple]:
+        """One final-value row per group (plus the epoch ``stamp``)."""
+        rows = []
+        for key, states in groups.items():
+            payload = {
+                spec.output: function.result(state)
+                for spec, function, state in zip(
+                    self.aggregate_specs, self._merge_functions, states
+                )
+            }
+            if stamp:
+                payload.update(stamp)
+            rows.append(self._group_tuple(key, payload))
+        return rows
 
     @property
     def group_count(self) -> int:
@@ -303,12 +326,7 @@ class HashGroupBy(_BaseGroupBy):
         # With a window spec, complete epochs were emitted at their pane
         # closes; the in-progress partial window is dropped by design (a
         # standing query only reports complete windows).
-        for key, state in self._groups.items():
-            payload = {
-                spec.output: result
-                for spec, result in zip(self.aggregate_specs, state.results())
-            }
-            self.emit(self._group_tuple(key, payload))
+        self.emit(self._result_rows(self._groups))
 
 
 @register_operator
@@ -338,9 +356,7 @@ class PartialAggregate(_BaseGroupBy):
         self._adversary = adversary
         self._attacker = adversary.role(context.overlay.address) if adversary else None
 
-    def _attacked_states(
-        self, states: Dict[PyTuple[Any, ...], List[Any]]
-    ) -> Dict[PyTuple[Any, ...], List[Any]]:
+    def _attacked_states(self, states: Groups) -> Groups:
         if self._attacker is None or not states:
             return states
         from repro.runtime.churn import corrupt_states
@@ -357,23 +373,23 @@ class PartialAggregate(_BaseGroupBy):
             }
         return states
 
-    def _emit_window(
-        self, epoch: int, states: Dict[PyTuple[Any, ...], List[Any]]
-    ) -> None:
+    def _emit_window(self, epoch: int, states: Groups) -> None:
         self._emit_window_states(epoch, self._attacked_states(states))
 
     def flush(self) -> None:
-        groups = {key: list(state.states) for key, state in self._groups.items()}
-        for key, states in self._attacked_states(groups).items():
-            self.emit(
+        self.emit(
+            [
                 self._group_tuple(
                     key,
                     {
-                        "__partial_states__": states,
+                        # A copy: later rows keep folding into the group's own list.
+                        "__partial_states__": list(states),
                         "__group_key__": tuple(key),
                     },
                 )
-            )
+                for key, states in self._attacked_states(self._groups).items()
+            ]
+        )
 
 
 @register_operator
@@ -397,34 +413,39 @@ class MergeAggregate(_BaseGroupBy):
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
-        self._epoch_states: Dict[int, Dict[PyTuple[Any, ...], _GroupState]] = {}
+        self._epoch_states: Dict[int, Groups] = {}
         self._epoch_timers: Set[int] = set()
         self._emitted_epochs: Set[int] = set()
         self.late_partials = 0
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        if "__partial_states__" in tup:
-            epoch = tup.get(EPOCH_COLUMN)
-            if self.window_spec is not None and epoch is not None:
-                self._receive_epoch_partial(int(epoch), tup)
-                return
-            key = tuple(tup.require("__group_key__")) if self.group_columns else ()
-            self._state_for(key).merge_states(tup.require("__partial_states__"))
-        else:
-            super().on_receive(tup, slot, tag)
+    # Partial-state rows and raw rows may interleave on one input, and
+    # state updates do not commute in the last float digit: row by row.
+    on_batch = PhysicalOperator.on_batch
 
-    def _receive_epoch_partial(self, epoch: int, tup: Tuple) -> None:
-        if epoch in self._emitted_epochs:
-            self.late_partials += 1
+    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
+        if "__partial_states__" not in tup:
+            self._fold([tup])
             return
+        epoch = tup.get(EPOCH_COLUMN) if self.window_spec is not None else None
+        if epoch is not None:
+            epoch = int(epoch)
+            if epoch in self._emitted_epochs:
+                self.late_partials += 1
+                return
         key = tuple(tup.require("__group_key__")) if self.group_columns else ()
-        bucket = self._epoch_states.setdefault(epoch, {})
-        state = bucket.get(key)
-        if state is None:
-            state = _GroupState([spec.build() for spec in self.aggregate_specs])
-            bucket[key] = state
-        state.merge_states(tup.require("__partial_states__"))
-        self._arm_epoch_timer(epoch)
+        groups = self._groups if epoch is None else self._epoch_states.setdefault(epoch, {})
+        functions = self._merge_functions
+        states = groups.get(key)
+        if states is None:
+            states = [function.initial() for function in functions]
+        groups[key] = [
+            function.merge(left, right)
+            for function, left, right in zip(
+                functions, states, tup.require("__partial_states__")
+            )
+        ]
+        if epoch is not None:
+            self._arm_epoch_timer(epoch)
 
     def _arm_epoch_timer(self, epoch: int) -> None:
         if epoch in self._epoch_timers:
@@ -446,9 +467,7 @@ class MergeAggregate(_BaseGroupBy):
         if not bucket or epoch in self._emitted_epochs:
             return
         self._emitted_epochs.add(epoch)
-        self._emit_window(
-            epoch, {key: list(state.states) for key, state in bucket.items()}
-        )
+        self._emit_window(epoch, bucket)
 
     def flush(self) -> None:
         if self.window_spec is not None:
@@ -458,9 +477,4 @@ class MergeAggregate(_BaseGroupBy):
                 self._close_epoch(epoch)
         # Cumulative state (one-shot queries; raw tuples and epoch-less
         # partials of windowed plans) is emitted here either way.
-        for key, state in self._groups.items():
-            payload = {
-                spec.output: result
-                for spec, result in zip(self.aggregate_specs, state.results())
-            }
-            self.emit(self._group_tuple(key, payload))
+        self.emit(self._result_rows(self._groups))

@@ -48,10 +48,14 @@ class SymmetricHashJoin(PhysicalOperator):
             raise MalformedTupleError(f"join received tuple on unknown slot {slot}")
         key = self._key(tup, slot)
         self._tables[slot][key].append(tup)
-        other = 1 - slot
-        for match in self._tables[other].get(key, []):
-            left, right = (tup, match) if slot == 0 else (match, tup)
-            self.emit(left.join(right, table=self.param("output_table")), tag)
+        partners = self._tables[1 - slot].get(key)
+        if partners:
+            table = self.param("output_table")
+            if slot == 0:
+                joined = [tup.join(partner, table=table) for partner in partners]
+            else:
+                joined = [partner.join(tup, table=table) for partner in partners]
+            self.emit(joined, tag)
 
     @property
     def state_size(self) -> int:
@@ -91,12 +95,11 @@ class FetchMatchesJoin(PhysicalOperator):
 
         def on_fetch(_namespace: str, _key: object, objects: List[object]) -> None:
             self.fetches_completed += 1
-            for value in objects:
-                inner = self._coerce(value)
-                if inner is None:
-                    self.stats.tuples_dropped += 1
-                    continue
-                self.emit(tup.join(inner, table=self.param("output_table")), tag)
+            inners = [self._coerce(value) for value in objects]
+            table = self.param("output_table")
+            joined = [tup.join(inner, table=table) for inner in inners if inner is not None]
+            self.stats.tuples_dropped += len(inners) - len(joined)
+            self.emit(joined, tag)
 
         self.context.overlay.get(self.inner_namespace, lookup_key, on_fetch)
 
@@ -141,7 +144,7 @@ class NestedLoopJoin(PhysicalOperator):
             left, right = (tup, match) if slot == 0 else (match, tup)
             joined = left.join(right, table=self.param("output_table"))
             if matches(predicate, joined):
-                self.emit(joined, tag)
+                self.emit([joined], tag)
 
 
 class BloomFilter:
@@ -323,7 +326,7 @@ class BloomFilterProbe(PhysicalOperator):
             self._pending.append((tup, tag))
             return
         if self._bloom.items_added == 0 or self._bloom.might_contain(tup.key(self.columns)):
-            self.emit(tup, tag)
+            self.emit([tup], tag)
         else:
             self.tuples_filtered += 1
 
@@ -334,4 +337,4 @@ class BloomFilterProbe(PhysicalOperator):
             return
         pending, self._pending = self._pending, []
         for tup, tag in pending:
-            self.emit(tup, tag)
+            self.emit([tup], tag)

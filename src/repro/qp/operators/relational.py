@@ -23,7 +23,7 @@ class Selection(PhysicalOperator):
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         if matches(self.param("predicate"), tup):
-            self.emit(tup, tag)
+            self.emit([tup], tag)
 
 
 @register_operator
@@ -50,7 +50,7 @@ class Projection(PhysicalOperator):
             values[output] = evaluate(expression, tup)
         if not values:
             values = tup.as_mapping()
-        self.emit(Tuple(self.param("table", tup.table), values), tag)
+        self.emit([Tuple(self.param("table", tup.table), values)], tag)
 
 
 @register_operator
@@ -59,8 +59,8 @@ class Tee(PhysicalOperator):
 
     op_type = "tee"
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        self.emit(tup, tag)
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        self.emit(batch, tag)
 
 
 @register_operator
@@ -69,8 +69,8 @@ class Union(PhysicalOperator):
 
     op_type = "union"
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        self.emit(tup, tag)
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        self.emit(batch, tag)
 
 
 @register_operator
@@ -92,7 +92,7 @@ class DuplicateElimination(PhysicalOperator):
         if key in self._seen:
             return
         self._seen.add(key)
-        self.emit(tup, tag)
+        self.emit([tup], tag)
 
 
 @register_operator
@@ -110,7 +110,7 @@ class Rename(PhysicalOperator):
             mapping.get(column, column): value
             for column, value in tup.as_mapping().items()
         }
-        self.emit(Tuple(self.param("table", tup.table), values), tag)
+        self.emit([Tuple(self.param("table", tup.table), values)], tag)
 
 
 @register_operator
@@ -131,7 +131,7 @@ class Limit(PhysicalOperator):
         if self._passed >= int(self.require_param("count")):
             return
         self._passed += 1
-        self.emit(tup, tag)
+        self.emit([tup], tag)
 
 
 @register_operator
@@ -151,10 +151,9 @@ class Materializer(PhysicalOperator):
         self.rows: List[Tuple] = []
         context.extras.setdefault("local_tables", {})[self.table] = self.rows
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        self.rows.append(tup)
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        self.rows.extend(batch)
 
     def flush(self) -> None:
         if self.param("emit_on_flush", True):
-            for tup in self.rows:
-                self.emit(tup)
+            self.emit(list(self.rows))

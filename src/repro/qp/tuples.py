@@ -43,7 +43,7 @@ class Schema:
     ``Schema`` directly creates an un-shared instance.
     """
 
-    __slots__ = ("table", "columns", "index", "_wire_overhead", "_packed_header")
+    __slots__ = ("table", "columns", "index", "_wire_overhead", "_packed_header", "_positions")
 
     _interned: Dict[PyTuple[str, PyTuple[str, ...]], "Schema"] = {}
 
@@ -55,6 +55,9 @@ class Schema:
         }
         self._wire_overhead: Optional[int] = None
         self._packed_header: Optional[bytes] = None
+        self._positions: Dict[
+            PyTuple[Optional[str], ...], Optional[PyTuple[Optional[int], ...]]
+        ] = {}
 
     @classmethod
     def intern(cls, table: str, columns: Iterable[str]) -> "Schema":
@@ -63,6 +66,27 @@ class Schema:
         if schema is None:
             schema = cls._interned.setdefault(key, cls(key[0], key[1]))
         return schema
+
+    def positions(
+        self, columns: PyTuple[Optional[str], ...]
+    ) -> Optional[PyTuple[Optional[int], ...]]:
+        """Where ``columns`` sit in this schema's value tuples, or None
+        when one of them is missing; a None among ``columns`` ("no column
+        read here", as for COUNT(*)) stays None.  Remembered per distinct
+        ``columns``, so an operator that reads the same columns of every
+        row resolves their names once per schema, not once per tuple."""
+        try:
+            return self._positions[columns]
+        except KeyError:
+            index = self.index
+            try:
+                resolved = tuple(
+                    [None if column is None else index[column] for column in columns]
+                )
+            except KeyError:
+                resolved = None
+            self._positions[columns] = resolved
+            return resolved
 
     @property
     def wire_overhead(self) -> int:

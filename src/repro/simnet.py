@@ -71,7 +71,7 @@ def build_overlay(
     # A second refresh pass: the first joiners built tables before later
     # joiners registered (exactly what stabilization would eventually fix).
     for node in nodes:
-        node.router.refresh(directory.members())
+        node.router.sync(directory)
     trees: List[DistributionTree] = []
     if with_trees:
         trees = [DistributionTree(node) for node in nodes]

@@ -4,6 +4,8 @@ loopback sockets must produce the same span-name topology."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import PIERNetwork
@@ -65,6 +67,19 @@ def test_explain_analyze_annotates_three_way_join():
     assert "bytes=" in report
     assert "busy=" in report
     assert "nodes=" in report
+    # Row actuals count tuples, not the batches they travel in: the
+    # per-edge numbers are what tuple-at-a-time execution reported.
+    rows = {
+        operator: (int(rows_in), int(rows_out))
+        for operator, rows_in, rows_out in re.findall(
+            r"(\w+): \w+\([^\n]*\n[ |]*\[actual: rows in=(\d+) out=(\d+)", report
+        )
+    }
+    assert rows["scan_rehash_0"] == (0, 40)
+    assert rows["split_left_0"] == (40, 36) and rows["split_right_0"] == (40, 4)
+    assert rows["join_0"] == (40, 36) and rows["join_1"] == (42, 36)
+    assert rows["rehash_left_1"] == (36, 0) and rows["results"] == (36, 0)
+    assert all("actual 36 rows" in line for line in estimate_lines)
 
     # The same report is reachable post-hoc from the result handle.
     assert network.explain_analyze(result) == report

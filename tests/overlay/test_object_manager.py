@@ -96,3 +96,33 @@ def test_sweep_reports_live_count():
     manager.put(ObjectName("t", "b", "2"), 2, lifetime=100)
     clock.now = 2.0
     assert manager.sweep() == 1
+
+
+def test_reads_skip_the_expiry_walk_until_something_can_have_expired():
+    clock = _Clock()
+    manager = ObjectManager(clock)
+    walks = []
+
+    class _CountingStore(dict):
+        def items(self):
+            walks.append(clock.now)
+            return super().items()
+
+    manager._store = _CountingStore()
+    late, early = ObjectName("t", "k", "late"), ObjectName("t", "k", "early")
+    manager.put(late, "v", lifetime=50)
+    manager.put(early, "v", lifetime=5)
+    clock.now = 4.0
+    assert manager.count("t") == 2 and manager.get_one(early) is not None
+    assert walks == []  # nothing can have expired before t=5
+    clock.now = 5.0
+    assert [obj.name for obj in manager.get("t", "k")] == [late]
+    assert walks == [5.0] and manager.objects_expired == 1
+    clock.now = 30.0
+    assert manager.count("t") == 1
+    assert walks == [5.0]  # the walk at t=5 found the next expiry: t=50
+    # renew may also pull an expiry *earlier*; the bound follows it.
+    assert manager.renew(late, lifetime=2) is True
+    clock.now = 32.0
+    assert manager.count("t") == 0
+    assert manager.objects_expired == 2

@@ -133,3 +133,56 @@ def test_property_routing_terminates_at_unique_owner(node_count, target):
     assert len(owners) == 1
     terminal, hops = _route(routers_by_id, routers[0], target)
     assert terminal.identifier == owners[0].identifier
+
+
+@pytest.mark.parametrize("router_cls", [ChordRouter, BambooRouter])
+def test_sync_rebuilds_only_when_membership_or_suspicion_changed(router_cls):
+    directory = BootstrapDirectory()
+    contacts = [make_contact(address) for address in range(12)]
+    for contact in contacts[:10]:
+        directory.register(contact)
+    router = router_cls(contacts[0])
+    rebuilds = []
+    rebuild = router._rebuild
+    router._rebuild = lambda members: (rebuilds.append(len(members)), rebuild(members))
+
+    def synced_after(change) -> int:
+        before = len(rebuilds)
+        change()
+        router.sync(directory)
+        router.sync(directory)  # a second stabilization round finds nothing new
+        return len(rebuilds) - before
+
+    victim = contacts[3].identifier
+    assert synced_after(lambda: None) == 1  # first sync builds
+    assert synced_after(lambda: None) == 0  # nothing changed: skipped
+    assert synced_after(lambda: directory.register(contacts[10])) == 1
+    assert any(c.identifier == contacts[10].identifier for c in router._contacts.values())
+    assert synced_after(lambda: directory.deregister(contacts[10].identifier)) == 1
+    assert synced_after(lambda: router.mark_dead(victim)) == 1
+    assert victim not in router._contacts
+    assert synced_after(lambda: router.mark_alive(victim)) == 1
+    assert victim in router._contacts
+    assert synced_after(lambda: router.remove_contact(victim)) == 1
+    # A caller-supplied membership leaves the tables out of sync with the
+    # directory, whatever its version says.
+    router.mark_alive(victim)
+    assert synced_after(lambda: router.refresh(contacts[:2])) == 2
+    assert victim in router._contacts
+
+
+def test_directory_members_is_a_private_copy_of_the_cached_order():
+    directory = BootstrapDirectory()
+    for address in range(6):
+        directory.register(make_contact(address))
+    version = directory.version
+    members = directory.members()
+    members.clear()  # the caller's copy, not the cache
+    assert len(directory.members()) == 6
+    assert directory.version == version
+    directory.register(make_contact(6))
+    assert directory.version == version + 1
+    assert [c.identifier for c in directory.members()] == sorted(
+        c.identifier for c in directory.members()
+    )
+    assert len(directory.members()) == 7

@@ -10,9 +10,26 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.qp.opgraph import OperatorSpec
-from repro.qp.operators.base import ExecutionContext, PhysicalOperator, build_operator
+from repro.qp.operators.base import (
+    DEFAULT_PROBE_TAG,
+    ExecutionContext,
+    PhysicalOperator,
+    build_operator,
+)
 from repro.qp.tuples import Tuple
 from repro.simnet import OverlayDeployment, build_overlay
+
+
+def accept_rows(operator: PhysicalOperator) -> PhysicalOperator:
+    """Let a test push one row at a time: ``operator.receive(tup)`` becomes
+    a batch of one (the data channel itself only takes batches)."""
+    receive = operator.receive
+
+    def receive_rows(rows: Any, slot: int = 0, tag: str = DEFAULT_PROBE_TAG) -> None:
+        receive([rows] if isinstance(rows, Tuple) else rows, slot, tag)
+
+    operator.receive = receive_rows
+    return operator
 
 
 class Collector(PhysicalOperator):
@@ -50,7 +67,7 @@ class OperatorHarness:
         spec = OperatorSpec(operator_id, op_type, params or {})
         operator = build_operator(spec, self.context)
         operator.add_parent(self.collector, 0)
-        return operator
+        return accept_rows(operator)
 
     def run(self, duration: float = 1.0) -> None:
         self.deployment.run(duration)

@@ -186,5 +186,5 @@ def test_hierarchical_root_ownership_captured_at_start():
     # Even if the router's view flips mid-query, enqueues keep using the
     # captured ownership instead of splitting across two buckets.
     harness.context.overlay.router.is_responsible = lambda target: False
-    operator._enqueue_partial((), [3])
+    operator._hold_partials([((), [3])])
     assert operator._root_states and not operator._held

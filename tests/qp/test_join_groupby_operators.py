@@ -70,7 +70,7 @@ def test_fetch_matches_join_probes_the_dht_index(small_overlay):
         context,
     )
     join.add_parent(collector, 0)
-    join.receive(Tuple.make("outer", file_id=2, keyword="kw"))
+    join.receive([Tuple.make("outer", file_id=2, keyword="kw")])
     deployment.run(3.0)
     assert len(collector.collected) == 1
     assert collector.collected[0]["size"] == 20

@@ -170,11 +170,11 @@ def test_operators_drop_malformed_tuples():
         op_type = "probe_fixture"
 
         def on_receive(self, tup, slot, tag):
-            self.emit(tup.project(["needed"]))
+            self.emit([tup.project(["needed"])])
 
     spec = OperatorSpec(operator_id="p", op_type="probe_fixture", params={})
     probe = Probe(spec, context=None)
-    probe.receive(Tuple.make("t", other=1))
+    probe.receive([Tuple.make("t", other=1)])
     assert probe.stats.tuples_dropped == 1
     assert probe.stats.tuples_out == 0
 
