@@ -197,6 +197,8 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
         dht = node.overlay.stats
         labels = {"node": index}
         out[_metric_key("dht.lookups", labels)] = dht.lookups_completed
+        out[_metric_key("dht.lookups_cached", labels)] = dht.lookups_cached
+        out[_metric_key("dht.direct_retries", labels)] = dht.direct_retries
         out[_metric_key("dht.lookup_hops_mean", labels)] = dht.mean_lookup_hops
         out[_metric_key("dht.messages_routed", labels)] = dht.messages_routed
         if dht.batch_puts:

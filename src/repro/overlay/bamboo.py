@@ -14,7 +14,7 @@ abstract :class:`~repro.overlay.router.Router` interface — exactly the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.overlay.identifiers import ID_BITS, IdentifierSpace
 from repro.overlay.router import NodeContact, Router
@@ -102,6 +102,22 @@ class BambooRouter(Router):
             if _circular_distance(contact.identifier, target) == own
         ]
         return self.identifier < min(tied)
+
+    def owned_interval(self) -> Optional[Tuple[int, int]]:
+        """The identifiers strictly nearer to this node than to its nearest
+        live contact on either side.  An exact midpoint is left out: the
+        tie-break may give it to this node, and an interval that is too
+        small only costs the requester a routed lookup."""
+        live = [i for i in self._contacts if i not in self._suspected_dead]
+        if not live:
+            return None
+        size = IdentifierSpace.size
+        gap_before = min((self.identifier - i) % size for i in live)
+        gap_after = min((i - self.identifier) % size for i in live)
+        return (
+            (self.identifier - (gap_before - 1) // 2 - 1) % size,
+            (self.identifier + (gap_after - 1) // 2) % size,
+        )
 
     def next_hop(self, target: int, exclude: Optional[Set[int]] = None) -> Optional[NodeContact]:
         exclude = exclude or set()

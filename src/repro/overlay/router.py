@@ -87,15 +87,25 @@ class Router:
         self.contact = contact
         self.identifier = contact.identifier
         self._suspected_dead: Set[int] = set()
-        # The directory version the neighbor tables were last built from;
-        # None once anything else they depend on (the suspicion set, a
-        # contact dropped in place, a caller-supplied membership) changed.
-        self._synced_version: Optional[int] = None
+        # Counts the changes to what this node's view depends on besides
+        # the directory: the suspicion set, a contact dropped in place, a
+        # caller-supplied membership.
+        self._local_changes = 0
+        # The view_key() the neighbor tables were last built at.
+        self._synced_key: Optional[int] = None
 
     # -- membership / maintenance ----------------------------------------- #
+    def view_key(self, directory: BootstrapDirectory) -> int:
+        """One integer that moves whenever the directory's membership or
+        this router's own view of it does.  Both terms only grow, so the
+        sum changes exactly when either does; anything derived from the
+        two (the neighbor tables, the wrapper's owner cache) is current
+        while the key it was built at still matches."""
+        return directory.version + self._local_changes
+
     def refresh(self, members: Sequence[NodeContact]) -> None:
         """Rebuild neighbor tables from the known membership."""
-        self._synced_version = None
+        self._local_changes += 1
         self._rebuild(members)
 
     def sync(self, directory: BootstrapDirectory) -> None:
@@ -103,22 +113,30 @@ class Router:
         membership nor this router's suspicion set changed since the last
         sync — the tables are a pure function of the two, and periodic
         stabilization mostly finds both unchanged."""
-        version = directory.version
-        if version != self._synced_version:
+        key = self.view_key(directory)
+        if key != self._synced_key:
             self._rebuild(directory.members())
-            self._synced_version = version
+            self._synced_key = key
 
     def _rebuild(self, members: Sequence[NodeContact]) -> None:
         raise NotImplementedError
 
     def mark_dead(self, identifier: int) -> None:
         """Locally note that a neighbor did not acknowledge a message."""
-        self._suspected_dead.add(identifier)
-        self._synced_version = None
+        if identifier not in self._suspected_dead:
+            self._suspected_dead.add(identifier)
+            self._local_changes += 1
 
     def mark_alive(self, identifier: int) -> None:
-        self._suspected_dead.discard(identifier)
-        self._synced_version = None
+        if identifier in self._suspected_dead:
+            self._suspected_dead.discard(identifier)
+            self._local_changes += 1
+
+    def remove_contact(self, identifier: int) -> None:
+        """A message to ``identifier`` went unacknowledged: suspect it and
+        stop routing through it.  Routers that can also drop it from
+        their tables in place, ahead of the next :meth:`sync`, override."""
+        self.mark_dead(identifier)
 
     def is_suspected_dead(self, identifier: int) -> bool:
         return identifier in self._suspected_dead
@@ -141,6 +159,26 @@ class Router:
     def is_responsible(self, target: int) -> bool:
         """Does this node own ``target`` given its current neighbor view?"""
         raise NotImplementedError
+
+    def owned_interval(self) -> Optional[Tuple[int, int]]:
+        """The clockwise interval ``(start, end]`` of identifiers for which
+        :meth:`is_responsible` holds, or ``None`` when this router cannot
+        state one."""
+        return None
+
+    def owned_answer(self, directory: BootstrapDirectory) -> Optional[Tuple[int, int, int]]:
+        """What a lookup answer says about this node's range, so that the
+        requester can resolve its other identifiers without routing again:
+        ``(start, end, directory.version)``, or ``None`` when there is no
+        :meth:`owned_interval` — or when the tables it comes from were
+        built under an older view than the present one.  A node that has
+        not yet stabilized on a join still counts the newcomer's
+        identifiers as its own; a requester that kept that interval would
+        go on sending them here after everyone else had moved on."""
+        if self._synced_key != self.view_key(directory):
+            return None
+        interval = self.owned_interval()
+        return interval and (*interval, directory.version)
 
     def next_hop(self, target: int, exclude: Optional[Set[int]] = None) -> Optional[NodeContact]:
         """The neighbor to forward a message for ``target`` to.
@@ -259,6 +297,11 @@ class ChordRouter(Router):
         return IdentifierSpace.in_interval(
             target, self.predecessor.identifier, self.identifier, inclusive_end=True
         )
+
+    def owned_interval(self) -> Optional[Tuple[int, int]]:
+        if self.predecessor is None:
+            return None
+        return self.predecessor.identifier, self.identifier
 
     def _closest_member(self, target: int) -> int:
         candidates = [self.identifier] + [c.identifier for c in self._contacts.values()]

@@ -3,19 +3,29 @@
 The wrapper choreographs the router and the object manager to provide the
 inter-node operations (``get``, ``put``, ``send``, ``renew``) and the
 intra-node operations (``localScan``, ``newData``, ``upcall``) that the
-query processor uses.  ``put``/``get``/``renew`` are two-phase: a multi-hop
-*lookup* resolves the identifier-to-address mapping, then a direct
-point-to-point exchange performs the operation (Figure 6).  ``send`` routes
-the object itself hop-by-hop toward the destination, invoking upcalls at
-every node along the path.
+query processor uses.  ``put``/``get``/``renew`` are two-phase: the
+identifier-to-address mapping is resolved, then a direct point-to-point
+exchange performs the operation (Figure 6).  Resolving takes a multi-hop
+*lookup* only while the owner is unknown: a lookup answer carries the
+interval of identifiers its owner is responsible for, the node keeps those
+(the *owner cache*, emptied whenever the membership or its suspicion set
+changes), and an identifier inside one goes straight to the direct message
+— sent with the transport's delivery ack, so that a dead cached owner is
+noticed and the operation re-run through a routed lookup.  The public
+:meth:`OverlayNode.lookup` never reads the cache: its callers use it to
+*discover* ownership changes.  ``send`` routes the object itself
+hop-by-hop toward the destination, invoking upcalls at every node along
+the path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.overlay.identifiers import IdentifierSpace
 from repro.overlay.naming import ObjectName
 from repro.overlay.object_manager import ObjectManager, StoredObject
 from repro.overlay.router import (
@@ -46,7 +56,9 @@ class DHTStats:
 
     lookups_issued: int = 0
     lookups_completed: int = 0
+    lookups_cached: int = 0
     lookup_hops_total: int = 0
+    direct_retries: int = 0
     puts: int = 0
     batch_puts: int = 0
     batched_objects: int = 0
@@ -62,6 +74,8 @@ class DHTStats:
 
     @property
     def mean_lookup_hops(self) -> float:
+        """Routed hops per owner resolution: one answered locally or from
+        the owner cache (``lookups_cached`` of them) counts with 0 hops."""
         if self.lookups_completed == 0:
             return 0.0
         return self.lookup_hops_total / self.lookups_completed
@@ -70,15 +84,8 @@ class DHTStats:
 @dataclass(slots=True)
 class _PendingRequest:
     callback: Callable[..., None]
-    kind: str
-    issued_at: float
+    on_timeout: Callable[[], None]
     timer: Any = None
-
-
-@dataclass(slots=True)
-class _RouteAttempt:
-    message: Dict[str, Any]
-    excluded: Set[int] = field(default_factory=set)
 
 
 class _LivenessProbe:
@@ -99,9 +106,7 @@ class _LivenessProbe:
             self.node.router.mark_alive(self.identifier)
         else:
             self.node.stats.ping_failures += 1
-            self.node.router.mark_dead(self.identifier)
-            if hasattr(self.node.router, "remove_contact"):
-                self.node.router.remove_contact(self.identifier)
+            self.node.router.remove_contact(self.identifier)
         self.callback(success)
 
 
@@ -131,6 +136,11 @@ class OverlayNode:
         self.request_timeout = request_timeout
         self._request_ids = itertools.count(1)
         self._pending: Dict[int, _PendingRequest] = {}
+        # Owner cache: (end, start, owner) per clockwise interval (start, end]
+        # a lookup answer stated, sorted by end; one entry per member at
+        # most, current while the router's view key is the one it filled under.
+        self._owner_cache: List[Tuple[int, int, NodeContact]] = []
+        self._owner_cache_key: Optional[int] = None
         self._new_data_handlers: Dict[str, List[NewDataCallback]] = {}
         self._new_batch_handlers: Dict[str, List[NewDataCallback]] = {}
         self._upcall_handlers: Dict[str, List[UpcallHandler]] = {}
@@ -230,35 +240,20 @@ class OverlayNode:
     # Inter-node operations (Table 2)                                     #
     # ------------------------------------------------------------------ #
     def get(self, namespace: str, key: object, callback_client: GetCallback) -> None:
-        """Two-phase get: lookup the owner, then fetch all objects for the key."""
+        """Two-phase get: resolve the owner, then fetch all objects for the key."""
         self.stats.gets += 1
-        routing_id = ObjectName(namespace, key, "").routing_identifier()
-
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
-            if owner is None:
-                callback_client(namespace, key, [])
-                return
-            if owner.identifier == self.identifier:
-                objects = [obj.value for obj in self.object_manager.get(namespace, key)]
-                callback_client(namespace, key, objects)
-                return
-            request_id = self._register_request(
-                lambda objects: callback_client(namespace, key, objects),
-                kind="get",
-                on_timeout=lambda: callback_client(namespace, key, []),
-            )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "get_request",
-                    "namespace": namespace,
-                    "key": key,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
-
-        self._lookup(routing_id, after_lookup)
+        self._two_phase(
+            ObjectName(namespace, key, "").routing_identifier(),
+            {
+                "kind": "get_request",
+                "namespace": namespace,
+                "key": key,
+                "request_id": None,
+                "origin": self.address,
+            },
+            lambda objects: callback_client(namespace, key, objects),
+            failure=[],
+        )
 
     def put(
         self,
@@ -269,41 +264,24 @@ class OverlayNode:
         lifetime: float,
         callback: Optional[AckCallback] = None,
     ) -> ObjectName:
-        """Two-phase put: lookup the owner, then ship the object directly."""
+        """Two-phase put: resolve the owner, then ship the object directly."""
         self.stats.puts += 1
         name = ObjectName(namespace, key, suffix)
-        routing_id = name.routing_identifier()
-
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
-            if owner is None:
-                if callback is not None:
-                    callback(False)
-                return
-            if owner.identifier == self.identifier:
-                self._store_locally(name, value, lifetime)
-                if callback is not None:
-                    callback(True)
-                return
-            request_id = None
-            if callback is not None:
-                request_id = self._register_request(
-                    callback, kind="put", on_timeout=lambda: callback(False)
-                )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "put",
-                    "namespace": namespace,
-                    "key": key,
-                    "suffix": suffix,
-                    "value": value,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
-
-        self._lookup(routing_id, after_lookup)
+        self._two_phase(
+            name.routing_identifier(),
+            {
+                "kind": "put",
+                "namespace": namespace,
+                "key": key,
+                "suffix": suffix,
+                "value": value,
+                "lifetime": lifetime,
+                "request_id": None,
+                "origin": self.address,
+            },
+            callback,
+            failure=False,
+        )
         return name
 
     def put_batch(
@@ -315,7 +293,7 @@ class OverlayNode:
         callback: Optional[AckCallback] = None,
     ) -> None:
         """Batched put: ship several objects for one partitioning key with a
-        single lookup and a single direct message.
+        single owner resolution and a single direct message.
 
         All objects in ``entries`` (``(suffix, value)`` pairs) share the
         same (namespace, key), so they route to the same owner; coalescing
@@ -329,41 +307,24 @@ class OverlayNode:
         self.stats.puts += 1
         self.stats.batch_puts += 1
         self.stats.batched_objects += len(entries)
-        routing_id = ObjectName(namespace, key, entries[0][0]).routing_identifier()
-
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
-            if owner is None:
-                if callback is not None:
-                    callback(False)
-                return
-            if owner.identifier == self.identifier:
-                self._store_batch_locally(namespace, key, entries, lifetime)
-                if callback is not None:
-                    callback(True)
-                return
-            request_id = None
-            if callback is not None:
-                request_id = self._register_request(
-                    callback, kind="put_batch", on_timeout=lambda: callback(False)
-                )
-            # The entry pairs are shipped as-is (zero-copy): values are
-            # immutable wire objects whose sizes the simulator memoizes, so
-            # the batch message costs one envelope walk plus the sum of the
-            # elements' cached sizes.
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "put_batch",
-                    "namespace": namespace,
-                    "key": key,
-                    "entries": entries,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
-
-        self._lookup(routing_id, after_lookup)
+        # The entry pairs are shipped as-is (zero-copy): values are
+        # immutable wire objects whose sizes the simulator memoizes, so
+        # the batch message costs one envelope walk plus the sum of the
+        # elements' cached sizes.
+        self._two_phase(
+            ObjectName(namespace, key, entries[0][0]).routing_identifier(),
+            {
+                "kind": "put_batch",
+                "namespace": namespace,
+                "key": key,
+                "entries": entries,
+                "lifetime": lifetime,
+                "request_id": None,
+                "origin": self.address,
+            },
+            callback,
+            failure=False,
+        )
 
     def renew(
         self,
@@ -379,46 +340,75 @@ class OverlayNode:
         destination — the publisher must then re-``put`` it.
         """
         self.stats.renews += 1
-        name = ObjectName(namespace, key, suffix)
-        routing_id = name.routing_identifier()
 
-        def after_lookup(owner: Optional[NodeContact], _hops: int) -> None:
-            if owner is None:
+        def on_result(success: bool) -> None:
+            if not success:
                 self.stats.renew_failures += 1
-                if callback is not None:
-                    callback(False)
+            if callback is not None:
+                callback(success)
+
+        self._two_phase(
+            ObjectName(namespace, key, suffix).routing_identifier(),
+            {
+                "kind": "renew",
+                "namespace": namespace,
+                "key": key,
+                "suffix": suffix,
+                "lifetime": lifetime,
+                "request_id": None,
+                "origin": self.address,
+            },
+            on_result,
+            failure=False,
+        )
+
+    def _two_phase(
+        self,
+        routing_id: int,
+        message: Dict[str, Any],
+        done: Optional[Callable[[Any], None]],
+        failure: Any,
+    ) -> None:
+        """Resolve the owner of ``routing_id``, then run the storage
+        operation ``message`` there (Figure 6): here when this node is the
+        owner, as one direct message otherwise.
+
+        The owner comes from the owner cache when a cached interval covers
+        ``routing_id``, from a routed lookup when none does.  ``done``
+        receives the operation's result — or ``failure`` when no owner was
+        found or the owner never answered.
+        """
+
+        def perform(owner: Optional[NodeContact], _hops: int, fallback: Any = None) -> None:
+            if owner is not None and owner.identifier != self.identifier:
+                if done is not None and message["request_id"] is None:
+                    message["request_id"] = self._register_request(
+                        done, on_timeout=lambda: done(failure)
+                    )
+                else:  # after a retry: the exchange gets its full time too
+                    self._restart_timeout(message["request_id"])
+                self._send_direct(owner.address, message, fallback and (owner, fallback))
                 return
-            if owner.identifier == self.identifier:
-                success = self.object_manager.renew(name, lifetime)
-                if not success:
-                    self.stats.renew_failures += 1
-                if callback is not None:
-                    callback(success)
-                return
+            result = failure if owner is None else self._apply(message)
+            if message["request_id"] is not None:
+                # Only after a retry: the request is already registered.
+                self._complete_request(message["request_id"], result)
+            elif done is not None:
+                done(result)
 
-            def on_result(success: bool) -> None:
-                if not success:
-                    self.stats.renew_failures += 1
-                if callback is not None:
-                    callback(success)
+        owner = self._cached_owner(routing_id)
+        if owner is None:
+            self._lookup(routing_id, perform)
+            return
 
-            request_id = self._register_request(
-                on_result, kind="renew", on_timeout=lambda: on_result(False)
-            )
-            self._send_direct(
-                owner.address,
-                {
-                    "kind": "renew",
-                    "namespace": namespace,
-                    "key": key,
-                    "suffix": suffix,
-                    "lifetime": lifetime,
-                    "request_id": request_id,
-                    "origin": self.address,
-                },
-            )
+        def retry() -> None:
+            # No ack from the cached owner (handle_udp_ack marked it dead,
+            # emptying the cache): from cold, and with a cold lookup's time.
+            self.stats.direct_retries += 1
+            self._restart_timeout(message["request_id"])
+            self._lookup(routing_id, perform)
 
-        self._lookup(routing_id, after_lookup)
+        perform(owner, 0, retry)
 
     def send(
         self,
@@ -488,8 +478,64 @@ class OverlayNode:
     # Lookup / routing                                                    #
     # ------------------------------------------------------------------ #
     def lookup(self, identifier: int, callback: LookupCallback) -> None:
-        """Public lookup: resolve which node owns ``identifier``."""
+        """Public lookup: resolve which node owns ``identifier``.
+
+        Always authoritative — answered locally or by a routed lookup,
+        never from the owner cache (which the answer refreshes): callers
+        poll this to notice that ownership moved.
+        """
         self._lookup(identifier, callback)
+
+    def _fresh_owner_cache(self) -> List[Tuple[int, int, NodeContact]]:
+        """The owner cache, emptied first if the membership or this node's
+        suspicion set changed since it was filled.  What survives was
+        stated and received under the present membership, so it can be too
+        small (a dead predecessor not yet noticed) but not too large."""
+        key = self.router.view_key(self.directory)
+        if key != self._owner_cache_key:
+            self._owner_cache.clear()
+            self._owner_cache_key = key
+        return self._owner_cache
+
+    def _cached_owner(self, identifier: int) -> Optional[NodeContact]:
+        """The owner of ``identifier`` if a cached interval covers it."""
+        cache = self._fresh_owner_cache()
+        if not cache:
+            return None
+        # Intervals are disjoint, so the only candidate is the one whose
+        # end is next clockwise from ``identifier`` (a 1-tuple sorts just
+        # before every entry with that end; past the last end, wrap).
+        end, start, owner = cache[bisect_left(cache, (identifier,)) % len(cache)]
+        if not IdentifierSpace.in_interval(identifier, start, end):
+            return None
+        self.stats.lookups_issued += 1
+        self.stats.lookups_completed += 1
+        self.stats.lookups_cached += 1
+        tracer = getattr(self.runtime, "tracer", None)
+        scope = tracer.current() if tracer is not None else None
+        if scope is not None:
+            tracer.event(
+                "dht.lookup", scope[0], parent_id=scope[1],
+                node=self.address, hops=0, cached=True,
+            )
+        return owner
+
+    def _remember_owner(self, owner: NodeContact, owned: Optional[Tuple[int, int, int]]) -> None:
+        """Cache the interval a lookup answer states for ``owner``
+        (:meth:`Router.owned_answer`) in place of the member's old entry —
+        unless the membership changed after the answer was computed, or
+        this node has meanwhile found ``owner`` dead."""
+        if owned is None or owned[2] != self.directory.version:
+            return
+        if self.router.is_suspected_dead(owner.identifier):
+            return
+        start, end, _version = owned
+        cache = self._fresh_owner_cache()
+        for index, entry in enumerate(cache):
+            if entry[2].identifier == owner.identifier:
+                del cache[index]
+                break
+        cache.insert(bisect_left(cache, (end,)), (end, start, owner))
 
     def _lookup(self, identifier: int, callback: LookupCallback) -> None:
         self.stats.lookups_issued += 1
@@ -523,9 +569,7 @@ class OverlayNode:
                 tracer.end(span, hops=hops)
             callback(owner, hops)
 
-        request_id = self._register_request(
-            complete, kind="lookup", on_timeout=lambda: callback(None, 0)
-        )
+        request_id = self._register_request(complete, on_timeout=lambda: callback(None, 0))
         message = {
             "kind": "lookup",
             "target": identifier,
@@ -539,8 +583,8 @@ class OverlayNode:
 
     def _route(self, message: Dict[str, Any], excluded: Optional[Set[int]] = None) -> None:
         """Forward ``message`` one hop toward ``message['target']``."""
-        attempt = _RouteAttempt(message=message, excluded=excluded or set())
-        next_hop, final = self.router.route_choice(message["target"], exclude=attempt.excluded)
+        excluded = excluded or set()
+        next_hop, final = self.router.route_choice(message["target"], exclude=excluded)
         if next_hop is None:
             # We believe we are responsible: deliver locally.
             self._deliver_routed(message)
@@ -569,39 +613,52 @@ class OverlayNode:
                     next_hop=next_hop.address,
                     final=final,
                 )
+
+        def around() -> None:
+            excluded.add(next_hop.identifier)
+            self._route(message, excluded)
+
         self.runtime.send(
             self.port,
             (next_hop.address, self.port),
             message,
-            callback_data=(attempt, next_hop),
+            callback_data=(next_hop, around),
             callback_client=self,
         )
 
     def handle_udp_ack(self, callback_data: Any, success: bool) -> None:
-        """Delivery acknowledgement from the transport (VRI/UdpCC semantics)."""
+        """Delivery acknowledgement from the transport (VRI/UdpCC semantics).
+
+        ``callback_data`` is ``(peer, retry)``: a peer that did not
+        acknowledge is marked dead and dropped from the routing tables
+        (which moves the router's view key, so the owner cache empties),
+        then ``retry`` sends the message another way.
+        """
         if success or callback_data is None:
             return
-        attempt, failed_hop = callback_data
-        # The neighbor is unreachable: remember that, drop it from the
-        # routing tables, and retry the message around it.
-        self.router.mark_dead(failed_hop.identifier)
-        if hasattr(self.router, "remove_contact"):
-            self.router.remove_contact(failed_hop.identifier)
-        attempt.excluded.add(failed_hop.identifier)
-        self._route(attempt.message, excluded=attempt.excluded)
+        peer, retry = callback_data
+        self.router.remove_contact(peer.identifier)
+        retry()
 
     # ------------------------------------------------------------------ #
     # Message handling                                                    #
     # ------------------------------------------------------------------ #
     def handle_udp(self, source: Any, payload: Any) -> None:
-        # Branches ordered by observed frequency (routed lookups and their
-        # responses, then the storage operations) — every simulated message
-        # passes through here.
+        # Branches ordered by observed frequency (the storage operations,
+        # then what is left of routed lookups and their responses once the
+        # owner cache is warm) — every simulated message passes through here.
         if not isinstance(payload, dict) or "kind" not in payload:
             return
         self.stats.messages_received += 1
         kind = payload["kind"]
-        if kind == "lookup":
+        if kind in ("put", "put_batch", "renew"):
+            success = self._apply(payload)
+            if payload.get("request_id") is not None:
+                self._send_direct(
+                    payload["origin"],
+                    {"kind": "ack", "request_id": payload["request_id"], "success": success},
+                )
+        elif kind == "lookup":
             # Per-hop envelope update (see _route); exempted from the
             # wire-immutability contract alongside "final".
             payload["hops"] = payload.get("hops", 0) + 1  # pierlint: disable=P02
@@ -610,27 +667,10 @@ class OverlayNode:
             else:
                 self._route(payload)
         elif kind == "lookup_response":
-            self._complete_request(
-                payload["request_id"],
-                (NodeContact(payload["owner_id"], payload["owner_address"]), payload["hops"]),
-            )
-        elif kind == "put":
-            name = ObjectName(payload["namespace"], payload["key"], payload["suffix"])
-            self._store_locally(name, payload["value"], payload["lifetime"])
-            if payload.get("request_id") is not None:
-                self._send_direct(
-                    payload["origin"],
-                    {"kind": "ack", "request_id": payload["request_id"], "success": True},
-                )
-        elif kind == "put_batch":
-            self._store_batch_locally(
-                payload["namespace"], payload["key"], payload["entries"], payload["lifetime"]
-            )
-            if payload.get("request_id") is not None:
-                self._send_direct(
-                    payload["origin"],
-                    {"kind": "ack", "request_id": payload["request_id"], "success": True},
-                )
+            owner = NodeContact(payload["owner_id"], payload["owner_address"])
+            if payload["request_id"] in self._pending:
+                self._remember_owner(owner, payload.get("owned"))
+            self._complete_request(payload["request_id"], (owner, payload["hops"]))
         elif kind == "ack":
             self._complete_request(payload["request_id"], payload["success"])
         elif kind == "direct":
@@ -641,27 +681,16 @@ class OverlayNode:
             payload["hops"] = payload.get("hops", 0) + 1  # pierlint: disable=P02
             self._handle_send(payload, arrived_over_network=True)
         elif kind == "get_request":
-            objects = [
-                stored.value
-                for stored in self.object_manager.get(payload["namespace"], payload["key"])
-            ]
             self._send_direct(
                 payload["origin"],
                 {
                     "kind": "get_response",
                     "request_id": payload["request_id"],
-                    "objects": objects,
+                    "objects": self._apply(payload),
                 },
             )
         elif kind == "get_response":
             self._complete_request(payload["request_id"], payload["objects"])
-        elif kind == "renew":
-            name = ObjectName(payload["namespace"], payload["key"], payload["suffix"])
-            success = self.object_manager.renew(name, payload["lifetime"])
-            self._send_direct(
-                payload["origin"],
-                {"kind": "ack", "request_id": payload["request_id"], "success": success},
-            )
         elif kind == "ping":
             # Receiving a ping proves the sender is alive; the transport ack
             # answers for us.
@@ -698,6 +727,7 @@ class OverlayNode:
                     "request_id": message["request_id"],
                     "owner_id": self.identifier,
                     "owner_address": self.address,
+                    "owned": self.router.owned_answer(self.directory),
                     "hops": message.get("hops", 0),
                 },
             )
@@ -714,7 +744,31 @@ class OverlayNode:
             {"kind": "direct", "namespace": namespace, "key": key, "value": value},
         )
 
-    def _send_direct(self, destination_address: Any, payload: Dict[str, Any]) -> None:
+    def _apply(self, payload: Dict[str, Any]) -> Any:
+        """The second phase of a two-phase operation, against this node's
+        object manager: a put or put_batch stores (→ True), a renew
+        extends a lifetime (→ whether the object was there), a get_request
+        reads (→ the values).  The same call serves a message that arrived
+        over the network and one this node resolved to itself."""
+        kind = payload["kind"]
+        namespace, key = payload["namespace"], payload["key"]
+        if kind == "put_batch":
+            self._store_batch_locally(namespace, key, payload["entries"], payload["lifetime"])
+            return True
+        if kind == "get_request":
+            return [stored.value for stored in self.object_manager.get(namespace, key)]
+        name = ObjectName(namespace, key, payload["suffix"])
+        if kind == "renew":
+            return self.object_manager.renew(name, payload["lifetime"])
+        self._store_locally(name, payload["value"], payload["lifetime"])
+        return True
+
+    def _send_direct(
+        self, destination_address: Any, payload: Dict[str, Any], unacked: Any = None
+    ) -> None:
+        """Send ``payload`` point-to-point.  ``unacked``, a ``(peer, retry)``
+        pair, asks for the transport's delivery ack and is what
+        :meth:`handle_udp_ack` acts on if none comes."""
         tracer = getattr(self.runtime, "tracer", None)
         if tracer is not None:
             scope = tracer.current()
@@ -723,7 +777,9 @@ class OverlayNode:
         if destination_address == self.address:
             self.handle_udp((self.address, self.port), payload)
             return
-        self.runtime.send(self.port, (destination_address, self.port), payload)
+        self.runtime.send(
+            self.port, (destination_address, self.port), payload, unacked, unacked and self
+        )
 
     def _store_locally(self, name: ObjectName, value: object, lifetime: float) -> StoredObject:
         stored = self.object_manager.put(name, value, lifetime)
@@ -746,31 +802,33 @@ class OverlayNode:
             handler(namespace, key, values)
 
     def _register_request(
-        self,
-        callback: Callable[..., None],
-        kind: str,
-        on_timeout: Optional[Callable[[], None]] = None,
+        self, callback: Callable[..., None], on_timeout: Callable[[], None]
     ) -> int:
         request_id = next(self._request_ids)
-        pending = _PendingRequest(
-            callback=callback, kind=kind, issued_at=self.runtime.get_current_time()
-        )
-        self._pending[request_id] = pending
-        if on_timeout is not None:
-            def expire(_data: Any) -> None:
-                if self._pending.pop(request_id, None) is not None:
-                    on_timeout()
-
-            pending.timer = self.runtime.schedule_event(self.request_timeout, None, expire)
+        self._pending[request_id] = _PendingRequest(callback, on_timeout)
+        self._restart_timeout(request_id)
         return request_id
+
+    def _restart_timeout(self, request_id: Optional[int]) -> None:
+        """Give a request that is still pending ``request_timeout`` from now."""
+        pending = self._pending.get(request_id)
+        if pending is not None:
+            if pending.timer is not None:
+                pending.timer.cancel()
+            pending.timer = self.runtime.schedule_event(
+                self.request_timeout, request_id, self._expire_request
+            )
+
+    def _expire_request(self, request_id: int) -> None:
+        pending = self._pending.pop(request_id, None)
+        if pending is not None:
+            pending.on_timeout()
 
     def _complete_request(self, request_id: int, result: Any) -> None:
         pending = self._pending.pop(request_id, None)
-        if pending is None:
-            return
-        if pending.timer is not None and hasattr(pending.timer, "cancel"):
+        if pending is not None:
             pending.timer.cancel()
-        pending.callback(result)
+            pending.callback(result)
 
 
 # Backwards-compatible alias: the paper calls this component the "wrapper".

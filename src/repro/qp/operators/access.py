@@ -20,7 +20,7 @@ from repro.qp.opgraph import OperatorSpec
 from repro.qp.tuples import MalformedTupleError, Tuple
 
 
-def _coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
+def coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
     """Convert a stored object into a tuple, best-effort.
 
     Interned wire tuples pass through zero-copy; the legacy
@@ -49,7 +49,7 @@ class _AccessMethod(PhysicalOperator):
         cannot be made a tuple is dropped and counted."""
         batch = list(values)
         if set(map(type, batch)) - {Tuple}:
-            coerced = [_coerce_tuple(self.table, value) for value in batch]
+            coerced = [coerce_tuple(self.table, value) for value in batch]
             batch = [tup for tup in coerced if tup is not None]
             self.stats.tuples_dropped += len(coerced) - len(batch)
         if batch:

@@ -14,6 +14,7 @@ import hashlib
 from collections import defaultdict
 from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple as PyTuple
 
+from repro.qp.operators.access import coerce_tuple
 from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.tuples import MalformedTupleError, Tuple
 
@@ -95,25 +96,13 @@ class FetchMatchesJoin(PhysicalOperator):
 
         def on_fetch(_namespace: str, _key: object, objects: List[object]) -> None:
             self.fetches_completed += 1
-            inners = [self._coerce(value) for value in objects]
+            inners = [coerce_tuple(self.inner_table, value) for value in objects]
             table = self.param("output_table")
             joined = [tup.join(inner, table=table) for inner in inners if inner is not None]
             self.stats.tuples_dropped += len(inners) - len(joined)
             self.emit(joined, tag)
 
         self.context.overlay.get(self.inner_namespace, lookup_key, on_fetch)
-
-    def _coerce(self, value: object) -> Optional[Tuple]:
-        if isinstance(value, Tuple):
-            return value
-        if isinstance(value, dict):
-            if "table" in value and "values" in value:
-                try:
-                    return Tuple.from_wire(value)
-                except MalformedTupleError:
-                    return None
-            return Tuple(self.inner_table, value)
-        return None
 
 
 @register_operator
