@@ -92,6 +92,14 @@ def _run(count: int, shared: bool) -> dict:
         "epochs_per_subscriber": epochs_each,
         "all_exact": exact,
         "messages_per_epoch": messages / max(epochs_each, 1),
+        # Epoch assemblies (merge + finalize + order) per delivered epoch:
+        # one per proxy node with subscribers when shared, one per
+        # subscriber otherwise.
+        "assemblies_per_epoch": (
+            subscribers[0].shared.epochs_assembled / max(epochs_each, 1)
+            if shared
+            else count
+        ),
         "events_per_sec": events / max(elapsed, 1e-9),
     }
 
@@ -113,6 +121,7 @@ def test_fanout_sharing_scales_sublinearly(benchmark):
             run["epochs_per_subscriber"],
             "yes" if run["all_exact"] else "NO",
             f"{run['messages_per_epoch']:.0f}",
+            f"{run['assemblies_per_epoch']:g}",
             f"{run['events_per_sec']:.0f}",
         ]
         for run in shared_runs
@@ -122,13 +131,14 @@ def test_fanout_sharing_scales_sublinearly(benchmark):
             naive["epochs_per_subscriber"],
             "yes" if naive["all_exact"] else "NO",
             f"{naive['messages_per_epoch']:.0f}",
+            f"{naive['assemblies_per_epoch']:g}",
             f"{naive['events_per_sec']:.0f}",
         ]
     ]
     print_table(
         f"Epoch fan-out — {NODES} nodes, {WINDOW:g}s windows, "
         f"subscribers swept {SWEEP}",
-        ["strategy", "epochs", "exact", "msgs/epoch", "events/s"],
+        ["strategy", "epochs", "exact", "msgs/epoch", "assemblies/epoch", "events/s"],
         rows,
     )
     RESULTS_PATH.write_text(
@@ -154,6 +164,7 @@ def test_fanout_sharing_scales_sublinearly(benchmark):
             "shared msgs/epoch @1": by_count[1]["messages_per_epoch"],
             "shared msgs/epoch @64": by_count[64]["messages_per_epoch"],
             "naive msgs/epoch @64": naive["messages_per_epoch"],
+            "shared assemblies/epoch @64": by_count[64]["assemblies_per_epoch"],
         }
     )
     for run in shared_runs + naive_runs:
@@ -167,3 +178,7 @@ def test_fanout_sharing_scales_sublinearly(benchmark):
     # pane stream itself is shared), where per-client installs pay ~64×.
     assert by_count[64]["messages_per_epoch"] <= 2 * by_count[1]["messages_per_epoch"]
     assert by_count[64]["messages_per_epoch"] <= 0.5 * naive["messages_per_epoch"]
+    # Epoch assembly is shared per proxy node, not repeated per subscriber:
+    # a seeded count, so the gate is exact.
+    for run in shared_runs:
+        assert run["assemblies_per_epoch"] == min(run["subscribers"], NODES)

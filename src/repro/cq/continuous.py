@@ -24,10 +24,12 @@ A handle runs in one of two modes:
   final rows per epoch; the handle groups them by epoch stamp.
 * **Shared** (``shared=`` a :class:`~repro.cq.sharing.SharedPlan`): no
   private query is installed.  The shared plan broadcasts mergeable
-  *pane* states over the distribution tree; this handle buffers the
-  panes its proxy node receives, merges them into its own epochs (its
-  own window length, slide, landmark folding), finalizes the aggregate
-  states, and applies its own per-epoch ORDER BY / LIMIT.  Lifecycle
+  *pane* states over the distribution tree; the handle's proxy node
+  buffers them once and the handle joins the node's
+  :class:`~repro.cq.panes.EpochGroup` for its window shape, which merges,
+  finalizes and orders each epoch once and hands every member the rows.
+  Only what is per subscriber stays here: callbacks, pause/resume, the
+  delivered list, the warm-up skip and the lifetime.  Lifecycle
   verbs map onto the shared plan's refcounts: ``renew`` extends the
   shared deadline to the max across subscribers, and ``cancel`` /
   expiry release one refcount — the shared opgraph is only torn down
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple as PyTuple
 
-from repro.cq.sharing import SHARED_LIFETIME_MARGIN
+from repro.cq.sharing import SHARED_FANOUT_SETTLE, SHARED_LIFETIME_MARGIN
 from repro.cq.windows import EPOCH_COLUMN, WindowSpec, strip_stamp
 from repro.qp.opgraph import QueryPlan
 from repro.qp.tuples import Tuple
@@ -64,11 +66,6 @@ DoneCallback = Callable[["ContinuousQuery"], None]
 # considered complete: covers the result hop to the proxy plus the
 # periodic result flush.
 DEFAULT_EPOCH_GRACE = 1.0
-
-# Shared mode adds one more hop past the merge watermark: the result
-# flush into the shared proxy, the fan-out debounce, and the tree
-# broadcast routing before pane rows reach a subscriber.
-SHARED_FANOUT_SETTLE = 0.75
 
 
 @dataclass
@@ -134,8 +131,9 @@ class ContinuousQuery:
         self._done_callbacks: List[DoneCallback] = []
         self._paused = False
         self._done_fired = False
-        self._closed: set = set()
-        self._next_close: Optional[int] = None
+        # Epochs close in order: everything below this has closed, and a
+        # row arriving for it is late.
+        self._next_close = spec.pane_of(network.now)
         self.late_rows = 0
         # Epochs discarded at lifetime expiry because their merge-site
         # watermark fell past the query deadline — their merges cannot be
@@ -147,27 +145,16 @@ class ContinuousQuery:
         self._runtime = network.nodes[proxy].runtime
         if shared is not None:
             # Shared mode: no private standing query.  Pane states arrive
-            # via the shared plan's tree broadcasts; this handle merges
-            # them into its own epochs client-side.
+            # via the shared plan's tree broadcasts; the proxy node's epoch
+            # group for this window shape assembles them and hands each
+            # closed epoch over (``_on_group_epoch``).
             self.stream = None
             self._submitted_at = network.now
             self._shared_finished = False
             self._shared_cancelled = False
-            # pane index -> group key -> aggregate state list (wire data:
-            # never mutated, replaced per (pane, group) on arrival).
-            self._pane_states: Dict[int, Dict[PyTuple[Any, ...], List[Any]]] = {}
-            # pane index -> contributor count of the buffered emission: a
-            # post-handoff root may re-emit a pane from a thinner catch-up
-            # ledger, and such a burst must not overwrite a fuller one.
-            self._pane_contrib: Dict[int, int] = {}
             self.superseded_pane_rows = 0
-            self._landmark_folded: Dict[PyTuple[Any, ...], List[Any]] = {}
-            self._merge_functions = [
-                agg.build() for agg in shared.components.aggregates
-            ]
             self._first_pane = shared.pane_spec.pane_of(network.now)
-            self._min_live_pane = 0
-            self._sub_id = shared.attach(self)
+            self._sub_id, self._group = shared.attach(self)
             self._arm_expiry()
         else:
             self.stream = StreamingQuery(
@@ -176,7 +163,7 @@ class ContinuousQuery:
             self._submitted_at = self.stream.handle.submitted_at
             self.stream.on_result(self._on_tuple)
             self.stream.on_done(lambda _s: self._on_stream_done())
-        self._arm_epoch_clock()
+            self._arm_epoch_clock()
 
     # -- subscription ---------------------------------------------------------- #
     def on_epoch(self, callback: EpochCallback) -> "ContinuousQuery":
@@ -278,82 +265,54 @@ class ContinuousQuery:
         if epoch is None:
             return  # unstamped stragglers (e.g. a teardown flush remnant)
         epoch = int(epoch)
-        if epoch in self._closed:
+        if epoch < self._next_close:
             self.late_rows += 1
             return
         key = tuple(tup.get(column) for column in self.spec.group_columns)
         self._pending.setdefault(epoch, {})[key] = tup
 
-    def _receive_pane_rows(self, rows: List[Tuple]) -> None:
-        """Shared mode: one fan-out burst of pane-state rows arrived at
-        this subscriber's proxy node."""
-        if self.finished:
-            return
-        for tup in rows:
-            pane = tup.get(EPOCH_COLUMN)
-            states = tup.get("__partial_states__")
-            if pane is None or states is None:
-                continue
-            pane = int(pane)
-            if pane < self._min_live_pane:
-                # Every epoch needing this pane already closed here (e.g.
-                # a post-handoff re-broadcast arriving very late).
-                self.late_rows += 1
-                continue
-            contrib = tup.get("__contributors__")
-            if contrib is not None:
-                stored = self._pane_contrib.get(pane)
-                if stored is not None and contrib < stored:
-                    # A re-emission folded from fewer sources than what is
-                    # already buffered (handoff root catching up): keep the
-                    # fuller emission.
-                    self.superseded_pane_rows += 1
-                    continue
-                if stored is not None and contrib > stored:
-                    # Strictly fuller emission: drop the thinner pane
-                    # wholesale rather than mixing groups across emissions.
-                    self._pane_states.pop(pane, None)
-                self._pane_contrib[pane] = contrib
-            key = tuple(tup.require("__group_key__"))
-            self._pane_states.setdefault(pane, {})[key] = states
-
-    def _close_deadline(self, epoch: int) -> float:
-        """Virtual time epoch ``epoch`` closes client-side."""
-        deadline = self.spec.watermark(epoch) + self.epoch_grace
-        if self.shared is not None:
-            shared_watermark = self.spec.epoch_end(epoch) + self.shared.grace
-            deadline = (
-                max(deadline, shared_watermark + self.epoch_grace)
-                + SHARED_FANOUT_SETTLE
-            )
-        return deadline
-
     def _arm_epoch_clock(self) -> None:
+        """Private mode: wake when the next epoch's client watermark passes
+        (a shared subscriber's clock is its epoch group's)."""
         if self.finished:
             return
-        if self._next_close is None:
-            self._next_close = self.spec.pane_of(self.network.now)
-        delay = max(self._close_deadline(self._next_close) - self.network.now, 0.0)
-        self._runtime.schedule_event(delay, None, self._on_epoch_clock)
+        deadline = self.spec.watermark(self._next_close) + self.epoch_grace
+        self._runtime.schedule_event(
+            max(deadline - self.network.now, 0.0), None, self._on_epoch_clock
+        )
 
     def _on_epoch_clock(self, _data: object) -> None:
         if self.finished:
             # The done path delivers the remaining epochs.
             return
-        epoch = self._next_close
-        self._next_close = epoch + 1
-        self._close_epoch(epoch)
+        self._close_pending(self._next_close)
         self._arm_epoch_clock()
 
-    def _close_epoch(self, epoch: int) -> None:
-        if epoch in self._closed:
-            return
-        self._closed.add(epoch)
-        if self.shared is not None:
-            tuples = self._assemble_shared_epoch(epoch)
-        else:
-            bucket = self._pending.pop(epoch, None)
-            tuples = self._finalize_rows(list(bucket.values())) if bucket else []
+    def _close_pending(self, epoch: int) -> None:
+        """Private mode: close ``epoch`` from the stamped rows that arrived."""
+        bucket = self._pending.pop(epoch, None)
+        self._close_epoch(
+            epoch, self._finalize_rows(list(bucket.values())) if bucket else []
+        )
+
+    def _on_group_epoch(self, epoch: int, rows: List[Tuple]) -> None:
+        """Shared mode: the epoch group assembled ``epoch``.  The rows are
+        the group's; this subscriber gets its own list of them."""
+        if epoch < self._next_close:
+            return  # closed before this subscriber joined the group
+        if (
+            not self.spec.landmark
+            and self._group.first_pane_of(epoch) < self._first_pane
+        ):
+            # The window reaches back before this subscriber attached:
+            # its panes were broadcast before we listened, so the epoch
+            # cannot be complete.  Skip it (counted).
+            self.warmup_epochs_skipped += 1
+            rows = []
+        self._close_epoch(epoch, list(rows))
+
+    def _close_epoch(self, epoch: int, tuples: List[Tuple]) -> None:
+        self._next_close = epoch + 1
         # Observability (repro.obs): pane lag is how far behind the
         # window's end the client-side close ran — the standing query's
         # end-to-end staleness.  Only measured when tracing is enabled.
@@ -399,80 +358,6 @@ class ContinuousQuery:
         ]
         return apply_result_clauses_to_tuples(self.plan.metadata, stripped)
 
-    # -- shared-pane epoch assembly -------------------------------------------------- #
-    def _assemble_shared_epoch(self, epoch: int) -> List[Tuple]:
-        """Merge the buffered shared panes epoch ``epoch`` covers into
-        final rows, then evict panes no future epoch needs."""
-        from repro.sql.planner import apply_result_clauses_to_tuples
-
-        spec = self.spec
-        pane_width = self.shared.pane_spec.slide
-        hi = int(round(spec.epoch_end(epoch) / pane_width))
-        if spec.landmark:
-            # Fold every closed pane into the cumulative state once.
-            for pane in sorted(p for p in self._pane_states if p < hi):
-                bucket = self._pane_states.pop(pane)
-                for key, states in bucket.items():
-                    self._merge_shared_states(self._landmark_folded, key, states)
-            self._evict_panes_below(hi)
-            merged = {
-                key: list(states) for key, states in self._landmark_folded.items()
-            }
-        else:
-            lo = int(round(spec.epoch_start(epoch) / pane_width))
-            next_lo = int(round(spec.epoch_start(epoch + 1) / pane_width))
-            if lo < self._first_pane:
-                # The window reaches back before this subscriber attached:
-                # its panes were broadcast before we listened, so the
-                # epoch cannot be complete.  Skip it (counted), but still
-                # evict like a normal close so state never accumulates.
-                self.warmup_epochs_skipped += 1
-                self._evict_panes_below(next_lo)
-                return []
-            merged: Dict[PyTuple[Any, ...], List[Any]] = {}
-            for pane in range(lo, hi):
-                bucket = self._pane_states.get(pane)
-                if not bucket:
-                    continue
-                for key, states in bucket.items():
-                    self._merge_shared_states(merged, key, states)
-            self._evict_panes_below(next_lo)
-        if not merged:
-            return []
-        rows = []
-        for key, states in merged.items():
-            values = dict(zip(spec.group_columns, key))
-            for agg, function, state in zip(
-                self.shared.components.aggregates, self._merge_functions, states
-            ):
-                values[agg.output] = function.result(state)
-            rows.append(Tuple(self.shared.components.output_table, values))
-        return apply_result_clauses_to_tuples(self.plan.metadata, rows)
-
-    def _merge_shared_states(
-        self,
-        buffer: Dict[PyTuple[Any, ...], List[Any]],
-        key: PyTuple[Any, ...],
-        states: List[Any],
-    ) -> None:
-        """Fold one pane's states for one group into ``buffer`` — always
-        into fresh lists; the incoming states are frozen wire data."""
-        existing = buffer.get(key)
-        if existing is None:
-            buffer[key] = list(states)
-            return
-        buffer[key] = [
-            function.merge(left, right)
-            for function, left, right in zip(self._merge_functions, existing, states)
-        ]
-
-    def _evict_panes_below(self, pane_index: int) -> None:
-        self._min_live_pane = max(self._min_live_pane, pane_index)
-        for pane in [p for p in self._pane_states if p < self._min_live_pane]:
-            del self._pane_states[pane]
-        for pane in [p for p in self._pane_contrib if p < self._min_live_pane]:
-            del self._pane_contrib[pane]
-
     def _deliver(self, window: WindowEpoch) -> None:
         self._delivered.append(window)
         tracer = getattr(self._runtime, "tracer", None)
@@ -500,9 +385,9 @@ class ContinuousQuery:
         deadline = self.deadline
         for epoch in sorted(self._pending):
             if self.spec.watermark(epoch) <= deadline:
-                self._close_epoch(epoch)
+                self._close_pending(epoch)
             else:
-                self._closed.add(epoch)
+                self._next_close = epoch + 1
                 self._pending.pop(epoch, None)
                 self.dropped_partial_epochs += 1
         self._fire_done()
@@ -528,28 +413,26 @@ class ContinuousQuery:
     def _finish_shared(self, deadline: float) -> None:
         """Shared mode: detach from the shared plan (dropping one
         refcount) and finalize: close every epoch whose merge watermark
-        fit inside ``deadline``, account the rest as dropped partials."""
+        fit inside ``deadline`` — assembled for this subscriber alone,
+        leaving the panes to the group's survivors — and account the rest
+        as dropped partials."""
         if self._shared_finished:
             return
         self._shared_finished = True
-        self.shared.release(self._sub_id)
-        if self._next_close is None:
-            self._next_close = self.spec.pane_of(self._submitted_at)
+        group = self._group
         while self.spec.watermark(self._next_close) <= deadline + 1e-9:
             epoch = self._next_close
-            self._next_close = epoch + 1
-            self._close_epoch(epoch)
-        if self._pane_states:
+            self._on_group_epoch(epoch, group.assemble(epoch))
+        self.shared.release(self._sub_id)
+        buffer = group.buffer
+        if buffer.states:
             # Buffered panes belong to epochs past the deadline — their
             # merges cannot complete inside the lifetime.
-            pane_width = self.shared.pane_spec.slide
-            last_pane = max(self._pane_states)
-            last_epoch = self.spec.pane_of((last_pane + 1) * pane_width - 1e-9)
-            for epoch in range(self._next_close, last_epoch + 1):
-                if epoch not in self._closed:
-                    self._closed.add(epoch)
-                    self.dropped_partial_epochs += 1
-            self._pane_states.clear()
+            pane_end = (max(buffer.states) + 1) * buffer.pane_width
+            dropped = self.spec.pane_of(pane_end - 1e-9) + 1 - self._next_close
+            if dropped > 0:
+                self._next_close += dropped
+                self.dropped_partial_epochs += dropped
         self._fire_done()
 
     def _on_shared_done(self) -> None:

@@ -15,30 +15,37 @@ and the executor that makes them one:
   width is the first subscriber's slide, with ``emit_states=True`` so
   the merge site emits mergeable partial-state rows per pane instead of
   final values.  Any subscriber whose slide is a whole multiple of the
-  pane width attaches; each :class:`~repro.cq.continuous.ContinuousQuery`
-  re-assembles its own epochs (its own window length, slide, landmark
-  folding, ORDER BY / LIMIT) client-side from the shared pane stream.
+  pane width attaches; its epochs (its own window length, slide, landmark
+  folding, ORDER BY / LIMIT) are re-assembled from the shared pane stream
+  at its proxy node.
 * **Epoch fan-out over the distribution tree.** Result delivery moves
   off per-client result channels: there is one upward partial stream per
   shared plan (into its proxy), and closed panes are broadcast once over
   the existing distribution tree in ``{"panes": [...]}`` envelopes.
-  Every node dispatches arriving pane bursts to locally attached
-  subscribers (``PIERNode.add_pane_listener``), so messages/epoch is a
-  function of the deployment size, not the subscriber count.
+  A node with attached subscribers buffers each arriving burst once
+  (``PIERNode.add_pane_listener`` → :class:`~repro.cq.panes.PaneBuffer`),
+  so messages/epoch is a function of the deployment size, not the
+  subscriber count.
+* **Shared epoch assembly.** Subscribers attached through one node that
+  agree on what an epoch is form one :class:`~repro.cq.panes.EpochGroup`
+  with one clock: the epoch is merged, finalized and ordered once and
+  every member is handed the same rows.  Nothing is shared across nodes —
+  a node is a machine.
 * **Composable lifecycle.** Attach/release maintain per-subscriber
   refcounts; ``renew()`` extends the shared deadline to the max across
   subscribers; cancel / lifetime expiry release one refcount, and the
   opgraph (timers, buffers, tree state) is torn down only when the count
-  hits zero.  A subscriber cancelling mid-epoch only unregisters its own
-  pane listener — survivors keep their buffered panes and deliver that
+  hits zero.  A subscriber cancelling mid-epoch only leaves its epoch
+  group — survivors keep the node's buffered panes and deliver that
   epoch exactly once.  To PR 3 resilience (root handoff, rejoin
   re-dissemination) the shared plan is one ordinary query.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
+from repro.cq.panes import EpochGroup, PaneBuffer
 from repro.cq.windows import CQ_METADATA_KEY, EPOCH_COLUMN, WindowSpec
 from repro.qp.fingerprint import (
     PlanComponents,
@@ -61,6 +68,11 @@ FANOUT_FLUSH_INTERVAL = 0.25
 # deadline, so the last pane's merge-site watermark and fan-out hop land
 # before the shared opgraphs tear themselves down.
 SHARED_LIFETIME_MARGIN = 1.0
+
+# One more hop past the merge watermark before an epoch closes at a
+# subscriber's node: the result flush into the shared proxy, the fan-out
+# debounce, and the tree broadcast routing.
+SHARED_FANOUT_SETTLE = 0.75
 
 # Float tolerance for the slide-is-a-multiple-of-the-pane check.
 PANE_TOLERANCE = 1e-9
@@ -97,6 +109,9 @@ class SharedPlan:
         self._runtime = self.network.nodes[proxy].runtime
         self._subscribers: Dict[int, "ContinuousQuery"] = {}
         self._next_sub_id = 0
+        # Proxy node -> that node's one copy of the pane stream.
+        self._buffers: Dict[int, PaneBuffer] = {}
+        self.epochs_assembled = 0  # non-empty group closes, however many members
         # Pane rows buffered between fan-out flushes.  The buffer is
         # *swapped* at broadcast time, never mutated afterwards — the
         # broadcast payload must stay frozen once sent (PIER_SANITIZE).
@@ -140,29 +155,43 @@ class SharedPlan:
         return abs(ratio - round(ratio)) <= PANE_TOLERANCE and round(ratio) >= 1
 
     # -- subscriber refcounts ----------------------------------------------------- #
-    def attach(self, cq: "ContinuousQuery") -> int:
+    def attach(self, cq: "ContinuousQuery") -> PyTuple[int, EpochGroup]:
         """Register one subscriber: wire its proxy node into the pane
-        fan-out and stretch the shared deadline to cover it."""
+        fan-out (once per node), put it in the epoch group of its window
+        shape (one clock per group) and stretch the shared deadline to
+        cover it."""
         sub_id = self._next_sub_id
         self._next_sub_id += 1
         self._subscribers[sub_id] = cq
-        self.network.nodes[cq.proxy].add_pane_listener(
-            self.query_id, cq._receive_pane_rows
+        node = self.network.nodes[cq.proxy]
+        buffer = self._buffers.get(cq.proxy)
+        if buffer is None:
+            buffer = self._buffers[cq.proxy] = PaneBuffer(self.components, self.pane_spec)
+            node.add_pane_listener(self.query_id, buffer.receive)
+        group = buffer.join(
+            cq, cq.spec, cq.epoch_grace, cq.plan.metadata, self.network.now
         )
+        if len(group.members) == 1:
+            self._arm_group_clock(node.runtime, group)
         self.extend_deadline(cq.deadline + self.grace + SHARED_LIFETIME_MARGIN)
-        return sub_id
+        return sub_id, group
 
     def release(self, sub_id: int) -> None:
-        """Drop one refcount.  Only the releasing subscriber's listener is
-        unregistered — survivors keep their buffered panes, so an epoch in
-        flight is neither dropped nor double-delivered for them.  The
-        opgraph is torn down when the last refcount goes."""
+        """Drop one refcount.  The subscriber leaves its epoch group; the
+        node's buffered panes stay for the survivors, so an epoch in
+        flight is neither dropped nor double-delivered for them, and the
+        node stops listening when its last subscriber goes.  The opgraph
+        is torn down when the last refcount goes."""
         cq = self._subscribers.pop(sub_id, None)
         if cq is None:
             return
-        self.network.nodes[cq.proxy].remove_pane_listener(
-            self.query_id, cq._receive_pane_rows
-        )
+        buffer = self._buffers[cq.proxy]
+        buffer.leave(cq._group, cq)
+        if not buffer.groups:
+            del self._buffers[cq.proxy]
+            self.network.nodes[cq.proxy].remove_pane_listener(
+                self.query_id, buffer.receive
+            )
         if not self._subscribers:
             self._teardown()
 
@@ -175,6 +204,35 @@ class SharedPlan:
             return
         self.plan.timeout = new_deadline - self.stream.handle.submitted_at
         self.network.renew_lifetime(self.stream.handle, proxy=self.proxy)
+
+    # -- shared epoch assembly ------------------------------------------------------- #
+    def _arm_group_clock(self, runtime: Any, group: EpochGroup) -> None:
+        """Wake when the group's next epoch closes: the later of the two
+        merge watermarks, the client grace, and the fan-out hop — a pure
+        function of the epoch and the window shape."""
+        spec = group.spec
+        watermark = spec.epoch_end(group.next_close) + max(spec.grace, self.grace)
+        deadline = watermark + group.epoch_grace + SHARED_FANOUT_SETTLE
+        runtime.schedule_event(
+            max(deadline - self.network.now, 0.0), (runtime, group), self._on_group_clock
+        )
+
+    def _on_group_clock(self, armed: PyTuple[Any, EpochGroup]) -> None:
+        """One group's next epoch closed: assemble it once, hand every
+        member its rows, and only then give up its panes — a member that
+        another's callback cancels mid-loop closes early from whole panes."""
+        runtime, group = armed
+        if not group.members:
+            return  # the last member left; a later joiner starts a new group
+        epoch = group.next_close
+        rows = group.assemble(epoch)
+        if rows:
+            self.epochs_assembled += 1
+        for cq in list(group.members):
+            if not cq.finished:  # cancelled by an earlier member's callback
+                cq._on_group_epoch(epoch, rows)
+        group.advance(epoch)
+        self._arm_group_clock(runtime, group)
 
     # -- pane fan-out -------------------------------------------------------------- #
     def _on_pane_row(self, tup: Tuple) -> None:

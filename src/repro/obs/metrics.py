@@ -244,6 +244,17 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
             out[_metric_key("sharing.subscribers", {"plan": fingerprint})] = (
                 shared.subscriber_count
             )
+        # What the subscribers of the live shared plans saw: late panes
+        # are the signal that a node's close deadline is too tight for its
+        # place in the distribution tree (docs/CONTINUOUS.md, Known limits).
+        plans = sharing.active_plans
+        subscribers = [cq for shared in plans for cq in shared._subscribers.values()]
+        out["cq.epochs_assembled"] = sum(shared.epochs_assembled for shared in plans)
+        out["cq.epochs_delivered"] = sum(len(cq.epochs_delivered) for cq in subscribers)
+        out["cq.late_pane_rows"] = sum(cq.late_rows for cq in subscribers)
+        out["cq.superseded_pane_rows"] = sum(cq.superseded_pane_rows for cq in subscribers)
+        out["cq.warmup_epochs_skipped"] = sum(cq.warmup_epochs_skipped for cq in subscribers)
+        out["cq.dropped_partial_epochs"] = sum(cq.dropped_partial_epochs for cq in subscribers)
 
     # Push-side series (pane lag, retransmit histograms, ...).
     registry = getattr(environment, "_metrics_registry", None)

@@ -31,6 +31,10 @@ ADVERTISE_NAMESPACE = "__dtree_advertise__"
 CHILDREN_NAMESPACE = "__dtree_children__"
 BROADCAST_NAMESPACE = "__dtree_broadcast__"
 
+# How long a broadcast object is stored, and therefore how long a copy of
+# it can still arrive: its id is remembered exactly that long.
+BROADCAST_LIFETIME = 60.0
+
 BroadcastHandler = Callable[[object], None]
 
 
@@ -52,7 +56,8 @@ class DistributionTree:
         self.advertise_interval = advertise_interval
         self.child_lifetime = child_lifetime
         self._handlers: List[BroadcastHandler] = []
-        self._seen_broadcasts: set = set()
+        # Broadcast id -> when it was first seen here, oldest first.
+        self._seen_broadcasts: Dict[str, float] = {}
         self._started = False
         # Advert-chain generation: a timer that fired while the node was
         # dead is dropped by the runtime, killing the periodic chain; a
@@ -170,7 +175,7 @@ class DistributionTree:
             self.root_key,
             suffix=broadcast_id,
             value={"broadcast_id": broadcast_id, "payload": payload},
-            lifetime=60.0,
+            lifetime=BROADCAST_LIFETIME,
             target=self.root_identifier,
         )
 
@@ -181,9 +186,16 @@ class DistributionTree:
         self._forward_to_children(value)
 
     def _deliver_locally(self, broadcast_id: str, payload: object) -> None:
-        if broadcast_id in self._seen_broadcasts:
+        seen = self._seen_broadcasts
+        if broadcast_id in seen:
             return
-        self._seen_broadcasts.add(broadcast_id)
+        now = self.overlay.runtime.get_current_time()
+        while seen:
+            oldest = next(iter(seen))
+            if now - seen[oldest] <= BROADCAST_LIFETIME:
+                break
+            del seen[oldest]
+        seen[broadcast_id] = now
         for handler in self._handlers:
             handler(payload)
 

@@ -76,3 +76,29 @@ def test_tree_heals_after_readvertisement():
     deployment.tree(2).broadcast("after-heal", "x")
     deployment.run(8.0)
     assert len(seen) == 16
+
+
+def test_seen_broadcast_ids_expire_with_the_broadcast_lifetime():
+    """A node remembers a broadcast id only as long as a copy of the
+    broadcast can still arrive (the lifetime it is stored with): inside
+    that time a duplicate is dropped, and over 1,000 broadcasts spread
+    over 10 virtual minutes the memory does not grow."""
+    from repro.overlay.distribution_tree import BROADCAST_LIFETIME
+
+    deployment = build_overlay(6, with_trees=True, seed=8)
+    deliveries = []
+    deployment.tree(3).on_broadcast(deliveries.append)
+    deployment.tree(0).broadcast("again", "first")
+    deployment.run(BROADCAST_LIFETIME / 2)
+    deployment.tree(1).broadcast("again", "second")
+    deployment.run(2.0)
+    assert deliveries == ["first"]
+
+    largest = 0
+    for index in range(1000):
+        deployment.tree(index % 6).broadcast(f"b-{index}", index)
+        deployment.run(0.6)
+        largest = max(largest, max(len(tree._seen_broadcasts) for tree in deployment.trees))
+    assert deliveries[1:] == list(range(1000)), "every broadcast still arrives exactly once"
+    # 60 s of lifetime at one broadcast per 0.6 s is 100 live ids.
+    assert largest <= BROADCAST_LIFETIME / 0.6 + 2
