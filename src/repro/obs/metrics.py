@@ -256,6 +256,28 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
         out["cq.warmup_epochs_skipped"] = sum(cq.warmup_epochs_skipped for cq in subscribers)
         out["cq.dropped_partial_epochs"] = sum(cq.dropped_partial_epochs for cq in subscribers)
 
+    # Hierarchical aggregation, over the graphs still running: uphill
+    # messages sent and intercepted, what a root change cost (handoffs
+    # observed, cumulative re-ships), replays the origin ledgers dropped,
+    # and standing-query state shed at the retention horizon.
+    aggregators = [
+        operator
+        for node in network.nodes
+        for graph in node.executor.running_graphs()
+        for operator in graph.operators.values()
+        if operator.op_type == "hierarchical_aggregate"
+    ]
+    if aggregators:
+        for counter in (
+            "partials_sent",
+            "partials_intercepted",
+            "cumulatives_sent",
+            "ownership_changes",
+            "epoch_entries_evicted",
+        ):
+            out[f"agg.{counter}"] = sum(getattr(op, counter) for op in aggregators)
+        out["agg.replays_dropped"] = sum(op.ledger.replays_dropped for op in aggregators)
+
     # Push-side series (pane lag, retransmit histograms, ...).
     registry = getattr(environment, "_metrics_registry", None)
     if registry is not None:

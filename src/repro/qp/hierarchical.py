@@ -17,16 +17,15 @@ straight to the proxy.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple as PyTuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple as PyTuple
 
-from repro.cq.windows import LATE_EPOCH_SETTLE, epoch_stamp
 from repro.overlay.identifiers import object_identifier
 from repro.overlay.naming import random_suffix
 from repro.qp.integrity import INTEGRITY_NAMESPACE, replica_sampled
+from repro.qp.ledger import Groups, OriginLedger, Pairs, partial_pairs, wire_partials
 from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.operators.groupby import _BaseGroupBy
 from repro.qp.tuples import Tuple
-from repro.runtime.churn import corrupt_states, suppression_victim
 from repro.security.spot_check import commit_to_states
 
 
@@ -52,10 +51,11 @@ class HierarchicalAggregate(_BaseGroupBy):
     * Each shipment is a batch tagged ``(origin, incarnation, seq)``.
       Intermediate hops still coalesce traffic (several batches ride one
       message up the tree) but do not merge states across origins, so the
-      root can deduplicate per origin: replayed batches are dropped by
-      sequence number, and a *newer incarnation* (the node's opgraph was
-      re-installed after a failure/rejoin) replaces the origin's earlier
-      contribution wholesale instead of double-counting it.
+      root can deduplicate per origin in its :class:`OriginLedger`:
+      replayed batches are dropped by sequence number, and a *newer
+      incarnation* (the node's opgraph was re-installed after a
+      failure/rejoin) replaces the origin's earlier contribution wholesale
+      instead of double-counting it.
     * On an observed ownership change, every node re-ships its cumulative
       local contribution as a ``cumulative`` batch (replace-on-receipt),
       and a root that loses ownership relays its per-origin folds as
@@ -67,11 +67,9 @@ class HierarchicalAggregate(_BaseGroupBy):
     per group at every step) and the captured root emits.
 
     Params: ``aggregates``, ``group_columns``, ``output_table``,
-    ``local_wait`` (default 2.0 s), ``hold`` (default 1.0 s), ``window``
-    (optional, re-ship local partials periodically for continuous
-    queries), ``root_monitor_interval`` (seconds; default comes from the
-    resilience policy in the dissemination envelope, 0 disables the
-    monitor).
+    ``local_wait`` (default 2.0 s), ``hold`` (default 1.0 s),
+    ``root_monitor_interval`` (seconds; default comes from the resilience
+    policy in the dissemination envelope, 0 disables the monitor).
     """
 
     op_type = "hierarchical_aggregate"
@@ -98,12 +96,12 @@ class HierarchicalAggregate(_BaseGroupBy):
         # Cumulative local contribution (everything this node's scan fed
         # in), kept mergeable so the node can re-ship it wholesale when the
         # aggregation-tree root changes.
-        self._local_cum: Dict[PyTuple[Any, ...], List[Any]] = {}
-        # Legacy (paper-pure) combining state: partial states intercepted
-        # from (or terminating at) other nodes.
-        self._held: Dict[PyTuple[Any, ...], List[Any]] = {}
+        self._local_cum: Groups = {}
+        # Paper-pure combining state: partial states intercepted from (or
+        # terminating at) other nodes.
+        self._held: Groups = {}
         self._hold_scheduled = False
-        self._root_states: Dict[PyTuple[Any, ...], List[Any]] = {}
+        self._root_states: Groups = {}
         # Resilient (origin-accounted) state.
         resilience = context.extras.get("resilience") or {}
         default_monitor = (
@@ -127,26 +125,22 @@ class HierarchicalAggregate(_BaseGroupBy):
         )
         if self._integrity_active and self.monitor_interval <= 0:
             self.monitor_interval = 1.0
-        # Byzantine role (repro.runtime.churn.ByzantineProcess): honest
-        # deployments resolve None here and every attack branch is one
-        # attribute check.
+        # Byzantine role (repro.runtime.churn.Attacker): None on an honest
+        # node, so every hook site is one attribute check.
         adversary = getattr(context.overlay.runtime, "adversary", None)
-        self._adversary = adversary
-        self._attacker = adversary.role(context.overlay.address) if adversary else None
+        self._attacker = (
+            adversary.attacker(context.overlay.address, self.replica) if adversary else None
+        )
         self._root_owner_address: Any = None
         self._origin_id = str(context.overlay.identifier)
         self._incarnation = random_suffix()
         self._incarnation_ts = 0.0
         self._delta_seq = 0
         self._held_batches: Dict[PyTuple[Any, ...], Dict[str, Any]] = {}
-        self._forwarded: Set[PyTuple[Any, ...]] = set()
-        self._reforwards: Dict[PyTuple[Any, ...], int] = {}
-        self._origin_folds: Dict[str, Dict[str, Any]] = {}
-        # Windowed (continuous-query) root state: which epochs this node —
-        # while owning the root — has already emitted, and which have a
-        # pending watermark timer.
-        self._epoch_timers: Set[int] = set()
-        self._emitted_epochs: Set[int] = set()
+        # Re-forward attempts per stale-delivered batch, with the newest
+        # epoch the batch names (None for one-shot queries).
+        self._reforwards: Dict[PyTuple[Any, ...], PyTuple[int, Optional[int]]] = {}
+        self.ledger = OriginLedger(self._merge_all)
         self.epoch_entries_evicted = 0
         self.partials_sent = 0
         self.partials_intercepted = 0
@@ -170,41 +164,38 @@ class HierarchicalAggregate(_BaseGroupBy):
         if self._monitoring:
             self.context.overlay.lookup(self.root_identifier, self._on_owner_resolved)
             self.arm_timer(self.monitor_interval, self._monitor_root)
-        if (
-            self._attacker is not None
-            and self._attacker.attack == "forge_origin"
-            and self._monitoring
-            and self.window_spec is None
-        ):
-            # Forgers wait until genuine traffic is underway so the forged
-            # incarnation supersedes the victims' real batches at the root.
-            self.arm_timer(self.local_wait + self.hold, self._forge_origins)
+            if self._attacker is not None and self._attacker.forges and self.window_spec is None:
+                # Forgers wait until genuine traffic is underway so the forged
+                # incarnation supersedes the victims' real batches at the root.
+                self.arm_timer(self.local_wait + self.hold, self._inject_forgeries)
 
     @property
     def _monitoring(self) -> bool:
         return self.monitor_interval > 0
 
     # -- local contribution -------------------------------------------------- #
-    def _drain_groups(self) -> Dict[PyTuple[Any, ...], List[Any]]:
+    def _drain_groups(self) -> Groups:
         """Move accumulated group states out of ``_groups`` and fold them
         into the cumulative local contribution."""
         drained, self._groups = self._groups, {}
         self._merge_all(self._local_cum, drained.items())
         return drained
 
-    def _ship_local(self, _data: object) -> None:
-        if self._stopped:
+    def _ship(self, partials: Groups) -> None:
+        """Send one shipment of this node's states toward the root: an
+        origin-accounted batch under the monitor, combinable partials
+        without.  The root's own contribution stays in ``_local_cum`` and
+        is merged when it emits, so a later handoff cannot double-count it."""
+        if not partials or self._is_root_owner:
             return
-        drained = self._drain_groups()
-        # The root's own contribution stays in _local_cum and is merged at
-        # flush, so a later handoff cannot double-count it.
-        if drained and not self._is_root_owner:
-            if self._monitoring:
-                self._pack_batch(self._make_batch(drained, cumulative=False))
-            else:
-                self._hold_partials(drained.items())
-        if self.window:
-            self.arm_timer(self.window, self._ship_local)
+        if self._monitoring:
+            self._pack_batch(self._make_batch(partials, cumulative=False))
+        else:
+            self._hold_partials(partials.items())
+
+    def _ship_local(self, _data: object) -> None:
+        if not self._stopped:
+            self._ship(self._drain_groups())
 
     # -- windowed (continuous-query) mode ----------------------------------- #
     def _on_pane_close(self, _data: object) -> None:
@@ -215,9 +206,7 @@ class HierarchicalAggregate(_BaseGroupBy):
         if not self._stopped:
             self._evict_expired_epochs()
 
-    def _emit_window(
-        self, epoch: int, states: Dict[PyTuple[Any, ...], List[Any]]
-    ) -> None:
+    def _emit_window(self, epoch: int, states: Groups) -> None:
         """Pane-close hook: ship this node's window contribution rootward.
 
         Group keys are *epoch-prefixed* — ``(epoch, *group_key)`` — so the
@@ -227,161 +216,99 @@ class HierarchicalAggregate(_BaseGroupBy):
         """
         prefixed = {(epoch, *key): list(st) for key, st in states.items()}
         self._merge_all(self._local_cum, prefixed.items())
-        if not self._is_root_owner:
-            if self._monitoring:
-                self._pack_batch(self._make_batch(prefixed, cumulative=False))
-            else:
-                self._hold_partials(prefixed.items())
-        self._note_epoch(epoch)
-
-    def _note_epoch(self, epoch: Any) -> None:
-        """The root owner arms one watermark timer per observed epoch.
-
-        An epoch first noted after its watermark already passed (slow
-        partials, or a fresh root catching up post-handoff) waits the
-        shared settle time so batches in flight alongside the first
-        arrival get folded too, instead of emitting from one origin alone.
-        """
-        if self.window_spec is None or not isinstance(epoch, int):
-            return
-        if not self._is_root_owner:
-            return
-        if epoch in self._emitted_epochs or epoch in self._epoch_timers:
-            return
-        self._epoch_timers.add(epoch)
-        delay = self.window_spec.watermark(epoch) - self.context.now
-        if delay <= 0:
-            delay = LATE_EPOCH_SETTLE
-        self.arm_timer(delay, self._on_epoch_watermark, data=epoch)
+        self._ship(prefixed)
+        if self._is_root_owner:
+            self._arm_epoch_timer(epoch)
 
     def _note_partial_keys(self, keys: Iterable[Any]) -> None:
-        """Note the epochs a message's (epoch-prefixed) group keys name,
-        each once, in order of first appearance."""
+        """Arm a watermark timer for each epoch a message's
+        (epoch-prefixed) group keys name, in order of first appearance."""
         if self.window_spec is None or not self._is_root_owner:
             return
-        for epoch in dict.fromkeys(
-            key[0] for key in keys if isinstance(key, (list, tuple)) and key
-        ):
-            self._note_epoch(epoch)
-
-    def _epoch_retention(self) -> float:
-        """How long after an epoch's watermark its ledger entries are kept.
-
-        The retention must outlive a root handoff: the monitor notices the
-        ownership change within ``root_monitor_interval`` and origins then
-        re-ship their retained cumulative state, so a few graces plus a
-        couple of slides of slack is plenty — while keeping standing-query
-        state bounded by the window, not the lifetime."""
-        spec = self.window_spec
-        return max(15.0, 4.0 * spec.grace + 2.0 * spec.slide)
+        for epoch in dict.fromkeys(key[0] for key in keys if key):
+            if isinstance(epoch, int):
+                self._arm_epoch_timer(epoch)
 
     def _evict_expired_epochs(self) -> None:
-        """Drop ledger entries of epochs whose watermark passed more than
-        the retention ago, bounding per-node state (and the size of
+        """Drop what this node holds for epochs whose watermark passed more
+        than the retention ago, bounding per-node state (and the size of
         ``_send_cumulative`` re-ships) for long-lived standing queries."""
-        spec = self.window_spec
-        horizon = self.context.now - self._epoch_retention()
+        floor = self._advance_floor()
 
-        def expired(key: Any) -> bool:
-            return (
-                isinstance(key, tuple)
-                and bool(key)
-                and isinstance(key[0], int)
-                and spec.watermark(key[0]) < horizon
-            )
+        def expired(key: PyTuple[Any, ...]) -> bool:
+            return bool(key) and isinstance(key[0], int) and key[0] < floor
 
         for buffer in (self._local_cum, self._root_states):
             for key in [key for key in buffer if expired(key)]:
                 del buffer[key]
                 self.epoch_entries_evicted += 1
-        for entry in self._origin_folds.values():
-            if entry["base"]:
-                for key in [key for key in entry["base"] if expired(key)]:
-                    del entry["base"][key]
-                    self.epoch_entries_evicted += 1
-            # Delta dicts stay registered by seq (replay dedup) but shed
-            # their expired keys.
-            for partials in entry["deltas"].values():
-                for key in [key for key in partials if expired(key)]:
-                    del partials[key]
-                    self.epoch_entries_evicted += 1
+        self.epoch_entries_evicted += self.ledger.evict(expired)
+        # _pack_batch no longer re-forwards a batch of expired epochs only.
+        self._reforwards = {
+            key: entry
+            for key, entry in self._reforwards.items()
+            if entry[1] is None or entry[1] >= floor
+        }
 
-    def _note_ledger_epochs(self) -> None:
-        """Arm watermark timers for every epoch already present in the
-        ledgers — how a node that just *became* root (handoff) catches up
-        on epochs the failed root never emitted."""
-        self._note_partial_keys(self._root_states)
-        self._note_partial_keys(self._local_cum)
-        for entry in self._origin_folds.values():
-            if entry["base"]:
-                self._note_partial_keys(entry["base"])
-            for partials in entry["deltas"].values():
-                self._note_partial_keys(partials)
+    def _contributions(self, reported: bool = False) -> Iterator[PyTuple[Any, Groups]]:
+        """Every store a root answers from, as ``(origin, states)`` in
+        merge order: combined partials (no origin), each foreign origin's
+        ledger fold, and — on the root owner — this node's own cumulative
+        contribution, which is why its own ledger entry is skipped.  (A
+        salvage root already shipped its local data down the delta path
+        and self-delivered it into ``_root_states``.)
 
-    def _on_epoch_watermark(self, epoch: int) -> None:
-        self._epoch_timers.discard(epoch)
-        if self._stopped or not self._is_root_owner:
-            return
-        self._emit_epoch(epoch)
-
-    def _emit_epoch(self, epoch: int) -> None:
-        """Merge and emit every contribution for one epoch, exactly once."""
-        if epoch in self._emitted_epochs:
-            return
-        final: Dict[PyTuple[Any, ...], List[Any]] = {}
-        contributors = 0
-
-        def take(buffer: Dict[PyTuple[Any, ...], List[Any]]) -> None:
-            nonlocal contributors
-            matched = False
-            for key, states in buffer.items():
-                if isinstance(key, tuple) and key and key[0] == epoch:
-                    self._merge_into(final, tuple(key[1:]), states)
-                    matched = True
-            if matched:
-                contributors += 1
-
-        take(self._root_states)
-        for origin, entry in self._origin_folds.items():
-            if origin == self._origin_id:
-                continue  # own contribution comes from _local_cum below
-            take(self._fold_states(entry))
+        ``reported`` yields the foreign folds *as this root reports them*:
+        verbatim when honest, while a root-owner attacker corrupts what it
+        passes on — consistently for the final merge and the integrity
+        claims, since both read them here — which is the strongest
+        position in the tree: without the integrity layer every origin's
+        contribution is in its hands.
+        """
+        yield None, self._root_states
+        for origin, states in self.ledger.folds(skip=self._origin_id):
+            if reported and self._attacker is not None:
+                states = self._attacker.tamper(states, origin) or {}
+            yield origin, states
         if self._is_root_owner:
-            take(self._local_cum)
-        if not final:
-            # Nothing folded yet (e.g. every batch still in flight): leave
-            # the epoch unemitted so a later arrival can re-arm the timer.
-            return
-        self._emitted_epochs.add(epoch)
-        if self.emit_states:
-            # Shared plans want mergeable states at the root too, so the
-            # fan-out layer can re-slice epochs per subscriber slide.  A
-            # handoff root re-emitting from a thinner catch-up ledger must
-            # not degrade subscriber buffers, so each emission carries its
-            # contributor count.
-            self._emit_window_states(epoch, final, contributors=contributors)
-            return
-        self.emit(self._result_rows(final, epoch_stamp(self.window_spec, epoch)))
-        self.epochs_emitted += 1
+            yield self._origin_id, self._local_cum
 
-    def _hold_partials(
-        self, partials: Iterable[PyTuple[PyTuple[Any, ...], List[Any]]]
-    ) -> None:
-        """Legacy combining: fold one shipment's ``(key, states)`` pairs
-        into the held buffer (or the root's merged state) in one pass and
-        arm the hold timer once.  Callers pass at least one pair."""
+    def _held_epochs(self) -> List[int]:
+        """Every epoch some contribution holds states for, oldest first."""
+        return sorted(
+            {
+                key[0]
+                for _origin, states in self._contributions()
+                for key in states
+                if key and isinstance(key[0], int)
+            }
+        )
+
+    def _epoch_result(self, epoch: int) -> PyTuple[Groups, int]:
+        """Merge every contribution to one epoch.  Shared plans re-slice
+        the emitted states per subscriber slide, and a handoff root
+        re-emitting from a thinner catch-up ledger must not degrade their
+        buffers, so each emission carries its contributor count."""
+        if self._monitoring and not self._is_root_owner:
+            return {}, 0  # lost the root while the timer was armed: not ours to emit
+        final: Groups = {}
+        contributors = 0
+        for _origin, states in self._contributions():
+            matched = [(key[1:], st) for key, st in states.items() if key and key[0] == epoch]
+            if matched:
+                self._merge_all(final, matched)
+                contributors += 1
+        return final, contributors
+
+    def _hold_partials(self, partials: Pairs) -> None:
+        """Paper-pure combining: fold one shipment's ``(key, states)``
+        pairs into the held buffer (or the root's merged state) in one pass
+        and arm the hold timer once.  Callers pass at least one pair."""
         if self._is_root_owner:
             self._merge_all(self._root_states, partials)
             return
         self._merge_all(self._held, partials)
         self._arm_hold_timer()
-
-    @staticmethod
-    def _entry_pairs(
-        entries: List[Dict[str, Any]]
-    ) -> Iterable[PyTuple[PyTuple[Any, ...], List[Any]]]:
-        """A message's ``partials`` list as ``(key, states)`` pairs."""
-        return ((tuple(entry["key"]), entry["states"]) for entry in entries)
 
     def _arm_hold_timer(self) -> None:
         if not self._hold_scheduled:
@@ -389,9 +316,7 @@ class HierarchicalAggregate(_BaseGroupBy):
             self.arm_timer(self.hold, self._forward_held)
 
     # -- origin-accounted batches (resilient mode) ----------------------------- #
-    def _make_batch(
-        self, partials: Dict[PyTuple[Any, ...], List[Any]], cumulative: bool
-    ) -> Dict[str, Any]:
+    def _make_batch(self, partials: Groups, cumulative: bool) -> Dict[str, Any]:
         self._delta_seq += 1
         return {
             "origin": self._origin_id,
@@ -399,14 +324,8 @@ class HierarchicalAggregate(_BaseGroupBy):
             "inc_ts": self._incarnation_ts,
             "seq": self._delta_seq,
             "cumulative": cumulative,
-            "partials": [
-                {"key": list(key), "states": states} for key, states in partials.items()
-            ],
+            "partials": wire_partials(partials),
         }
-
-    @staticmethod
-    def _batch_key(batch: Dict[str, Any]) -> PyTuple[Any, ...]:
-        return (batch.get("origin"), batch.get("inc"), batch.get("seq"))
 
     # A batch stored at a stale non-owner is re-forwarded toward the root,
     # but only this many times: routing views converge quickly (marking the
@@ -415,20 +334,29 @@ class HierarchicalAggregate(_BaseGroupBy):
     MAX_REFORWARDS = 3
 
     def _pack_batch(self, batch: Dict[str, Any], reforward: bool = False) -> None:
-        """Coalesce a batch into the next uphill message (forwarded once;
-        ``reforward`` retries a stale-delivered batch up to the cap)."""
-        key = self._batch_key(batch)
+        """Coalesce a batch into the next uphill message.  This node's own
+        batches are numbered as they are made, so each passes here once;
+        ``reforward`` marks somebody else's (stale-delivered, relayed at a
+        handoff), which is retried up to the cap."""
+        key = (batch.get("origin"), batch.get("inc"), batch.get("seq"))
         if key in self._held_batches:
             return
         if reforward:
-            attempts = self._reforwards.get(key, 0)
-            if attempts >= self.MAX_REFORWARDS:
+            attempts, newest = self._reforwards.get(key) or (0, self._newest_epoch(batch))
+            if attempts >= self.MAX_REFORWARDS or (
+                newest is not None and newest < self._emitted_floor
+            ):
                 return
-            self._reforwards[key] = attempts + 1
-        elif key in self._forwarded:
-            return
+            self._reforwards[key] = (attempts + 1, newest)
         self._held_batches[key] = batch
         self._arm_hold_timer()
+
+    def _newest_epoch(self, batch: Dict[str, Any]) -> Optional[int]:
+        """The newest epoch a standing query's batch names, if any."""
+        if self.window_spec is None:
+            return None
+        keys = (item["key"] for item in batch.get("partials", []))
+        return max((key[0] for key in keys if key and isinstance(key[0], int)), default=None)
 
     def _send_cumulative(self) -> None:
         """Re-ship this node's full cumulative contribution toward the root.
@@ -447,231 +375,43 @@ class HierarchicalAggregate(_BaseGroupBy):
             return
         if self._held:
             held, self._held = self._held, {}
-            self.partials_sent += 1
-            self.context.overlay.send(
-                self.namespace,
-                key="root",
-                suffix=random_suffix(),
-                value={
-                    "partials": [
-                        {"key": list(key), "states": states} for key, states in held.items()
-                    ]
-                },
-                lifetime=self.context.lifetime,
-                target=self.root_identifier,
-            )
+            self._send_uphill({"partials": wire_partials(held)})
         if self._held_batches:
             batches, self._held_batches = self._held_batches, {}
-            self._forwarded.update(batches.keys())
-            self.partials_sent += 1
-            self.context.overlay.send(
-                self.namespace,
-                key="root",
-                suffix=random_suffix(),
-                value={"batches": list(batches.values())},
-                lifetime=self.context.lifetime,
-                target=self.root_identifier,
-            )
+            self._send_uphill({"batches": list(batches.values())})
 
-    # -- per-origin folds (the root's dedup ledger) ----------------------------- #
-    def _fold_batch(self, batch: Dict[str, Any]) -> None:
-        """Fold one origin batch into the per-origin ledger, exactly once.
-
-        Replays are dropped by ``seq``; a newer incarnation (the origin's
-        opgraph was re-installed) resets the origin's entry so a rejoining
-        node's full re-scan replaces — never adds to — what it contributed
-        before failing; a ``cumulative`` batch supersedes every delta with
-        ``seq`` at or below its own.
-        """
-        origin = batch.get("origin")
-        if origin is None:
-            return
-        entry = self._origin_folds.get(origin)
-        if entry is None or batch["inc_ts"] > entry["inc_ts"] or (
-            batch["inc_ts"] == entry["inc_ts"] and batch["inc"] > entry["inc"]
-        ):
-            entry = {
-                "inc": batch["inc"],
-                "inc_ts": batch["inc_ts"],
-                "base": None,
-                "base_seq": 0,
-                "deltas": {},
-            }
-            self._origin_folds[origin] = entry
-        elif batch["inc"] != entry["inc"]:
-            return  # stale incarnation: superseded by a re-install
-        # Custody trail: every node that re-packed this origin's batches.
-        # Reported alongside the root's claims so a verification failure
-        # can name the nodes that handled the corrupted data.
-        entry.setdefault("relays", set()).update(
-            tuple(relay) if isinstance(relay, list) else relay
-            for relay in batch.get("relays", [])
+    def _send_uphill(self, value: Dict[str, Any]) -> None:
+        self.partials_sent += 1
+        self.context.overlay.send(
+            self.namespace,
+            key="root",
+            suffix=random_suffix(),
+            value=value,
+            lifetime=self.context.lifetime,
+            target=self.root_identifier,
         )
-        seq = int(batch["seq"])
-        partials = {
-            tuple(item["key"]): list(item["states"]) for item in batch.get("partials", [])
-        }
-        if batch.get("cumulative"):
-            if seq <= entry["base_seq"]:
-                return
-            entry["base"] = partials
-            entry["base_seq"] = seq
-            entry["deltas"] = {
-                delta_seq: states
-                for delta_seq, states in entry["deltas"].items()
-                if delta_seq > seq
-            }
-            return
-        if seq <= entry["base_seq"] or seq in entry["deltas"]:
-            return
-        entry["deltas"][seq] = partials
 
-    def _fold_states(self, entry: Dict[str, Any]) -> Dict[PyTuple[Any, ...], List[Any]]:
-        merged: Dict[PyTuple[Any, ...], List[Any]] = {}
-        if entry["base"]:
-            self._merge_all(merged, entry["base"].items())
-        for _seq, partials in sorted(entry["deltas"].items()):
-            self._merge_all(merged, partials.items())
-        return merged
+    def _fold_batches(self, batches: List[Dict[str, Any]]) -> None:
+        """Fold arriving batches into the ledger, exactly once each."""
+        for batch in batches:
+            self.ledger.fold(batch)
+            self._note_partial_keys(item["key"] for item in batch.get("partials", []))
 
-    def _relay_folds(self) -> None:
-        """Hand the per-origin ledger to the new root as synthetic
-        cumulative batches (covers origins that can no longer re-ship)."""
-        for origin, entry in self._origin_folds.items():
-            if origin == self._origin_id:
-                continue
-            states = self._fold_states(entry)
-            if not states:
-                continue
-            seq = max([entry["base_seq"], *entry["deltas"].keys()])
-            self._pack_batch(
-                {
-                    "origin": origin,
-                    "inc": entry["inc"],
-                    "inc_ts": entry["inc_ts"],
-                    "seq": seq,
-                    "cumulative": True,
-                    "partials": [
-                        {"key": list(key), "states": s} for key, s in states.items()
-                    ],
-                },
-                reforward=True,
-            )
-
-    # -- byzantine behaviors (adversarial aggregator role) ---------------------- #
-    # Attackers misbehave only while *aggregating* — their own scan data is
-    # shipped honestly, matching the SIA threat model the paper cites (a
-    # node lying about its own readings is a bounded-influence residual no
-    # aggregation protocol can detect).  Every observable act is recorded
-    # into the adversary's ledger so benchmarks can compute detection rates
-    # against ground truth.
-    def _record_attack(self, origin: Any = None) -> None:
-        if self._adversary is not None and self._attacker is not None:
-            self._adversary.record(
-                self._attacker.address,
-                self._attacker.attack,
-                origin=origin,
-                replica=self.replica,
-            )
-
-    def _forge_origins(self, _data: object) -> None:
-        """The ``forge_origin`` attack: inject cumulative batches spoofing
-        other origins under a fresher incarnation, zeroing their folds.
-
-        ``~forged`` sorts above every ``random_suffix`` incarnation and the
-        current time wins the ``inc_ts`` tie-break, so the forged (empty)
-        batch replaces the victim's genuine contribution wholesale — the
-        same replacement machinery an honest rejoin uses, turned hostile.
-        """
-        if self._stopped or self._attacker is None:
+    def _inject_forgeries(self, _data: object) -> None:
+        """Byzantine hook (``forge_origin``): send what the attacker
+        fabricates the way this node sends anything else."""
+        if self._stopped:
             return
         candidates = [
             str(contact.identifier)
             for contact in self.context.overlay.directory.members()
             if str(contact.identifier) != self._origin_id
         ]
-        for victim in self._adversary.forge_victims(self._attacker.address, candidates):
-            forged = {
-                "origin": victim,
-                "inc": "~forged",
-                "inc_ts": self.context.now,
-                "seq": 1,
-                "cumulative": True,
-                "partials": [],
-                "relays": [self.context.overlay.address],
-            }
-            self._record_attack(origin=victim)
+        for forged in self._attacker.forgeries(candidates, self.context.now):
             if self._is_root_owner:
-                self._fold_batch(forged)
+                self.ledger.fold(forged)
             else:
                 self._pack_batch(forged)
-
-    def _attack_passing_batches(self, batches: List[Dict[str, Any]]) -> bool:
-        """An attacker on the forwarding path violates routing custody.
-
-        Honest intermediates leave origin-accounted batches in the routing
-        layer's custody (upcall returns True).  An attacker absorbs them
-        (returns False, so the routing layer considers them delivered) and
-        then discards, censors, or re-packs corrupted copies stamped with
-        its own relay mark — exactly the misbehavior the spot-check
-        commitments are designed to surface.  Attacks are recorded only
-        when the batch carried data: tampering with an empty batch is
-        unobservable and must not count against the detector.
-        """
-        attack = self._attacker.attack
-        if attack == "forge_origin":
-            return True  # forgers relay honestly; their damage is injected
-        my_address = self.context.overlay.address
-        for batch in batches:
-            partials = batch.get("partials", [])
-            origin = batch.get("origin")
-            if attack == "drop_partials":
-                if partials:
-                    self._record_attack(origin=origin)
-                continue  # absorbed and discarded
-            if attack == "suppress_sources" and suppression_victim(origin):
-                if partials:
-                    self._record_attack(origin=origin)
-                continue  # censored source
-            relays = list(batch.get("relays", [])) + [my_address]
-            if attack == "inflate_partials" and partials:
-                partials = [
-                    {
-                        "key": item["key"],
-                        "states": corrupt_states(
-                            item["states"], self._attacker.inflation_factor
-                        ),
-                    }
-                    for item in partials
-                ]
-                self._record_attack(origin=origin)
-            self._pack_batch(
-                {**batch, "partials": partials, "relays": relays}, reforward=True
-            )
-        return False
-
-    def _attack_legacy_partials(
-        self, entries: List[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Attack hook for the paper-pure combining path, where partials
-        carry no origin accounting: drops and censorship discard the
-        shipment outright, inflation corrupts it in place (on a copy —
-        the wire value itself is never mutated)."""
-        attack = self._attacker.attack
-        if attack == "forge_origin" or not entries:
-            return entries
-        self._record_attack()
-        if attack in ("drop_partials", "suppress_sources"):
-            return []
-        return [
-            {
-                "key": entry["key"],
-                "states": corrupt_states(
-                    entry["states"], self._attacker.inflation_factor
-                ),
-            }
-            for entry in entries
-        ]
 
     # -- upcall (intermediate hop) ------------------------------------------- #
     def _on_upcall(self, _namespace: str, _key: object, value: object) -> bool:
@@ -683,29 +423,29 @@ class HierarchicalAggregate(_BaseGroupBy):
         if not isinstance(value, dict):
             return True
         if "batches" in value:
-            if not self._is_root_owner:
-                if self._attacker is not None:
-                    return self._attack_passing_batches(value["batches"])
-                # Origin-accounted batches stay in the routing layer's
-                # custody end to end: it reroutes around dead hops with
-                # delivery acks, while an intermediate that absorbed the
-                # batch could drop a re-delivered copy during convergence.
+            if self._is_root_owner:
+                self.partials_intercepted += 1
+                self._fold_batches(value["batches"])
+                return False  # terminated at the root: folded, not stored
+            # Origin-accounted batches stay in the routing layer's custody
+            # end to end (True): it reroutes around dead hops with delivery
+            # acks, while an intermediate that absorbed the batch could drop
+            # a re-delivered copy during convergence.  Only an attacker
+            # absorbs them (False: routing considers them delivered).
+            repacked = None if self._attacker is None else self._attacker.relay(value["batches"])
+            if repacked is None:
                 return True
-            self.partials_intercepted += 1
-            for batch in value["batches"]:
-                self._fold_batch(batch)
-                self._note_partial_keys(
-                    item["key"] for item in batch.get("partials", [])
-                )
-            return False  # terminated at the root: folded, not stored
+            for batch in repacked:
+                self._pack_batch(batch, reforward=True)
+            return False
         if "partials" not in value:
             return True
         self.partials_intercepted += 1
         entries = value["partials"]
         if self._attacker is not None:
-            entries = self._attack_legacy_partials(entries)
+            entries = self._attacker.tamper(entries)
         if entries:
-            self._hold_partials(self._entry_pairs(entries))
+            self._hold_partials(partial_pairs(entries))
             self._note_partial_keys(entry["key"] for entry in entries)
         return False  # hold; a combined partial will be forwarded later
 
@@ -740,14 +480,16 @@ class HierarchicalAggregate(_BaseGroupBy):
             # Rejoin handoff: relay what this node merged as root; origins
             # also re-ship their own cumulative state, and the per-origin
             # dedup at the new root makes the overlap harmless.
-            self._relay_folds()
+            for batch in self.ledger.relay_batches(skip=self._origin_id):
+                self._pack_batch(batch, reforward=True)
         if not self._is_root_owner:
             self._send_cumulative()
         elif self.window_spec is not None:
             # A node that just became root catches up on every epoch the
             # failed root never emitted: origins re-ship their cumulative
             # contributions, and these timers emit once watermarks pass.
-            self._note_ledger_epochs()
+            for epoch in self._held_epochs():
+                self._arm_epoch_timer(epoch)
 
     # -- root ------------------------------------------------------------------ #
     def _is_root(self) -> bool:
@@ -757,43 +499,26 @@ class HierarchicalAggregate(_BaseGroupBy):
         if self._stopped or not isinstance(value, dict):
             return
         if "batches" in value:
-            for batch in value["batches"]:
-                self._fold_batch(batch)
-                self._note_partial_keys(
-                    item["key"] for item in batch.get("partials", [])
-                )
-                if not self._is_root_owner:
-                    # Stored here by stale routing: keep a folded copy (in
-                    # case ownership lands on this node) and re-forward a
-                    # bounded number of times toward the believed root,
-                    # stamping this hop into the custody trail.
-                    self._pack_batch(
-                        {
-                            **batch,
-                            "relays": list(batch.get("relays", []))
-                            + [self.context.overlay.address],
-                        },
-                        reforward=True,
-                    )
-            return
-        if "partials" not in value:
-            return
-        entries = value["partials"]
-        self._merge_all(self._root_states, self._entry_pairs(entries))
-        self._note_partial_keys(entry["key"] for entry in entries)
+            self._fold_batches(value["batches"])
+            if not self._is_root_owner:
+                # Stored here by stale routing: keep a folded copy (in case
+                # ownership lands on this node) and re-forward a bounded
+                # number of times toward the believed root, stamping this
+                # hop into the custody trail.
+                for batch in value["batches"]:
+                    relays = [*batch.get("relays", []), self.context.overlay.address]
+                    self._pack_batch({**batch, "relays": relays}, reforward=True)
+        elif "partials" in value:
+            entries = value["partials"]
+            self._merge_all(self._root_states, partial_pairs(entries))
+            self._note_partial_keys(entry["key"] for entry in entries)
 
     def flush(self) -> None:
-        if self.window_spec is not None:
-            self._flush_windowed()
-            return
         # Any local groups not yet shipped travel now (e.g. snapshot query
-        # whose timeout fires before the next window).
-        drained = self._drain_groups()
-        if drained and not self._is_root_owner:
-            if self._monitoring:
-                self._pack_batch(self._make_batch(drained, cumulative=False))
-            else:
-                self._hold_partials(drained.items())
+        # whose timeout fires before the next window).  A standing query's
+        # in-progress pane is not among them: it is dropped by design, only
+        # complete windows are reported.
+        self._ship(self._drain_groups())
         if self._held or self._held_batches:
             self._forward_held(None)
         self._send_integrity_report()
@@ -804,59 +529,25 @@ class HierarchicalAggregate(_BaseGroupBy):
         salvage_root = not self._monitoring and not self._is_root_owner and self._is_root()
         if not (self._is_root_owner or salvage_root):
             return
-        if self._integrity_active:
+        if self.window_spec is not None:
+            # Lifetime expiry: every complete epoch still waiting on its
+            # watermark is emitted now.
+            for epoch in self._held_epochs():
+                self._close_epoch(epoch)
+        elif self._integrity_active:
             # Verified mode: the root ships per-origin claims to the proxy
             # instead of emitting merged rows.  The proxy checks each claim
             # against the origin's own commitment, repairs what fails, and
             # recomputes the totals itself — so a corrupted fold can change
             # a claim but not the verified result.
             self._send_root_claims()
-            return
-        final: Dict[PyTuple[Any, ...], List[Any]] = {}
-        self._merge_all(final, self._root_states.items())
-        for origin, entry in self._origin_folds.items():
-            if origin == self._origin_id:
-                continue  # own contribution is merged from _local_cum below
-            self._merge_all(final, self._root_fold_states(origin, entry).items())
-        if self._is_root_owner:
-            # A salvage root already shipped its local data down the delta
-            # path (it self-delivered into _root_states); only the true
-            # owner contributes _local_cum directly.
-            self._merge_all(final, self._local_cum.items())
-        self.emit(self._result_rows(final))
+        else:
+            final: Groups = {}
+            for _origin, states in self._contributions(reported=True):
+                self._merge_all(final, states.items())
+            self.emit(self._result_rows(final))
 
     # -- integrity (spot-check commitments and proxy-side reconciliation) ------- #
-    def _root_fold_states(
-        self, origin: str, entry: Dict[str, Any]
-    ) -> Dict[PyTuple[Any, ...], List[Any]]:
-        """One origin's folded states as *this root reports them*.
-
-        An honest root returns the fold verbatim.  A root-owner attacker
-        corrupts the foreign folds it passes on — consistently for the
-        final merge and the integrity claims, since both call through here
-        — which is the strongest position in the tree: without the
-        integrity layer every origin's contribution is in its hands.
-        """
-        states = self._fold_states(entry)
-        if self._attacker is None or origin == self._origin_id or not states:
-            return states
-        attack = self._attacker.attack
-        if attack == "drop_partials":
-            self._record_attack(origin=origin)
-            return {}
-        if attack == "suppress_sources":
-            if not suppression_victim(origin):
-                return states
-            self._record_attack(origin=origin)
-            return {}
-        if attack == "inflate_partials":
-            self._record_attack(origin=origin)
-            return {
-                key: corrupt_states(st, self._attacker.inflation_factor)
-                for key, st in states.items()
-            }
-        return states
-
     def _send_integrity_report(self) -> None:
         """Every origin pushes a self-report straight to the proxy: a
         commitment over its cumulative local contribution, plus the full
@@ -876,86 +567,39 @@ class HierarchicalAggregate(_BaseGroupBy):
         if replica_sampled(
             self.context.query_id, self.replica, self._origin_id, self._spot_sample
         ):
-            payload["partials"] = [
-                {"key": list(key), "states": states}
-                for key, states in self._local_cum.items()
-            ]
-        self.context.overlay.direct_message(
-            self.context.proxy_address,
-            INTEGRITY_NAMESPACE,
-            self.context.query_id,
-            payload,
-        )
+            payload["partials"] = wire_partials(self._local_cum)
+        self._send_to_collector(payload)
 
     def _send_root_claims(self) -> None:
         """The root's side of verified aggregation: per-origin claims (the
         folded states plus the custody trail) instead of merged rows."""
         origins: Dict[str, Dict[str, Any]] = {}
-        for origin, entry in self._origin_folds.items():
-            if origin == self._origin_id:
-                continue
-            states = self._root_fold_states(origin, entry)
-            origins[origin] = {
-                "partials": [
-                    {"key": list(key), "states": st} for key, st in states.items()
-                ],
-                "relays": sorted(entry.get("relays", ()), key=repr),
-            }
-        # The root's own contribution (and any pre-monitor legacy partials)
-        # travels as its self-claim, verified like everyone else's.
-        own: Dict[PyTuple[Any, ...], List[Any]] = {}
-        self._merge_all(own, self._root_states.items())
-        self._merge_all(own, self._local_cum.items())
+        # The root's own contribution (and any pre-monitor combined
+        # partials) travels as its self-claim, verified like everyone's.
+        own: Groups = {}
+        for origin, states in self._contributions(reported=True):
+            if origin is None or origin == self._origin_id:
+                self._merge_all(own, states.items())
+            else:
+                origins[origin] = {
+                    "partials": wire_partials(states),
+                    "relays": sorted(self.ledger.relays(origin), key=repr),
+                }
         if own:
-            origins[self._origin_id] = {
-                "partials": [
-                    {"key": list(key), "states": st} for key, st in own.items()
-                ],
-                "relays": [],
-            }
-        self.context.overlay.direct_message(
-            self.context.proxy_address,
-            INTEGRITY_NAMESPACE,
-            self.context.query_id,
+            origins[self._origin_id] = {"partials": wire_partials(own), "relays": []}
+        self._send_to_collector(
             {
                 "kind": "root",
                 "replica": self.replica,
                 "node": self.context.overlay.address,
                 "origins": origins,
-            },
+            }
         )
 
-    def _flush_windowed(self) -> None:
-        """Lifetime expiry for a standing query: the in-progress partial
-        pane is dropped by design (only complete windows are reported),
-        held traffic is forwarded, and the root emits every complete epoch
-        still waiting on its watermark."""
-        if self._held or self._held_batches:
-            self._forward_held(None)
-        salvage_root = (
-            not self._monitoring and not self._is_root_owner and self._is_root()
+    def _send_to_collector(self, payload: Dict[str, Any]) -> None:
+        self.context.overlay.direct_message(
+            self.context.proxy_address, INTEGRITY_NAMESPACE, self.context.query_id, payload
         )
-        if not (self._is_root_owner or salvage_root):
-            return
-        epochs: Set[int] = set()
-
-        def collect(keys: Iterable[Any]) -> None:
-            for key in keys:
-                if isinstance(key, (list, tuple)) and key and isinstance(key[0], int):
-                    epochs.add(key[0])
-
-        collect(self._root_states)
-        if self._is_root_owner:
-            collect(self._local_cum)
-        for origin, entry in self._origin_folds.items():
-            if origin == self._origin_id:
-                continue
-            if entry["base"]:
-                collect(entry["base"])
-            for partials in entry["deltas"].values():
-                collect(partials)
-        for epoch in sorted(epochs - self._emitted_epochs):
-            self._emit_epoch(epoch)
 
 
 @register_operator

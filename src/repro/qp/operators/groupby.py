@@ -92,7 +92,12 @@ class _BaseGroupBy(PhysicalOperator):
         self._panes: Dict[int, Groups] = {}
         self._landmark_cum: Groups = {}
         self._next_close_epoch: Optional[int] = None
-        self._window_scheduled = False
+        # Watermark clock (merge sites): epochs with an armed timer, and
+        # epochs already emitted — a set above a low-water mark, so a
+        # standing query remembers a retention's worth, not its lifetime.
+        self._epoch_timers: Set[int] = set()
+        self._emitted_epochs: Set[int] = set()
+        self._emitted_floor = 0
         self.epochs_emitted = 0
         self.panes_evicted = 0
 
@@ -164,17 +169,25 @@ class _BaseGroupBy(PhysicalOperator):
         return merged
 
     def _emit_window(self, epoch: int, states: Groups) -> None:
-        """Ship one closed epoch downstream; final-row form by default."""
-        if self.emit_states:
-            self._emit_window_states(epoch, states)
-            return
-        self.emit(self._result_rows(states, epoch_stamp(self.window_spec, epoch)))
-        self.epochs_emitted += 1
+        """Pane-close hook: what becomes of one closed window's states."""
+        self._emit_epoch(epoch, states)
 
-    def _emit_window_states(
+    def _emit_epoch(
         self, epoch: int, states: Groups, contributors: Optional[int] = None
     ) -> None:
-        """Ship one closed epoch as mergeable partial-state rows.
+        """Ship one closed epoch downstream; final-row form by default."""
+        if self.emit_states:
+            rows = self._state_rows(states, epoch, contributors)
+        else:
+            rows = self._result_rows(states, epoch_stamp(self.window_spec, epoch))
+        self.emit(rows)
+        self.epochs_emitted += 1
+
+    def _state_rows(
+        self, states: Groups, epoch: Optional[int] = None, contributors: Optional[int] = None
+    ) -> List[Tuple]:
+        """One mergeable partial-state row per group, stamped with the
+        ``epoch`` it closes (windowed emission).
 
         ``contributors`` — when the emitter can re-emit an epoch after an
         ownership handoff (hierarchical roots), it stamps each row with how
@@ -183,16 +196,79 @@ class _BaseGroupBy(PhysicalOperator):
         """
         rows = []
         for key, state_list in states.items():
-            payload = {
-                "__partial_states__": list(state_list),
-                "__group_key__": tuple(key),
-                EPOCH_COLUMN: epoch,
-            }
+            # A copy: later rows keep folding into the group's own list.
+            payload = {"__partial_states__": list(state_list), "__group_key__": tuple(key)}
+            if epoch is not None:
+                payload[EPOCH_COLUMN] = epoch
             if contributors is not None:
                 payload["__contributors__"] = contributors
             rows.append(self._group_tuple(key, payload))
-        self.emit(rows)
-        self.epochs_emitted += 1
+        return rows
+
+    # -- watermark clock (merge sites) ------------------------------------------- #
+    # A merge site closes an epoch when its watermark passes, not on the
+    # pane clock: one timer per open epoch, armed by the first contribution
+    # that names it, and each epoch emitted at most once.  The site supplies
+    # ``_epoch_result(epoch)``: the epoch's merged states, and from how many
+    # sources if it counts them.
+    def _arm_epoch_timer(self, epoch: int) -> None:
+        """An epoch first seen after its watermark already passed (slow
+        partials, or a fresh root catching up post-handoff) waits the
+        shared settle time, so contributions in flight alongside the first
+        arrival get merged too instead of emitting from one source alone."""
+        if epoch in self._epoch_timers or self._epoch_emitted(epoch):
+            return
+        self._epoch_timers.add(epoch)
+        delay = self.window_spec.watermark(epoch) - self.context.now
+        if delay <= 0:
+            delay = LATE_EPOCH_SETTLE
+        self.arm_timer(delay, self._on_epoch_watermark, data=epoch)
+
+    def _on_epoch_watermark(self, epoch: int) -> None:
+        self._epoch_timers.discard(epoch)
+        if not self._stopped:
+            self._close_epoch(epoch)
+
+    def _epoch_emitted(self, epoch: int) -> bool:
+        return epoch < self._emitted_floor or epoch in self._emitted_epochs
+
+    def _close_epoch(self, epoch: int) -> None:
+        """Merge and emit one epoch, at most once."""
+        if self._epoch_emitted(epoch):
+            return
+        states, contributors = self._epoch_result(epoch)
+        if not states:
+            # Nothing merged yet (e.g. every batch still in flight): leave
+            # the epoch unemitted so a later arrival can re-arm the timer.
+            return
+        self._advance_floor()
+        self._emitted_epochs.add(epoch)
+        self._emit_epoch(epoch, states, contributors)
+
+    def _epoch_retention(self) -> float:
+        """How long after an epoch's watermark a merge site remembers it.
+
+        The retention must outlive a root handoff: the monitor notices the
+        ownership change within ``root_monitor_interval`` and origins then
+        re-ship their retained cumulative state, so a few graces plus a
+        couple of slides of slack is plenty — while keeping standing-query
+        state bounded by the window, not the lifetime."""
+        spec = self.window_spec
+        return max(15.0, 4.0 * spec.grace + 2.0 * spec.slide)
+
+    def _advance_floor(self) -> int:
+        """Raise the low-water mark to the oldest epoch still retained (the
+        first whose watermark is not yet ``_epoch_retention()`` in the
+        past).  Every epoch below it counts as emitted, so what is
+        remembered stays bounded and a late partial still counts late."""
+        spec = self.window_spec
+        horizon = self.context.now - self._epoch_retention()
+        floor = spec.pane_of(horizon - spec.grace) - 1
+        if spec.watermark(floor) < horizon:
+            floor += 1
+        self._emitted_floor = floor
+        self._emitted_epochs = {epoch for epoch in self._emitted_epochs if epoch >= floor}
+        return floor
 
     # -- state access ------------------------------------------------------------ #
     def _merge_into(self, buffer: Groups, key: PyTuple[Any, ...], states: States) -> None:
@@ -345,51 +421,28 @@ class PartialAggregate(_BaseGroupBy):
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
-        # Byzantine role (repro.runtime.churn.ByzantineProcess).  NOTE the
-        # threat-model caveat: corrupting one's *own* partial output is the
-        # node lying about its local data — a bounded-influence residual no
-        # aggregation protocol can detect (SIA's explicit non-goal).  The
-        # hook exists so fault-injection experiments can measure exactly
-        # that bound; the detectable attacks live on the aggregator paths
-        # in repro.qp.hierarchical.
+        # Byzantine role (repro.runtime.churn.Attacker; None on an honest
+        # node).  NOTE the threat-model caveat: corrupting one's *own*
+        # partial output is the node lying about its local data — a
+        # bounded-influence residual no aggregation protocol can detect
+        # (SIA's explicit non-goal).  The hook exists so fault-injection
+        # experiments can measure exactly that bound; the detectable
+        # attacks live on the aggregator paths in repro.qp.hierarchical.
         adversary = getattr(context.overlay.runtime, "adversary", None)
-        self._adversary = adversary
-        self._attacker = adversary.role(context.overlay.address) if adversary else None
+        self._attacker = adversary.attacker(context.overlay.address) if adversary else None
 
-    def _attacked_states(self, states: Groups) -> Groups:
-        if self._attacker is None or not states:
+    def _reported(self, states: Groups) -> Groups:
+        """This node's partial output as it reports it."""
+        if self._attacker is None:
             return states
-        from repro.runtime.churn import corrupt_states
-
-        attack = self._attacker.attack
-        if attack == "drop_partials":
-            self._adversary.record(self._attacker.address, attack)
-            return {}
-        if attack == "inflate_partials":
-            self._adversary.record(self._attacker.address, attack)
-            return {
-                key: corrupt_states(st, self._attacker.inflation_factor)
-                for key, st in states.items()
-            }
-        return states
+        return self._attacker.tamper(states, own=True) or {}
 
     def _emit_window(self, epoch: int, states: Groups) -> None:
-        self._emit_window_states(epoch, self._attacked_states(states))
+        self.emit(self._state_rows(self._reported(states), epoch))
+        self.epochs_emitted += 1
 
     def flush(self) -> None:
-        self.emit(
-            [
-                self._group_tuple(
-                    key,
-                    {
-                        # A copy: later rows keep folding into the group's own list.
-                        "__partial_states__": list(states),
-                        "__group_key__": tuple(key),
-                    },
-                )
-                for key, states in self._attacked_states(self._groups).items()
-            ]
-        )
+        self.emit(self._state_rows(self._reported(self._groups)))
 
 
 @register_operator
@@ -414,8 +467,6 @@ class MergeAggregate(_BaseGroupBy):
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
         self._epoch_states: Dict[int, Groups] = {}
-        self._epoch_timers: Set[int] = set()
-        self._emitted_epochs: Set[int] = set()
         self.late_partials = 0
 
     # Partial-state rows and raw rows may interleave on one input, and
@@ -429,7 +480,7 @@ class MergeAggregate(_BaseGroupBy):
         epoch = tup.get(EPOCH_COLUMN) if self.window_spec is not None else None
         if epoch is not None:
             epoch = int(epoch)
-            if epoch in self._emitted_epochs:
+            if self._epoch_emitted(epoch):
                 self.late_partials += 1
                 return
         key = tuple(tup.require("__group_key__")) if self.group_columns else ()
@@ -447,27 +498,8 @@ class MergeAggregate(_BaseGroupBy):
         if epoch is not None:
             self._arm_epoch_timer(epoch)
 
-    def _arm_epoch_timer(self, epoch: int) -> None:
-        if epoch in self._epoch_timers:
-            return
-        self._epoch_timers.add(epoch)
-        delay = self.window_spec.watermark(epoch) - self.context.now
-        if delay <= 0:
-            delay = LATE_EPOCH_SETTLE
-        self.arm_timer(delay, self._on_epoch_watermark, data=epoch)
-
-    def _on_epoch_watermark(self, epoch: int) -> None:
-        self._epoch_timers.discard(epoch)
-        if self._stopped:
-            return
-        self._close_epoch(epoch)
-
-    def _close_epoch(self, epoch: int) -> None:
-        bucket = self._epoch_states.pop(epoch, None)
-        if not bucket or epoch in self._emitted_epochs:
-            return
-        self._emitted_epochs.add(epoch)
-        self._emit_window(epoch, bucket)
+    def _epoch_result(self, epoch: int) -> PyTuple[Optional[Groups], Optional[int]]:
+        return self._epoch_states.pop(epoch, None), None
 
     def flush(self) -> None:
         if self.window_spec is not None:

@@ -17,6 +17,16 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.qp.opgraph import DisseminationSpec, OpGraph, QueryPlan
 
 
+def _add_scan(graph: OpGraph, operator_id: str, table: str, source: str) -> str:
+    """Add ``table``'s access method: ``local_table`` for per-node data,
+    otherwise a scan of the DHT namespace it was published into."""
+    if source == "local_table":
+        graph.add_operator(operator_id, "local_table", {"table": table})
+    else:
+        graph.add_operator(operator_id, "dht_scan", {"namespace": table})
+    return operator_id
+
+
 def equality_lookup_plan(
     namespace: str,
     key: Any,
@@ -64,11 +74,7 @@ def broadcast_scan_plan(
     """
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    if source == "local_table":
-        graph.add_operator("scan", "local_table", {"table": table})
-    else:
-        graph.add_operator("scan", "dht_scan", {"namespace": table})
-    upstream = "scan"
+    upstream = _add_scan(graph, "scan", table, source)
     if predicate is not None:
         graph.add_operator("select", "selection", {"predicate": predicate}, inputs=[upstream])
         upstream = "select"
@@ -106,11 +112,7 @@ def flat_aggregation_plan(
     """
     plan = QueryPlan(timeout=timeout)
     producer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    if source == "local_table":
-        producer.add_operator("scan", "local_table", {"table": table})
-    else:
-        producer.add_operator("scan", "dht_scan", {"namespace": table})
-    upstream = "scan"
+    upstream = _add_scan(producer, "scan", table, source)
     if predicate is not None:
         producer.add_operator("select", "selection", {"predicate": predicate}, inputs=[upstream])
         upstream = "select"
@@ -171,11 +173,7 @@ def hierarchical_aggregation_plan(
     """
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    if source == "local_table":
-        graph.add_operator("scan", "local_table", {"table": table})
-    else:
-        graph.add_operator("scan", "dht_scan", {"namespace": table})
-    upstream = "scan"
+    upstream = _add_scan(graph, "scan", table, source)
     if predicate is not None:
         graph.add_operator("select", "selection", {"predicate": predicate}, inputs=[upstream])
         upstream = "select"
@@ -213,70 +211,62 @@ def symmetric_hash_join_plan(
     scans the rendezvous partition at each node and runs a symmetric hash
     join locally, shipping results to the proxy.
     """
+    return _rehash_join_plan(
+        left_table,
+        right_table,
+        left_columns,
+        right_columns,
+        source,
+        timeout,
+        output_table,
+        rendezvous,
+        predicate=predicate,
+    )
+
+
+def _rehash_join_plan(
+    left_table: str,
+    right_table: str,
+    left_columns: List[str],
+    right_columns: List[str],
+    source: str,
+    timeout: float,
+    output_table: Optional[str],
+    rendezvous: str,
+    predicate: Optional[Any] = None,
+    bloom: Optional[Dict[str, Any]] = None,
+) -> QueryPlan:
+    """The rehash-join plan shape, plain or behind a Bloom filter.
+
+    ``bloom`` (the filters' ``filter_namespace`` and ``size_bits``) adds
+    the Bloom-join round: an opgraph ahead of the others publishes a filter
+    of each site's left join keys, and the right relation is rehashed only
+    where the filter says a match is possible.
+    """
     plan = QueryPlan(timeout=timeout)
+    if bloom is not None:
+        build = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
+        _add_scan(build, "scan_left", left_table, source)
+        build.add_operator(
+            "bloom", "bloom_build", {"columns": left_columns, **bloom}, inputs=["scan_left"]
+        )
+    # The left relation always travels; the right one may be filtered first.
     producer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    scan_type = "local_table" if source == "local_table" else "dht_scan"
-    left_param = {"table": left_table} if scan_type == "local_table" else {"namespace": left_table}
-    right_param = (
-        {"table": right_table} if scan_type == "local_table" else {"namespace": right_table}
-    )
-    producer.add_operator("scan_left", scan_type, left_param)
-    producer.add_operator("scan_right", scan_type, right_param)
-    producer.add_operator(
-        "extend_left",
-        "projection",
-        {
-            "keep_all": True,
-            "computed": {
-                "__join_key__": _key_expression(left_columns),
-                "__source_table__": ["lit", left_table],
-            },
-        },
-        inputs=["scan_left"],
-    )
-    producer.add_operator(
-        "extend_right",
-        "projection",
-        {
-            "keep_all": True,
-            "computed": {
-                "__join_key__": _key_expression(right_columns),
-                "__source_table__": ["lit", right_table],
-            },
-        },
-        inputs=["scan_right"],
-    )
+    _add_scan(producer, "scan_left", left_table, source)
+    right = _add_scan(producer, "scan_right", right_table, source)
+    if bloom is not None:
+        producer.add_operator(
+            "probe_right",
+            "bloom_probe",
+            {"columns": right_columns, "filter_namespace": bloom["filter_namespace"]},
+            inputs=[right],
+        )
+        right = "probe_right"
+    _add_join_key(producer, "extend_left", left_columns, left_table, "scan_left")
+    _add_join_key(producer, "extend_right", right_columns, right_table, right)
     producer.add_operator("union_both", "union", {}, inputs=["extend_left", "extend_right"])
-    producer.add_operator(
-        "rehash",
-        "put",
-        {"namespace": rendezvous, "key_columns": ["__join_key__"]},
-        inputs=["union_both"],
-    )
-    consumer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    consumer.add_operator("scan_rehash", "dht_scan", {"namespace": rendezvous, "scoped": True})
-    consumer.add_operator(
-        "split_left",
-        "selection",
-        {"predicate": ["eq", ["col", "__source_table__"], ["lit", left_table]]},
-        inputs=["scan_rehash"],
-    )
-    consumer.add_operator(
-        "split_right",
-        "selection",
-        {"predicate": ["eq", ["col", "__source_table__"], ["lit", right_table]]},
-        inputs=["scan_rehash"],
-    )
-    consumer.add_operator(
-        "join",
-        "symmetric_hash_join",
-        {
-            "left_columns": ["__join_key__"],
-            "right_columns": ["__join_key__"],
-            "output_table": output_table,
-        },
-        inputs=["split_left", "split_right"],
-    )
+    _add_rehash(producer, "rehash", rendezvous, "union_both")
+    consumer = _add_rendezvous_join(plan, rendezvous, left_table, right_table, output_table)
     upstream = "join"
     if predicate is not None:
         # The residual WHERE predicate runs over the joined tuple, which
@@ -288,6 +278,71 @@ def symmetric_hash_join_plan(
         upstream = "filter_where"
     consumer.add_operator("results", "result_handler", {"batch": 16}, inputs=[upstream])
     return plan
+
+
+def _add_join_key(
+    graph: OpGraph, operator_id: str, columns: Sequence[str], marker: str, upstream: str
+) -> None:
+    """Ready a stream for a rehash join: compute its join key and stamp
+    each tuple with ``marker``, which says what side of the join it is."""
+    graph.add_operator(
+        operator_id,
+        "projection",
+        {
+            "keep_all": True,
+            "computed": {
+                "__join_key__": _key_expression(columns),
+                "__source_table__": ["lit", marker],
+            },
+        },
+        inputs=[upstream],
+    )
+
+
+def _add_rehash(graph: OpGraph, operator_id: str, rendezvous: str, upstream: str) -> None:
+    """Republish a keyed stream into the rendezvous namespace, partitioned
+    on the join key."""
+    graph.add_operator(
+        operator_id,
+        "put",
+        {"namespace": rendezvous, "key_columns": ["__join_key__"]},
+        inputs=[upstream],
+    )
+
+
+def _add_rendezvous_join(
+    plan: QueryPlan,
+    rendezvous: str,
+    left_marker: str,
+    right_marker: str,
+    output_table: Optional[str],
+    suffix: str = "",
+) -> OpGraph:
+    """The consuming half of a rehash join, as a new opgraph: scan the
+    rendezvous partition at each node, split the two sides apart by their
+    markers and symmetric-hash join them on the key (operator ``join``)."""
+    consumer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
+    consumer.add_operator(
+        f"scan_rehash{suffix}", "dht_scan", {"namespace": rendezvous, "scoped": True}
+    )
+    for side, marker in (("left", left_marker), ("right", right_marker)):
+        consumer.add_operator(
+            f"split_{side}{suffix}",
+            "selection",
+            {"predicate": ["eq", ["col", "__source_table__"], ["lit", marker]]},
+            inputs=[f"scan_rehash{suffix}"],
+        )
+    consumer.add_operator(
+        f"join{suffix}",
+        "symmetric_hash_join",
+        {
+            "left_columns": ["__join_key__"],
+            "right_columns": ["__join_key__"],
+            "output_table": output_table,
+        },
+        inputs=[f"split_left{suffix}", f"split_right{suffix}"],
+    )
+    return consumer
 
 
 def fetch_matches_join_plan(
@@ -303,11 +358,7 @@ def fetch_matches_join_plan(
     each (filtered) outer tuple."""
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    if source == "local_table":
-        graph.add_operator("scan_outer", "local_table", {"table": outer_table})
-    else:
-        graph.add_operator("scan_outer", "dht_scan", {"namespace": outer_table})
-    upstream = "scan_outer"
+    upstream = _add_scan(graph, "scan_outer", outer_table, source)
     if outer_predicate is not None:
         graph.add_operator(
             "select_outer", "selection", {"predicate": outer_predicate}, inputs=[upstream]
@@ -384,12 +435,7 @@ def multi_join_plan(
         raise ValueError("multi_join_plan requires at least one join step")
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    base_scan_type = "local_table" if base_source == "local_table" else "dht_scan"
-    base_params = (
-        {"table": base_table} if base_scan_type == "local_table" else {"namespace": base_table}
-    )
-    graph.add_operator("scan_base", base_scan_type, base_params)
-    stream = "scan_base"
+    stream = _add_scan(graph, "scan_base", base_table, base_source)
     if predicate is not None and predicate_pushdown:
         graph.add_operator("filter_base", "selection", {"predicate": predicate}, inputs=[stream])
         stream = "filter_base"
@@ -413,7 +459,7 @@ def multi_join_plan(
             if index != 0:
                 raise ValueError("bloom strategy is only supported on the first join edge")
             build = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-            build.add_operator("scan_build", base_scan_type, base_params)
+            _add_scan(build, "scan_build", base_table, base_source)
             build.add_operator(
                 "bloom",
                 "bloom_build",
@@ -425,30 +471,9 @@ def multi_join_plan(
         # any name, including the base table's in a self-join).
         rendezvous = f"{rendezvous_prefix}_{index}"
         left_marker = f"__left_{index}__"
-        graph.add_operator(
-            f"extend_left_{index}",
-            "projection",
-            {
-                "keep_all": True,
-                "computed": {
-                    "__join_key__": _key_expression([step.left_column]),
-                    "__source_table__": ["lit", left_marker],
-                },
-            },
-            inputs=[stream],
-        )
-        graph.add_operator(
-            f"rehash_left_{index}",
-            "put",
-            {"namespace": rendezvous, "key_columns": ["__join_key__"]},
-            inputs=[f"extend_left_{index}"],
-        )
-        inner_scan_type = "local_table" if step.source == "local_table" else "dht_scan"
-        inner_params = (
-            {"table": step.table} if inner_scan_type == "local_table" else {"namespace": step.table}
-        )
-        graph.add_operator(f"scan_inner_{index}", inner_scan_type, inner_params)
-        inner_stream = f"scan_inner_{index}"
+        _add_join_key(graph, f"extend_left_{index}", [step.left_column], left_marker, stream)
+        _add_rehash(graph, f"rehash_left_{index}", rendezvous, f"extend_left_{index}")
+        inner_stream = _add_scan(graph, f"scan_inner_{index}", step.table, step.source)
         if step.strategy == "bloom":
             graph.add_operator(
                 f"probe_inner_{index}",
@@ -457,49 +482,12 @@ def multi_join_plan(
                 inputs=[inner_stream],
             )
             inner_stream = f"probe_inner_{index}"
-        graph.add_operator(
-            f"extend_inner_{index}",
-            "projection",
-            {
-                "keep_all": True,
-                "computed": {
-                    "__join_key__": _key_expression([step.right_column]),
-                    "__source_table__": ["lit", step.table],
-                },
-            },
-            inputs=[inner_stream],
+        _add_join_key(
+            graph, f"extend_inner_{index}", [step.right_column], step.table, inner_stream
         )
-        graph.add_operator(
-            f"rehash_inner_{index}",
-            "put",
-            {"namespace": rendezvous, "key_columns": ["__join_key__"]},
-            inputs=[f"extend_inner_{index}"],
-        )
-        consumer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-        consumer.add_operator(
-            f"scan_rehash_{index}", "dht_scan", {"namespace": rendezvous, "scoped": True}
-        )
-        consumer.add_operator(
-            f"split_left_{index}",
-            "selection",
-            {"predicate": ["eq", ["col", "__source_table__"], ["lit", left_marker]]},
-            inputs=[f"scan_rehash_{index}"],
-        )
-        consumer.add_operator(
-            f"split_right_{index}",
-            "selection",
-            {"predicate": ["eq", ["col", "__source_table__"], ["lit", step.table]]},
-            inputs=[f"scan_rehash_{index}"],
-        )
-        consumer.add_operator(
-            f"join_{index}",
-            "symmetric_hash_join",
-            {
-                "left_columns": ["__join_key__"],
-                "right_columns": ["__join_key__"],
-                "output_table": step_output,
-            },
-            inputs=[f"split_left_{index}", f"split_right_{index}"],
+        _add_rehash(graph, f"rehash_inner_{index}", rendezvous, f"extend_inner_{index}")
+        consumer = _add_rendezvous_join(
+            plan, rendezvous, left_marker, step.table, step_output, suffix=f"_{index}"
         )
         graph = consumer
         stream = f"join_{index}"

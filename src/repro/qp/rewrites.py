@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.qp.opgraph import DisseminationSpec, QueryPlan
-from repro.qp.plans import _key_expression
+from repro.qp.plans import _add_scan, _rehash_join_plan
 
 
 def bloom_join_plan(
@@ -37,92 +37,17 @@ def bloom_join_plan(
 ) -> QueryPlan:
     """Bloom join: filter the right relation by the left relation's keys
     before rehashing, then symmetric-hash join the survivors."""
-    plan = QueryPlan(timeout=timeout)
-    scan_type = "local_table" if source == "local_table" else "dht_scan"
-
-    def scan_params(table: str) -> dict:
-        return {"table": table} if scan_type == "local_table" else {"namespace": table}
-
-    # Opgraph 0: build and publish Bloom filters over the left relation.
-    build = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    build.add_operator("scan_left", scan_type, scan_params(left_table))
-    build.add_operator(
-        "bloom",
-        "bloom_build",
-        {"columns": left_columns, "filter_namespace": filter_namespace, "size_bits": size_bits},
-        inputs=["scan_left"],
+    return _rehash_join_plan(
+        left_table,
+        right_table,
+        left_columns,
+        right_columns,
+        source,
+        timeout,
+        output_table,
+        rendezvous,
+        bloom={"filter_namespace": filter_namespace, "size_bits": size_bits},
     )
-
-    # Opgraph 1: rehash the left relation (it always travels) and the
-    # Bloom-filtered right relation into the rendezvous namespace.
-    rehash = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    rehash.add_operator("scan_left", scan_type, scan_params(left_table))
-    rehash.add_operator("scan_right", scan_type, scan_params(right_table))
-    rehash.add_operator(
-        "probe_right",
-        "bloom_probe",
-        {"columns": right_columns, "filter_namespace": filter_namespace},
-        inputs=["scan_right"],
-    )
-    rehash.add_operator(
-        "extend_left",
-        "projection",
-        {
-            "keep_all": True,
-            "computed": {
-                "__join_key__": _key_expression(left_columns),
-                "__source_table__": ["lit", left_table],
-            },
-        },
-        inputs=["scan_left"],
-    )
-    rehash.add_operator(
-        "extend_right",
-        "projection",
-        {
-            "keep_all": True,
-            "computed": {
-                "__join_key__": _key_expression(right_columns),
-                "__source_table__": ["lit", right_table],
-            },
-        },
-        inputs=["probe_right"],
-    )
-    rehash.add_operator("union_both", "union", {}, inputs=["extend_left", "extend_right"])
-    rehash.add_operator(
-        "rehash",
-        "put",
-        {"namespace": rendezvous, "key_columns": ["__join_key__"]},
-        inputs=["union_both"],
-    )
-
-    # Opgraph 2: join at the rendezvous partitions.
-    join = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    join.add_operator("scan_rehash", "dht_scan", {"namespace": rendezvous, "scoped": True})
-    join.add_operator(
-        "split_left",
-        "selection",
-        {"predicate": ["eq", ["col", "__source_table__"], ["lit", left_table]]},
-        inputs=["scan_rehash"],
-    )
-    join.add_operator(
-        "split_right",
-        "selection",
-        {"predicate": ["eq", ["col", "__source_table__"], ["lit", right_table]]},
-        inputs=["scan_rehash"],
-    )
-    join.add_operator(
-        "join",
-        "symmetric_hash_join",
-        {
-            "left_columns": ["__join_key__"],
-            "right_columns": ["__join_key__"],
-            "output_table": output_table,
-        },
-        inputs=["split_left", "split_right"],
-    )
-    join.add_operator("results", "result_handler", {"batch": 16}, inputs=["join"])
-    return plan
 
 
 def semi_join_plan(
@@ -145,11 +70,7 @@ def semi_join_plan(
     """
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    if source == "local_table":
-        graph.add_operator("scan_outer", "local_table", {"table": outer_table})
-    else:
-        graph.add_operator("scan_outer", "dht_scan", {"namespace": outer_table})
-    upstream = "scan_outer"
+    upstream = _add_scan(graph, "scan_outer", outer_table, source)
     if outer_predicate is not None:
         graph.add_operator(
             "select_outer", "selection", {"predicate": outer_predicate}, inputs=[upstream]

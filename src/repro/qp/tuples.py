@@ -372,7 +372,10 @@ class Tuple:
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = hash((self.table, self.schema.columns, _hashable(self._values)))
+            # Over (column, value) pairs in no order: tuples of one table
+            # with equal mappings are equal whatever their column order.
+            pairs = zip(self.schema.columns, _hashable(self._values))
+            value = hash((self.table, frozenset(pairs)))
             self._hash = value
         return value
 

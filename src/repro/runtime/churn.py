@@ -9,11 +9,13 @@ resilience) can sweep churn rates.
 Section 4.1.2 goes further: an Internet-scale query processor must also
 survive *malicious* participants.  :class:`ByzantineProcess` flips a seeded
 fraction of nodes into attacker roles; the aggregation operators
-(:mod:`repro.qp.hierarchical`, ``PartialAggregate``) consult the installed
-adversary on their send/intercept paths and misbehave accordingly — so
-attacks ride the real wire format in both the simulated and the physical
-runtime, and the defenses in :mod:`repro.qp.integrity` are exercised
-against genuine protocol traffic rather than synthetic inputs.
+(:mod:`repro.qp.hierarchical`, ``PartialAggregate``) on such a node hold an
+:class:`Attacker` and hand it what passes through their send/intercept
+paths — so attacks ride the real wire format in both the simulated and the
+physical runtime, and the defenses in :mod:`repro.qp.integrity` are
+exercised against genuine protocol traffic rather than synthetic inputs.
+What an attack *does* is written here, once; the operators only know where
+they are exposed to it.
 """
 
 from __future__ import annotations
@@ -230,11 +232,12 @@ class ByzantineProcess:
 
     Installing the process publishes it as ``environment.adversary``; the
     aggregation operators look the adversary up through their runtime (the
-    same delegation path as the tracer) and consult :meth:`role` on their
-    send/intercept paths.  Attackers misbehave only in their *aggregator*
-    role — they ship their own scan data honestly, consistent with the SIA
-    model the paper cites (a node lying about its own local readings is a
-    bounded-influence residual no aggregation protocol can detect).
+    same delegation path as the tracer) and ask :meth:`attacker` for their
+    node's behaviour, which is ``None`` on honest nodes.  Attackers
+    misbehave only in their *aggregator* role — they ship their own scan
+    data honestly, consistent with the SIA model the paper cites (a node
+    lying about its own local readings is a bounded-influence residual no
+    aggregation protocol can detect).
 
     Every act of misbehavior is recorded through :meth:`record`, giving
     benchmarks a ground-truth ledger to compute detection rates against.
@@ -292,6 +295,12 @@ class ByzantineProcess:
         """The attacker role for ``address``, or None for honest nodes."""
         return self._roles.get(address)
 
+    def attacker(self, address: int, replica: int = 0) -> Optional["Attacker"]:
+        """The behaviour of ``address``'s operators in one replica tree, or
+        None for honest nodes."""
+        role = self._roles.get(address)
+        return Attacker(self, role, replica) if role is not None else None
+
     def forge_victims(self, attacker: int, candidates: Sequence[Any]) -> List[Any]:
         """The origins whose contributions ``attacker`` forges.
 
@@ -339,3 +348,104 @@ class ByzantineProcess:
         for event in self.history:
             counts[event.attack] = counts.get(event.attack, 0) + 1
         return counts
+
+
+class Attacker:
+    """One adversarial node's behaviour in one aggregation tree.
+
+    The aggregation operators hold one of these in place of ``None`` and
+    hand it what passes through their hands as aggregators.  Every method
+    is a function of wire data (testable without a network) that records
+    each observable act into the process's ground-truth ledger.
+    """
+
+    def __init__(self, process: ByzantineProcess, role: AttackerRole, replica: int = 0) -> None:
+        self.process = process
+        self.role = role
+        self.replica = replica
+
+    @property
+    def forges(self) -> bool:
+        return self.role.attack == "forge_origin"
+
+    def record(self, origin: Optional[Any] = None) -> None:
+        self.process.record(
+            self.role.address, self.role.attack, origin=origin, replica=self.replica
+        )
+
+    def tamper(self, states: Any, origin: Optional[Any] = None, own: bool = False) -> Any:
+        """What this attacker passes on in place of ``states``.
+
+        ``states`` is a group table (key -> states) or a wire ``partials``
+        list, and comes back in the same form: the input itself where this
+        attack leaves it alone, a corrupted *copy* where it inflates (the
+        wire value is never mutated), ``None`` where the contribution is
+        absorbed and discarded — empty ones too.  Combined partials carry
+        no ``origin``, so censorship discards the lot; on the node's
+        ``own`` output only dropping and inflating act.  An act is
+        recorded only when the input carried data: tampering with nothing
+        is unobservable and must not count against the detector.
+        """
+        attack = self.role.attack
+        if attack == "forge_origin":
+            return states  # forgers relay honestly; their damage is injected
+        if attack == "suppress_sources" and (
+            own or (origin is not None and not suppression_victim(origin))
+        ):
+            return states
+        if states:
+            self.record(origin)
+        if attack != "inflate_partials":
+            return None
+        factor = self.role.inflation_factor
+        if isinstance(states, dict):
+            return {key: corrupt_states(st, factor) for key, st in states.items()}
+        return [
+            {"key": item["key"], "states": corrupt_states(item["states"], factor)}
+            for item in states
+        ]
+
+    def relay(self, batches: Sequence[Dict[str, Any]]) -> Optional[List[Dict[str, Any]]]:
+        """An attacker on the forwarding path violates routing custody.
+
+        Honest intermediates leave origin-accounted batches in the routing
+        layer's custody.  An attacker absorbs them and then discards,
+        censors, or re-packs corrupted copies stamped with its own relay
+        mark — exactly the misbehavior the spot-check commitments are
+        designed to surface.  Returns the batches to send on in place of
+        the absorbed ones, or ``None`` to relay honestly.
+        """
+        if self.forges:
+            return None
+        repacked = []
+        for batch in batches:
+            partials = self.tamper(batch.get("partials", []), batch.get("origin"))
+            if partials is not None:
+                relays = [*batch.get("relays", []), self.role.address]
+                repacked.append({**batch, "partials": partials, "relays": relays})
+        return repacked
+
+    def forgeries(self, candidates: Sequence[Any], now: float) -> List[Dict[str, Any]]:
+        """The ``forge_origin`` attack: cumulative batches spoofing other
+        origins under a fresher incarnation, zeroing their folds.
+
+        ``~forged`` sorts above every ``random_suffix`` incarnation and the
+        current time wins the ``inc_ts`` tie-break, so the forged (empty)
+        batch replaces the victim's genuine contribution wholesale — the
+        same replacement machinery an honest rejoin uses, turned hostile.
+        """
+        forged = []
+        for victim in self.process.forge_victims(self.role.address, candidates):
+            self.record(victim)
+            forged.append(
+                {
+                    "origin": victim,
+                    "inc": "~forged",
+                    "inc_ts": now,
+                    "seq": 1,
+                    "cumulative": True,
+                    "partials": [],
+                    "relays": [self.role.address],
+                }
+            )
+        return forged

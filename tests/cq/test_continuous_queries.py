@@ -478,6 +478,65 @@ def test_hierarchical_standing_query_evicts_expired_epoch_state(live_network):
     assert evicted > 0, "expired epoch entries were evicted somewhere"
 
 
+@pytest.mark.parametrize("scenario", ["hierarchical", "relayed", "flat"])
+def test_standing_query_remembers_a_retention_not_its_lifetime(scenario):
+    """Regression: the retention docstring promised "state bounded by the
+    window, not the lifetime", yet a root kept one delta registration per
+    (origin, pane) forever (264 -> 1,639 between t=52 and t=302 on this
+    run), both merge sites kept every emitted epoch (23 -> 148), and
+    batch-forwarding memory grew with every batch sent or re-packed.
+    Everything a standing query remembers must be flat once the first
+    retention period has passed."""
+    from repro.runtime.churn import ByzantineProcess
+
+    network = PIERNetwork(12, seed=42)
+    if scenario == "relayed":
+        # Inflating relays re-pack every batch they intercept, which is
+        # what exercises the re-forward memory on a quiet network.
+        ByzantineProcess(
+            network.environment, 0.8, attacks=["inflate_partials"], seed=1, protected=[0]
+        )
+    for address in range(12):
+        network.register_local_table(address, "events", [])
+    options = (
+        {} if scenario == "flat" else {"aggregation_strategy": "hierarchical", "resilience": True}
+    )
+    cq = network.subscribe(
+        "SELECT src, COUNT(*) AS n FROM events GROUP BY src WINDOW 2 SLIDE 2 LIFETIME 400",
+        shared=False,
+        **options,
+    )
+    _feed(network, until=390.0)
+
+    def remembered():
+        sizes = {"registrations": 0, "nonempty": 0, "emitted": 0, "reforwards": 0, "local": 0}
+        for node in network.nodes:
+            for graph in node.executor.running_graphs():
+                if graph.query_id != cq.query_id:
+                    continue
+                for operator in graph.operators.values():
+                    sizes["emitted"] += len(getattr(operator, "_emitted_epochs", ()))
+                    sizes["reforwards"] += len(getattr(operator, "_reforwards", ()))
+                    sizes["local"] += len(getattr(operator, "_local_cum", ()))
+                    ledger = getattr(operator, "ledger", None)
+                    for entry in ledger._entries.values() if ledger else ():
+                        sizes["registrations"] += len(entry.deltas)
+                        sizes["nonempty"] += sum(1 for delta in entry.deltas.values() if delta)
+        return sizes
+
+    network.run(52.9)  # between pane ticks: nothing in flight at either sample
+    early = remembered()
+    network.run(250.0)
+    late = remembered()
+    assert len(cq.epochs_delivered) > 140, "the query kept answering throughout"
+    assert late == early, "what is remembered at t=302.9 is what was remembered at t=52.9"
+    assert early["emitted"] > 0
+    if scenario != "flat":
+        assert early["registrations"] == early["nonempty"] > 0, "no emptied registrations linger"
+    if scenario == "relayed":
+        assert early["reforwards"] > 0
+
+
 def test_lifetime_expiry_tears_down_cleanly(live_network):
     network = live_network
     cq = network.subscribe(

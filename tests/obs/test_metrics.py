@@ -107,3 +107,49 @@ def test_disabled_tracing_keeps_sweep_trace_free():
     metrics = network.metrics()
     assert network.environment.tracer is None
     assert "trace.spans_recorded" not in metrics
+
+
+def test_sweep_reports_hierarchical_aggregation_and_its_repairs():
+    """``agg.*`` sums the running hierarchical aggregates' counters: tree
+    traffic, what a root handoff cost (the repair record), replays the
+    origin ledgers dropped, and standing-query state shed at retention."""
+    from repro.overlay.identifiers import object_identifier
+    from repro.qp.resilience import ResiliencePolicy
+
+    network = PIERNetwork(12, seed=52)
+    assert not [key for key in network.metrics() if key.startswith("agg.")]
+    for address in range(12):
+        network.register_local_table(address, "events", [])
+    cq = network.subscribe(
+        "SELECT src, COUNT(*) AS n FROM events WINDOW 2 LIFETIME 60 GROUP BY src",
+        aggregation_strategy="hierarchical",
+        resilience=ResiliencePolicy.enabled(liveness_interval=1.0, root_monitor_interval=0.5),
+        shared=False,
+    )
+    root = object_identifier(f"{cq.query_id}:__hierarchical_aggregate__", "root")
+    (owner,) = [n.address for n in network.nodes if n.overlay.router.is_responsible(root)]
+
+    def tick(_data):
+        for address in range(12):
+            if network.environment.is_alive(address):
+                network.append_local_rows(address, "events", [Tuple.make("events", src="s")])
+        if network.now < 50.0:
+            network.nodes[0].runtime.schedule_event(1.0, None, tick)
+
+    network.nodes[0].runtime.schedule_event(0.4, None, tick)
+    network.run(8.0)
+    before = network.metrics()
+    assert before["agg.partials_sent"] > 0 and before["agg.partials_intercepted"] > 0
+    assert before["agg.ownership_changes"] == before["agg.cumulatives_sent"] == 0
+    assert before["agg.epoch_entries_evicted"] == 0
+
+    network.fail_node(owner)
+    network.run(30.0)  # mid-lifetime: the sweep covers running graphs
+    metrics = network.metrics()
+    # Every surviving node saw the root move once and re-shipped once.
+    assert metrics["agg.ownership_changes"] >= 11
+    assert metrics["agg.cumulatives_sent"] >= 10
+    assert metrics["agg.partials_sent"] > before["agg.partials_sent"]
+    assert metrics["agg.epoch_entries_evicted"] > 0
+    assert "agg.replays_dropped" in metrics  # counted in tests/qp/test_origin_ledger.py
+    cq.cancel()

@@ -71,6 +71,15 @@ def test_dupelim_full_tuple_and_key_columns():
     assert harness2.result_values("b") == ["first"]
 
 
+def test_dupelim_full_tuple_ignores_column_order():
+    harness = OperatorHarness()
+    op = harness.build("dupelim")
+    op.receive(Tuple("t", {"a": 1, "b": 2}))
+    op.receive(Tuple("t", {"b": 2, "a": 1}))  # the same row, columns swapped
+    op.receive(Tuple("t", {"a": 2, "b": 1}))
+    assert harness.result_values("a") == [1, 2]
+
+
 def test_rename_table_and_columns():
     harness = OperatorHarness()
     op = harness.build("rename", {"table": "renamed", "columns": {"a": "alpha"}})

@@ -208,6 +208,18 @@ def test_equality_ignores_column_order_like_the_dict_form_did():
     assert a != Tuple("u", {"x": 1, "y": 2})
 
 
+def test_hash_agrees_with_equality_across_column_orders():
+    """Equal tuples must hash equal: a set (or dupelim) keyed on whole
+    tuples holds one member however its columns happen to be ordered."""
+    a = Tuple("t", {"a": 1, "b": 2})
+    b = Tuple("t", {"b": 2, "a": 1})
+    assert a == b and a.schema is not b.schema
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # The pairing matters, not just the two bags of names and values.
+    assert Tuple("t", {"a": 2, "b": 1}) not in {a}
+
+
 def test_hash_handles_unhashable_values_and_is_cached():
     tup = Tuple.make("t", items=[1, 2], mapping={"k": "v"})
     first = hash(tup)

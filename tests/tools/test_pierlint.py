@@ -35,6 +35,7 @@ def _lint(name: str, rule_id: str):
         ("P04", {5, 9}),
         ("P05", {6, 10, 12}),
         ("P06", {8, 12, 16}),
+        ("P07", {4, 9, 10, 12}),
     ],
 )
 def test_rule_flags_seeded_violations(rule_id, expected_lines):
@@ -43,7 +44,7 @@ def test_rule_flags_seeded_violations(rule_id, expected_lines):
     assert all(v.rule_id == rule_id for v in violations)
 
 
-@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P04", "P05", "P06"])
+@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P04", "P05", "P06", "P07"])
 def test_rule_passes_clean_twin(rule_id):
     assert _lint(f"{rule_id.lower()}_clean.py", rule_id) == []
 
@@ -84,6 +85,14 @@ def test_scopes_follow_module_roles():
     assert "P06" in rules_for("runtime/physical.py")
     assert "P06" in rules_for("overlay/wrapper.py")
     assert "P06" not in rules_for("runtime/codec.py")
+
+
+def test_attack_repertoire_is_confined_to_the_adversary_and_the_defences():
+    for path in ("qp/hierarchical.py", "qp/operators/groupby.py", "qp/ledger.py", "obs/metrics.py"):
+        assert "P07" in rules_for(path)
+    assert "P07" not in rules_for("runtime/churn.py")
+    assert "P07" not in rules_for("security/spot_check.py")
+    assert "P02" in rules_for("qp/ledger.py")  # the ledger folds received wire batches
 
 
 def test_files_outside_repro_package_are_skipped():

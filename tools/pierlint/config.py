@@ -7,8 +7,8 @@ holds in part of the tree:
 * P01 applies everywhere except ``qp/tuples.py`` — the one module allowed
   to construct ``Schema`` (inside ``Schema.intern``).
 * P02 applies to code that receives wire objects: operators, the proxy,
-  the hierarchical aggregation layer, the integrity collector (which
-  decodes claim and report payloads), and the overlay.
+  the hierarchical aggregation layer and its origin ledger, the integrity
+  collector (which decodes claim and report payloads), and the overlay.
 * P03 applies to every simulator-driven module.  ``runtime/rand.py`` is
   the sanctioned ``random.Random`` construction site, and
   ``runtime/physical.py`` is *defined* by its use of the wall clock.
@@ -31,6 +31,9 @@ holds in part of the tree:
 * P06 applies everywhere except ``runtime/codec.py`` — the codec owns the
   wire format, and its counted pickle-fallback frame is the one declared
   pickle site.
+* P07 applies everywhere except ``runtime/churn.py`` — where the attack
+  repertoire and the adversary's ground-truth ledger live — and
+  ``security/``, the defences that are measured against them.
 
 Files outside the ``repro`` package (tests, benchmarks, tools) are not
 linted by default — conventions like seeded RNG access are free to be
@@ -52,6 +55,7 @@ RULE_SCOPES: Dict[str, _Scope] = {
             "qp/operators/",
             "qp/proxy.py",
             "qp/hierarchical.py",
+            "qp/ledger.py",
             "qp/integrity.py",
             "overlay/",
         ],
@@ -64,6 +68,7 @@ RULE_SCOPES: Dict[str, _Scope] = {
         ["qp/operators/base.py"],
     ),
     "P06": ([""], ["runtime/codec.py"]),
+    "P07": ([""], ["runtime/churn.py", "security/"]),
 }
 
 ALL_RULE_IDS = sorted(RULE_SCOPES)

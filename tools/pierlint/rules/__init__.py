@@ -17,6 +17,7 @@ from tools.pierlint.rules import (
     p04_dict_roundtrip,
     p05_timer_leak,
     p06_pickle_wire,
+    p07_attack_repertoire,
 )
 
 RULE_MODULES: Dict[str, object] = {
@@ -28,5 +29,6 @@ RULE_MODULES: Dict[str, object] = {
         p04_dict_roundtrip,
         p05_timer_leak,
         p06_pickle_wire,
+        p07_attack_repertoire,
     )
 }
