@@ -28,19 +28,33 @@ DISSEMINATION_NAMESPACE = "__query_dissemination__"
 
 InstallHandler = Callable[[Dict[str, Any]], None]
 
+# The plan metadata an executing node acts on (``QueryExecutor.install``
+# reads exactly these).  The rest of ``plan.metadata`` — the SQL text, the
+# planner's decisions, the proxy-side result clauses — describes the query
+# to its proxy and its client and stays there.
+ENVELOPE_METADATA_KEYS = (
+    "exchange_batch_size",
+    "exchange_flush_interval",
+    "result_flush_interval",
+    "resilience",
+    "trace",
+    "integrity",
+)
+
 
 def query_envelope(plan: QueryPlan, graph: OpGraph, proxy_address: Any) -> Dict[str, Any]:
     """The wire format in which an opgraph travels to executing nodes.
 
-    Plan metadata rides along so that query-wide execution settings (e.g.
-    the exchange batching knobs) take effect on every executing node, not
-    just the proxy that compiled the plan.
+    The query-wide execution settings in the plan's metadata
+    (:data:`ENVELOPE_METADATA_KEYS`) ride along so that they take effect
+    on every executing node, not just the proxy that compiled the plan.
     """
+    metadata = plan.metadata
     return {
         "query_id": plan.query_id,
         "timeout": plan.timeout,
         "proxy": proxy_address,
-        "metadata": dict(plan.metadata),
+        "metadata": {key: metadata[key] for key in ENVELOPE_METADATA_KEYS if key in metadata},
         "graph": graph.to_dict(),
     }
 

@@ -12,8 +12,9 @@ hand; these builders just capture the recurring patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.qp.expressions import column_references
 from repro.qp.opgraph import DisseminationSpec, OpGraph, QueryPlan
 
 
@@ -24,6 +25,42 @@ def _add_scan(graph: OpGraph, operator_id: str, table: str, source: str) -> str:
         graph.add_operator(operator_id, "local_table", {"table": table})
     else:
         graph.add_operator(operator_id, "dht_scan", {"namespace": table})
+    return operator_id
+
+
+def _add_results(graph: OpGraph, upstream: str, columns: Optional[Sequence[str]]) -> None:
+    """End a plan: project to the select list, if one was given (a row
+    without one of its columns is dropped), and ship rows to the proxy."""
+    if columns:
+        graph.add_operator("project", "projection", {"columns": list(columns)}, inputs=[upstream])
+        upstream = "project"
+    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=[upstream])
+
+
+def _keep_list(
+    columns: Optional[Sequence[str]], predicate: Any, join_columns: Iterable[str]
+) -> Optional[List[str]]:
+    """What a join stage must carry for the rest of the plan: the select
+    list, what a predicate still to run reads, and the keys of the joins
+    still to come — or None (carry everything) when there is no select
+    list or the predicate is opaque.
+
+    The list is lenient (projection param ``keep``) and the same for both
+    sides of an edge: tuples are schema-less and column references carry
+    no table qualifier, so nothing says which side has a column — each
+    side keeps the listed columns it has.
+    """
+    if not columns or callable(predicate):
+        return None
+    return list(dict.fromkeys([*columns, *column_references(predicate), *join_columns]))
+
+
+def _add_prune(graph: OpGraph, operator_id: str, keep: Optional[List[str]], upstream: str) -> str:
+    """Narrow a stream to ``keep`` ahead of a Fetch Matches probe, whose
+    joined rows would otherwise repeat every outer column."""
+    if keep is None:
+        return upstream
+    graph.add_operator(operator_id, "projection", {"keep": keep}, inputs=[upstream])
     return operator_id
 
 
@@ -78,10 +115,7 @@ def broadcast_scan_plan(
     if predicate is not None:
         graph.add_operator("select", "selection", {"predicate": predicate}, inputs=[upstream])
         upstream = "select"
-    if columns:
-        graph.add_operator("project", "projection", {"columns": columns}, inputs=[upstream])
-        upstream = "project"
-    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=[upstream])
+    _add_results(graph, upstream, columns)
     return plan
 
 
@@ -203,6 +237,7 @@ def symmetric_hash_join_plan(
     output_table: Optional[str] = None,
     rendezvous: str = "join_rehash",
     predicate: Optional[Any] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """Distributed equi-join by rehashing both inputs on the join key.
 
@@ -210,6 +245,10 @@ def symmetric_hash_join_plan(
     rendezvous namespace partitioned on the join key; opgraph 1 (broadcast)
     scans the rendezvous partition at each node and runs a symmetric hash
     join locally, shipping results to the proxy.
+
+    ``columns`` is the select list: only those columns, the join keys and
+    what ``predicate`` reads are rehashed, and result rows carry exactly
+    ``columns``.  Without it every column of both inputs travels.
     """
     return _rehash_join_plan(
         left_table,
@@ -221,6 +260,7 @@ def symmetric_hash_join_plan(
         output_table,
         rendezvous,
         predicate=predicate,
+        columns=columns,
     )
 
 
@@ -235,6 +275,7 @@ def _rehash_join_plan(
     rendezvous: str,
     predicate: Optional[Any] = None,
     bloom: Optional[Dict[str, Any]] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """The rehash-join plan shape, plain or behind a Bloom filter.
 
@@ -262,8 +303,9 @@ def _rehash_join_plan(
             inputs=[right],
         )
         right = "probe_right"
-    _add_join_key(producer, "extend_left", left_columns, left_table, "scan_left")
-    _add_join_key(producer, "extend_right", right_columns, right_table, right)
+    keep = _keep_list(columns, predicate, [*left_columns, *right_columns])
+    _add_join_key(producer, "extend_left", left_columns, left_table, "scan_left", keep)
+    _add_join_key(producer, "extend_right", right_columns, right_table, right, keep)
     producer.add_operator("union_both", "union", {}, inputs=["extend_left", "extend_right"])
     _add_rehash(producer, "rehash", rendezvous, "union_both")
     consumer = _add_rendezvous_join(plan, rendezvous, left_table, right_table, output_table)
@@ -276,20 +318,26 @@ def _rehash_join_plan(
             "filter_where", "selection", {"predicate": predicate}, inputs=[upstream]
         )
         upstream = "filter_where"
-    consumer.add_operator("results", "result_handler", {"batch": 16}, inputs=[upstream])
+    _add_results(consumer, upstream, columns)
     return plan
 
 
 def _add_join_key(
-    graph: OpGraph, operator_id: str, columns: Sequence[str], marker: str, upstream: str
+    graph: OpGraph,
+    operator_id: str,
+    columns: Sequence[str],
+    marker: str,
+    upstream: str,
+    keep: Optional[List[str]] = None,
 ) -> None:
-    """Ready a stream for a rehash join: compute its join key and stamp
-    each tuple with ``marker``, which says what side of the join it is."""
+    """Ready a stream for a rehash join: narrow it to ``keep`` (every
+    column when None), compute its join key and stamp each tuple with
+    ``marker``, which says what side of the join it is."""
     graph.add_operator(
         operator_id,
         "projection",
         {
-            "keep_all": True,
+            **({"keep_all": True} if keep is None else {"keep": keep}),
             "computed": {
                 "__join_key__": _key_expression(columns),
                 "__source_table__": ["lit", marker],
@@ -353,9 +401,13 @@ def fetch_matches_join_plan(
     outer_predicate: Optional[Any] = None,
     timeout: float = 20.0,
     output_table: Optional[str] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """Distributed index join: probe the inner table's primary DHT index for
-    each (filtered) outer tuple."""
+    each (filtered) outer tuple.  With ``columns`` (the select list) the
+    outer rows are narrowed to it and the join key before the probe, and
+    result rows carry exactly ``columns``; the fetched inner rows still
+    arrive whole."""
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
     upstream = _add_scan(graph, "scan_outer", outer_table, source)
@@ -364,6 +416,7 @@ def fetch_matches_join_plan(
             "select_outer", "selection", {"predicate": outer_predicate}, inputs=[upstream]
         )
         upstream = "select_outer"
+    upstream = _add_prune(graph, "prune_outer", _keep_list(columns, None, outer_columns), upstream)
     graph.add_operator(
         "fetch_join",
         "fetch_matches_join",
@@ -374,7 +427,7 @@ def fetch_matches_join_plan(
         },
         inputs=[upstream],
     )
-    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=["fetch_join"])
+    _add_results(graph, "fetch_join", columns)
     return plan
 
 
@@ -415,6 +468,7 @@ def multi_join_plan(
     timeout: float = 25.0,
     output_table: Optional[str] = None,
     rendezvous_prefix: str = "join_rehash",
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """A left-deep multi-join pipeline over any number of join edges.
 
@@ -430,9 +484,16 @@ def multi_join_plan(
     ``predicate_pushdown`` it filters the base-table scan (valid only when
     it references base-table columns — the planner checks that against its
     statistics catalog); otherwise it runs over the final joined tuples.
+
+    ``columns`` is the select list.  Stage *i* then carries only what
+    the rest of the plan reads — ``columns``, the columns of a predicate
+    that was not pushed down, and the join keys of edges *i* onwards —
+    and result rows carry exactly ``columns``.  Without it every column
+    of every input travels through every exchange.
     """
     if not steps:
         raise ValueError("multi_join_plan requires at least one join step")
+    residual = None if predicate_pushdown else predicate
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
     stream = _add_scan(graph, "scan_base", base_table, base_source)
@@ -442,7 +503,15 @@ def multi_join_plan(
     last = len(steps) - 1
     for index, step in enumerate(steps):
         step_output = output_table if index == last else None
+        keep = _keep_list(
+            columns,
+            residual,
+            [column for later in steps[index:] for column in (later.left_column, later.right_column)],
+        )
         if step.strategy == "fetch":
+            # What follows (the next edge's keep list, or the final
+            # projection) narrows the joined rows again.
+            stream = _add_prune(graph, f"prune_outer_{index}", keep, stream)
             graph.add_operator(
                 f"fetch_join_{index}",
                 "fetch_matches_join",
@@ -471,7 +540,7 @@ def multi_join_plan(
         # any name, including the base table's in a self-join).
         rendezvous = f"{rendezvous_prefix}_{index}"
         left_marker = f"__left_{index}__"
-        _add_join_key(graph, f"extend_left_{index}", [step.left_column], left_marker, stream)
+        _add_join_key(graph, f"extend_left_{index}", [step.left_column], left_marker, stream, keep)
         _add_rehash(graph, f"rehash_left_{index}", rendezvous, f"extend_left_{index}")
         inner_stream = _add_scan(graph, f"scan_inner_{index}", step.table, step.source)
         if step.strategy == "bloom":
@@ -483,7 +552,7 @@ def multi_join_plan(
             )
             inner_stream = f"probe_inner_{index}"
         _add_join_key(
-            graph, f"extend_inner_{index}", [step.right_column], step.table, inner_stream
+            graph, f"extend_inner_{index}", [step.right_column], step.table, inner_stream, keep
         )
         _add_rehash(graph, f"rehash_inner_{index}", rendezvous, f"extend_inner_{index}")
         consumer = _add_rendezvous_join(
@@ -494,7 +563,7 @@ def multi_join_plan(
     if predicate is not None and not predicate_pushdown:
         graph.add_operator("filter_where", "selection", {"predicate": predicate}, inputs=[stream])
         stream = "filter_where"
-    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=[stream])
+    _add_results(graph, stream, columns)
     return plan
 
 

@@ -17,10 +17,10 @@ as Bloom join and semi-joins can be constructed").
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.qp.opgraph import DisseminationSpec, QueryPlan
-from repro.qp.plans import _add_scan, _rehash_join_plan
+from repro.qp.plans import _add_prune, _add_results, _add_scan, _keep_list, _rehash_join_plan
 
 
 def bloom_join_plan(
@@ -34,9 +34,12 @@ def bloom_join_plan(
     rendezvous: str = "bloom_join_rehash",
     filter_namespace: str = "bloom_filters",
     size_bits: int = 8192,
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """Bloom join: filter the right relation by the left relation's keys
-    before rehashing, then symmetric-hash join the survivors."""
+    before rehashing, then symmetric-hash join the survivors.  ``columns``
+    (the select list) narrows what is rehashed and returned, as in
+    :func:`~repro.qp.plans.symmetric_hash_join_plan`."""
     return _rehash_join_plan(
         left_table,
         right_table,
@@ -47,6 +50,7 @@ def bloom_join_plan(
         output_table,
         rendezvous,
         bloom={"filter_namespace": filter_namespace, "size_bits": size_bits},
+        columns=columns,
     )
 
 
@@ -59,6 +63,7 @@ def semi_join_plan(
     outer_predicate: Optional[Any] = None,
     timeout: float = 25.0,
     output_table: Optional[str] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> QueryPlan:
     """Semi-join through a secondary index (paper Section 3.3.3).
 
@@ -67,6 +72,9 @@ def semi_join_plan(
     joined against the index (shipping only keys), and the surviving
     pointers are dereferenced against ``inner_namespace`` with a second
     Fetch Matches join — "a distributed index join over a secondary index".
+    ``columns`` (the select list) narrows the rows ahead of each probe
+    and the result rows, as in
+    :func:`~repro.qp.plans.fetch_matches_join_plan`.
     """
     plan = QueryPlan(timeout=timeout)
     graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
@@ -76,11 +84,17 @@ def semi_join_plan(
             "select_outer", "selection", {"predicate": outer_predicate}, inputs=[upstream]
         )
         upstream = "select_outer"
+    upstream = _add_prune(
+        graph, "prune_outer", _keep_list(columns, None, [*outer_columns, "base_key"]), upstream
+    )
     graph.add_operator(
         "index_probe",
         "fetch_matches_join",
         {"outer_columns": outer_columns, "inner_namespace": index_namespace},
         inputs=[upstream],
+    )
+    upstream = _add_prune(
+        graph, "prune_pointers", _keep_list(columns, None, ["base_key"]), "index_probe"
     )
     graph.add_operator(
         "dereference",
@@ -90,7 +104,7 @@ def semi_join_plan(
             "inner_namespace": inner_namespace,
             "output_table": output_table,
         },
-        inputs=["index_probe"],
+        inputs=[upstream],
     )
-    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=["dereference"])
+    _add_results(graph, "dereference", columns)
     return plan

@@ -3,7 +3,8 @@
 :func:`render_explain` turns a :class:`~repro.qp.opgraph.QueryPlan` into a
 human-readable report: the planner's strategy decisions (scan access
 method, per-edge join strategy — fetch / rehash / bloom — with the reason
-each was chosen, predicate placement) followed by every opgraph rendered
+each was chosen and the columns the edge ships, predicate placement)
+followed by every opgraph rendered
 as an operator tree, sinks first, the way the tuples flow bottom-up.
 
 The planner records its decisions in ``plan.metadata["planner"]`` (see
@@ -35,6 +36,7 @@ _INTERESTING_PARAMS = (
     "namespace",
     "table",
     "columns",
+    "keep",
     "key_columns",
     "group_columns",
     "outer_columns",
@@ -62,7 +64,7 @@ def render_explain(
         f"plan {plan.query_id}: {kind} over {len(plan.opgraphs)} opgraph(s), "
         f"timeout {plan.timeout:g}s"
     )
-    lines.extend(_render_decisions(decisions, actuals))
+    lines.extend(_render_decisions(plan, decisions, actuals))
     cq = plan.metadata.get("cq")
     if cq:
         window = cq.get("window")
@@ -89,6 +91,7 @@ def render_explain(
 
 
 def _render_decisions(
+    plan: QueryPlan,
     decisions: Mapping[str, Any],
     actuals: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> List[str]:
@@ -108,6 +111,7 @@ def _render_decisions(
             reason = edge.get("reason")
             if reason:
                 lines.append(f"     because {reason}")
+            lines.append(f"     ships: {_edge_ships(plan, index - 1)}")
             estimate_line = _render_edge_estimate(edge, index - 1, actuals)
             if estimate_line:
                 lines.append(estimate_line)
@@ -121,6 +125,23 @@ def _render_decisions(
             else "WHERE: applied after the final join"
         )
     return lines
+
+
+def _edge_ships(plan: QueryPlan, edge_index: int) -> str:
+    """The columns join edge ``edge_index`` (0-based) carries besides the
+    join key and side marker, read off the operator that narrows its left
+    stream; ``*`` when nothing does and whole rows travel."""
+    for graph in plan.opgraphs:
+        for candidate in (
+            f"extend_left_{edge_index}",
+            f"prune_outer_{edge_index}",
+            "extend_left",
+            "prune_outer",
+        ):
+            spec = graph.operators.get(candidate)
+            if spec is not None and spec.params.get("keep") is not None:
+                return ", ".join(spec.params["keep"])
+    return "*"
 
 
 def _render_edge_estimate(

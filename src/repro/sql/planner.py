@@ -39,7 +39,7 @@ renders for ``EXPLAIN`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog import Catalog
@@ -194,7 +194,7 @@ class NaivePlanner:
     # -- scans -------------------------------------------------------------------#
     def _plan_scan(self, statement: SelectStatement, timeout: float) -> QueryPlan:
         info = self._info(statement.table)
-        columns = self._projection_columns(statement)
+        columns, projection = self._select_projection(statement)
         equality = self._partitioning_equality(statement.where, info)
         if info.source == "dht" and equality is not None:
             plan = equality_lookup_plan(
@@ -212,7 +212,7 @@ class NaivePlanner:
                     f"disseminates to one partition"
                 ),
             }
-            return plan
+            return self._with_projection(plan, columns, projection)
         plan = broadcast_scan_plan(
             statement.table,
             source="local_table" if info.source == "local" else "dht_scan",
@@ -225,7 +225,7 @@ class NaivePlanner:
             "source": info.source,
             "detail": f"broadcast scan of {info.source} table {statement.table!r}",
         }
-        return plan
+        return self._with_projection(plan, columns, projection)
 
     # -- continuous queries -----------------------------------------------------------#
     def _window_spec(self, statement: SelectStatement) -> Optional[WindowSpec]:
@@ -337,6 +337,9 @@ class NaivePlanner:
             edges.append((join, inner_info, strategy, reason))
         pushdown = self._can_push_down(statement.table, statement.where)
         estimates = self._estimate_join_progression(statement.table, joins)
+        columns, projection = self._select_projection(
+            statement, self._star_columns(statement.table, joins)
+        )
         decisions = {
             "kind": "join",
             "source": outer_info.source,
@@ -360,7 +363,7 @@ class NaivePlanner:
         if len(joins) == 1 and statement.where is None:
             # Preserve the compact single-join plan shapes when there is no
             # residual predicate to thread through.
-            plan = self._plan_single_join(statement.table, outer_info, edges[0], timeout)
+            plan = self._plan_single_join(statement.table, outer_info, edges[0], timeout, columns)
         if plan is None:
             steps = [
                 JoinStep(
@@ -379,9 +382,10 @@ class NaivePlanner:
                 predicate=statement.where,
                 predicate_pushdown=pushdown,
                 timeout=timeout,
+                columns=columns,
             )
         plan.metadata["planner"] = decisions
-        return plan
+        return self._with_projection(plan, columns, projection)
 
     def _plan_single_join(
         self,
@@ -389,6 +393,7 @@ class NaivePlanner:
         outer_info: TableInfo,
         edge: Tuple[JoinClause, TableInfo, str, str],
         timeout: float,
+        columns: Optional[List[str]],
     ) -> Optional[QueryPlan]:
         join, _inner_info, strategy, _reason = edge
         source = "local_table" if outer_info.source == "local" else "dht_scan"
@@ -399,6 +404,7 @@ class NaivePlanner:
                 outer_columns=[join.left_column],
                 source=source,
                 timeout=timeout,
+                columns=columns,
             )
         if strategy == "rehash":
             return symmetric_hash_join_plan(
@@ -408,6 +414,7 @@ class NaivePlanner:
                 right_columns=[join.right_column],
                 source=source,
                 timeout=timeout,
+                columns=columns,
             )
         return None  # bloom: let the multi-join builder assemble the filter round
 
@@ -548,13 +555,65 @@ class NaivePlanner:
         return bool(references) and all(column in known for column in references)
 
     # -- helpers ------------------------------------------------------------------------#
-    def _projection_columns(self, statement: SelectStatement) -> Optional[List[str]]:
-        columns = [
-            item.expression
-            for item in statement.select_items
-            if not item.aggregate and item.expression != "*"
-        ]
-        return columns or None
+    def _select_projection(
+        self, statement: SelectStatement, star_columns: Optional[List[str]] = None
+    ) -> Tuple[Optional[List[str]], Dict[str, Any]]:
+        """How the select list applies: ``(columns, params)``.
+
+        ``columns`` are the source columns the answer is built from — what
+        the plan builders take as ``columns=``; None means every column —
+        and ``params`` are those of the projection that ends the plan.
+        ``*`` stands for ``star_columns`` when the caller could name them;
+        rows of a schema-less table need not have them all, so that list
+        is kept leniently.
+        """
+        names = [item.expression for item in statement.select_items]
+        outputs = [item.output_name for item in statement.select_items]
+        if "*" in names:
+            if star_columns is None:
+                return None, {}
+            names = outputs = list(star_columns)
+            params: Dict[str, Any] = {"keep": names}
+        elif names != outputs:
+            params = {"computed": {out: ["col", name] for out, name in zip(outputs, names)}}
+        else:
+            params = {"columns": names}
+        if statement.order_by and statement.order_by[0] not in outputs:
+            # The proxy sorts on a column the select list does not name:
+            # it rides along, leniently (rows without it sort last).
+            names = names + [statement.order_by[0]]
+            params = {**params, "keep": [*params.get("keep", ()), statement.order_by[0]]}
+        return names, params
+
+    def _star_columns(self, base_table: str, joins: List[JoinClause]) -> Optional[List[str]]:
+        """What ``SELECT *`` over a join names, when the catalog has seen
+        every joined table: base table first, then join order, names
+        sorted within a table (the catalog keeps sets; plans must not
+        depend on hash order).  A column a later table repeats comes out
+        of the join a second time, qualified, when the two values differ
+        (``Tuple.join``), so that name is listed too."""
+        if self.statistics is None:
+            return None
+        expanded: List[str] = []
+        for table in [base_table, *[join.table for join in joins]]:
+            known = self.statistics.columns(table)
+            if known is None:
+                return None
+            for column in sorted(known):
+                expanded.append(f"{table}.{column}" if column in expanded else column)
+        return list(dict.fromkeys(expanded))
+
+    @staticmethod
+    def _with_projection(
+        plan: QueryPlan, columns: Optional[List[str]], projection: Dict[str, Any]
+    ) -> QueryPlan:
+        """The builders end a plan by projecting strictly to ``columns``;
+        aliases, a carried ORDER BY column and a lenient ``*`` need the
+        fuller ``projection`` params in that operator's place."""
+        if columns and projection != {"columns": columns}:
+            operators = plan.opgraphs[-1].operators
+            operators["project"] = replace(operators["project"], params=projection)
+        return plan
 
     def _partitioning_equality(self, predicate: Any, info: TableInfo) -> Optional[Any]:
         """The literal an equality predicate binds the partitioning key to."""

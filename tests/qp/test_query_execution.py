@@ -181,3 +181,32 @@ def test_local_dissemination_runs_only_on_proxy(network):
     graph.add_operator("results", "result_handler", {}, inputs=["scan"])
     result = network.execute(plan, proxy=3)
     assert len(result) == 3  # only the proxy's own rows
+
+
+def test_envelope_ships_the_execution_settings_and_nothing_else(network):
+    """The dissemination envelope goes to every node for every opgraph:
+    it carries the plan metadata an executor acts on, not the SQL text,
+    the planner's decisions or the proxy-side result clauses."""
+    from repro.qp.dissemination import ENVELOPE_METADATA_KEYS, query_envelope
+
+    plan = network.plan_sql("SELECT src FROM events ORDER BY src LIMIT 2 TIMEOUT 5")
+    assert {"sql", "planner", "sql_order_by", "sql_limit", "sql_select"} <= set(plan.metadata)
+    settings = {
+        "exchange_batch_size": 4,
+        "exchange_flush_interval": 0.5,
+        "result_flush_interval": 0.5,
+        "resilience": {"handoff": False},
+        "trace": {"trace_id": "t-x", "span": "s-x"},
+        "integrity": {"spot_check_rate": 0.0},
+    }
+    assert set(settings) == set(ENVELOPE_METADATA_KEYS)
+    plan.metadata.update(settings)
+    envelope = query_envelope(plan, plan.opgraphs[0], proxy_address=0)
+    assert envelope["metadata"] == settings
+    # Every one of them reaches the operators of a node that is not the proxy.
+    result = network.execute(plan, proxy=0)
+    (installed,) = [
+        graph for graph in network.nodes[7].executor.installed_graphs()
+        if graph.query_id == result.query_id
+    ]
+    assert {key: installed.context.extras[key] for key in settings} == settings

@@ -1,9 +1,12 @@
 """Unit tests for selection, projection, tee, union, dup-elim, rename, limit,
 materializer, queue and the best-effort malformed-tuple policy."""
 
+from hypothesis import given, settings, strategies as st
+
 from operator_harness import OperatorHarness
 
-from repro.qp.tuples import Tuple
+from repro.qp.expressions import evaluate
+from repro.qp.tuples import MalformedTupleError, Tuple
 
 
 def _rows(*values):
@@ -43,6 +46,89 @@ def test_projection_columns_computed_and_keep_all():
     keep = harness2.build("projection", {"keep_all": True, "computed": {"flag": ["lit", 1]}})
     keep.receive(Tuple.make("t", a=1, b=2))
     assert harness2.results[0].as_mapping() == {"a": 1, "b": 2, "flag": 1}
+
+
+def test_projection_keep_is_lenient_and_columns_are_strict():
+    harness = OperatorHarness()
+    op = harness.build("projection", {"keep": ["b", "ghost", "a"], "computed": {"flag": ["lit", 1]}})
+    op.receive([Tuple.make("t", a=1, b=2, c=3), Tuple.make("t", c=3)])
+    assert [tup.as_mapping() for tup in harness.results] == [{"b": 2, "a": 1, "flag": 1}, {"flag": 1}]
+    assert op.stats.tuples_dropped == 0
+
+    strict = OperatorHarness()
+    op = strict.build("projection", {"columns": ["a"], "keep": ["c"]})
+    op.receive([Tuple.make("t", a=1, c=3), Tuple.make("t", c=3), Tuple.make("t", a=2)])
+    assert [tup.as_mapping() for tup in strict.results] == [{"c": 3, "a": 1}, {"a": 2}]
+    assert op.stats.tuples_dropped == 1  # the row without the strict column
+
+
+def _reference_projection(params, rows):
+    """The per-row definition of projection: build the output mapping
+    column by column, drop the row best-effort if anything is missing or
+    an expression cannot be evaluated."""
+    out, dropped = [], 0
+    for tup in rows:
+        try:
+            values = {}
+            if params.get("keep_all"):
+                values.update(tup.as_mapping())
+            else:
+                values.update({column: tup[column] for column in params.get("keep", ()) if column in tup})
+            for column in params.get("columns", ()):
+                values[column] = tup.require(column)
+            for output, expression in params.get("computed", {}).items():
+                values[output] = evaluate(expression, tup)
+            if not values and "keep" not in params:
+                values = tup.as_mapping()  # nothing asked for: the identity
+            out.append(Tuple(params.get("table", tup.table), values))
+        except (MalformedTupleError, TypeError, KeyError):
+            dropped += 1
+    return out, dropped
+
+
+_COLUMNS = ["a", "b", "c", "d"]
+_column = st.sampled_from(_COLUMNS + ["ghost"])
+_expression = st.one_of(
+    st.builds(lambda c: ["col", c], _column),
+    st.builds(lambda v: ["lit", v], st.integers(0, 3)),
+    st.builds(lambda c: ["+", ["col", c], ["lit", 1]], _column),  # raises on a string value
+    st.builds(lambda c: ["/", ["lit", 6], ["col", c]], _column),  # raises on zero
+    st.builds(lambda c, d: ["concat", ["col", c], ["lit", "-"], ["col", d]], _column, _column),
+)
+_params = st.fixed_dictionaries(
+    {},
+    optional={
+        "keep_all": st.booleans(),
+        "keep": st.lists(_column, max_size=4),
+        "columns": st.lists(_column, max_size=3),
+        "computed": st.dictionaries(st.sampled_from(["a", "x", "y"]), _expression, max_size=3),
+        "table": st.just("out"),
+    },
+)
+_rows_strategy = st.lists(
+    st.builds(
+        lambda table, values: Tuple(table, values),
+        st.sampled_from(["t", "u"]),
+        st.dictionaries(st.sampled_from(_COLUMNS), st.one_of(st.integers(0, 2), st.just("s")), max_size=4),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=_params, rows=_rows_strategy)
+def test_compiled_projection_equals_per_row_reference(params, rows):
+    """Resolving the params once per input schema changes nothing a
+    consumer can see: same rows (table, column order, values), same
+    order, same ``tuples_dropped``, for any mix of schemas in a batch."""
+    harness = OperatorHarness()
+    op = harness.build("projection", params)
+    op.receive(rows)
+    expected, dropped = _reference_projection(params, rows)
+    shape = lambda tup: (tup.table, tup.columns, tup.values())
+    assert [shape(tup) for tup in harness.results] == [shape(tup) for tup in expected]
+    assert op.stats.tuples_dropped == dropped
+    assert op.stats.tuples_in == len(rows) and op.stats.tuples_out == len(expected)
 
 
 def test_tee_and_union_pass_everything():

@@ -22,10 +22,13 @@ from repro.runtime.physical import PhysicalNodeRuntime
 QUERY = (
     "SELECT source, COUNT(*) AS hits FROM events GROUP BY source TIMEOUT 2"
 )
+# A 2-way rehash join whose select list prunes what the exchange ships.
+JOIN_QUERY = "SELECT event_id, zone FROM events JOIN zones ON source = address TIMEOUT 2"
 
 
 def _run_workload(mode):
-    """Publish the same rows and run the same aggregation under ``mode``."""
+    """Publish the same rows and run the same aggregation, then the same
+    join, under ``mode``."""
     net = PIERNetwork(4, seed=11, mode=mode)
     try:
         net.create_table("events", partitioning=["source"])
@@ -34,10 +37,19 @@ def _run_workload(mode):
             for i in range(12)
         ]
         net.publish("events", rows)
+        net.create_table("zones", partitioning=["zone"])
+        net.publish(
+            "zones", [Tuple.make("zones", zone=f"z{i}", address=f"10.0.0.{i}", rack=i) for i in range(2)]
+        )
         net.run(0.5)
         result = net.query(QUERY)
         assert result.completed
-        return sorted((row["source"], row["hits"]) for row in result.rows())
+        joined = net.query(JOIN_QUERY)
+        assert joined.completed
+        return (
+            sorted((row["source"], row["hits"]) for row in result.rows()),
+            sorted(tuple(sorted(row.items())) for row in joined.rows()),
+        )
     finally:
         net.close()
 
@@ -46,11 +58,15 @@ def test_physical_results_match_simulated_and_avoid_pickle():
     simulated = _run_workload("simulated")
     codec.FALLBACKS.reset()
     physical = _run_workload("physical")
-    assert physical == simulated == [
+    assert physical[0] == simulated[0] == [
         ("10.0.0.0", 4),
         ("10.0.0.1", 4),
         ("10.0.0.2", 4),
     ]
+    # Eight events sit in a known zone; the rows carry the select list only.
+    assert physical[1] == simulated[1] == sorted(
+        (("event_id", i), ("zone", f"z{i % 3}")) for i in range(12) if i % 3 < 2
+    )
     # The acceptance bar: zero pickle frames on the physical wire path.
     assert codec.FALLBACKS.total() == 0
 

@@ -169,6 +169,13 @@ def test_explain_names_each_join_strategy():
     assert "fetch-matches" in report
     assert "rehash" in report
     assert "JOIN users" in report and "JOIN items" in report
+    # Each edge says what its rows carry: the select list and the join
+    # keys still to come — or everything, when nothing can be pruned
+    # (nothing was published, so the catalog cannot expand the star).
+    assert "     ships: name, user_id, price\n" in report
+    assert "     ships: name, price\n" in report
+    whole = net.explain("SELECT * FROM orders JOIN items ON price = price")
+    assert "     ships: *\n" in whole
 
 
 def test_explain_names_bloom_strategy_from_statistics():

@@ -1,0 +1,115 @@
+"""A seeded wire budget for the column-pruned join, in tier-1.
+
+The same shape as pierbench's ``join64`` at smoke size — a 3-way rehash
+join of wide fact rows against two small dimension tables on 12 nodes,
+seed 1, ``exchange_batch_size=8`` — run through the public API.  The
+simulator's counters repeat exactly under a seed, so a later change that
+re-widens what a join ships fails here, not at the next benchmark run.
+"""
+
+import itertools
+import random
+from typing import Any, Iterator, List
+
+from repro import PIERNetwork
+from repro.overlay import naming
+from repro.qp import opgraph
+from repro.qp.tuples import Tuple
+from repro.runtime.rand import derive_rng
+
+JOINS = "hp_fact JOIN hp_dim_k ON k = k JOIN hp_dim_j ON j = j"
+NEEDED = {"k", "j"}  # the select list and the join keys
+MARKERS = {"__join_key__", "__source_table__"}
+# QueryResult.bytes_sent of the pruned query below, recorded when column
+# pruning landed.  If a change moves it on purpose, re-record it here and
+# say why in CHANGES.md.
+PRUNED_BYTES = 259_845
+
+
+def _deployment(monkeypatch) -> PIERNetwork:
+    """A fresh deployment with the tables loaded.  Query ids name the
+    rendezvous namespaces (so they pick the owners rows are shipped to)
+    and come from a process-wide counter, as do object suffixes: both
+    start where a fresh interpreter would, so the counts depend neither
+    on which tests ran before nor on which of the two queries this is."""
+    monkeypatch.setattr(opgraph, "_query_counter", itertools.count(1))
+    monkeypatch.setattr(naming, "_suffix_rng", derive_rng(1))
+    rng = random.Random(1)
+    net = PIERNetwork(12, seed=1, exchange_batch_size=8)
+    facts = [
+        Tuple.make(
+            "hp_fact",
+            f_id=index,
+            k=rng.randrange(9),
+            j=rng.randrange(44),
+            src=f"10.0.{rng.randrange(256)}.{rng.randrange(256)}",
+            dst=f"192.168.{rng.randrange(64)}.{rng.randrange(256)}",
+            sport=1024 + rng.randrange(5000),
+            dport=rng.randrange(1024),
+            proto=rng.choice(("tcp", "tcp", "udp")),
+            bytes=64 + rng.randrange(1400),
+            packets=1 + rng.randrange(16),
+            label=f"evt-{rng.randrange(97)}",
+            flags=rng.randrange(32),
+        )
+        for index in range(120)
+    ]
+    tables = (
+        ("hp_fact", "f_id", facts),
+        ("hp_dim_k", "dk_id", [Tuple.make("hp_dim_k", dk_id=i, k=i, k_name=f"class-{i}") for i in range(8)]),
+        ("hp_dim_j", "dj_id", [Tuple.make("hp_dim_j", dj_id=i, j=i, j_name=f"site-{i}") for i in range(40)]),
+    )
+    for table, key, rows in tables:
+        net.create_table(table, partitioning=[key])
+        net.publish(table, rows)
+    net.run(4.0)
+    return net
+
+
+def _put_batches(payload: Any) -> Iterator[dict]:
+    """Every ``put_batch`` message inside ``payload``, however wrapped."""
+    if isinstance(payload, dict):
+        if payload.get("kind") == "put_batch":
+            yield payload
+        for value in payload.values():
+            yield from _put_batches(value)
+    elif isinstance(payload, (list, tuple)):
+        for value in payload:
+            yield from _put_batches(value)
+
+
+def _run(net: PIERNetwork, select: str):
+    """Run ``SELECT select FROM JOINS``; also return the columns of every
+    tuple the query's exchanges shipped."""
+    shipped: List[tuple] = []
+    transmit = net.environment.transmit
+
+    def watching(source, source_port, destination, payload, ack):  # noqa: ANN001
+        for message in _put_batches(payload):
+            for _suffix, value in message["entries"]:
+                if isinstance(value, Tuple):
+                    shipped.append(value.columns)
+        transmit(source, source_port, destination, payload, ack)
+
+    net.environment.transmit = watching
+    try:
+        result = net.query(f"SELECT {select} FROM {JOINS} TIMEOUT 10")
+    finally:
+        del net.environment.transmit
+    return result, shipped
+
+
+def test_pruned_join_ships_only_needed_columns_within_a_recorded_byte_budget(monkeypatch):
+    pruned, shipped = _run(_deployment(monkeypatch), "k")
+    assert shipped and all(set(columns) <= NEEDED | MARKERS for columns in shipped)
+    assert pruned.rows() and all(list(row) == ["k"] for row in pruned.rows())
+    assert pruned.bytes_sent == PRUNED_BYTES
+
+    whole, shipped_whole = _run(_deployment(monkeypatch), "*")
+    assert any("label" in columns for columns in shipped_whole)  # the watcher sees wide rows
+    assert sorted(row["k"] for row in whole.rows()) == sorted(row["k"] for row in pruned.rows())
+    assert pruned.bytes_sent < 0.70 * whole.bytes_sent
+    # Pruning removes bytes, not messages.  (Not exactly none: a link's
+    # serialisation time depends on size, so a few batches are cut at
+    # other rows — 323 messages against 327 when this was recorded.)
+    assert abs(pruned.messages_sent - whole.messages_sent) <= 0.02 * whole.messages_sent
