@@ -34,8 +34,11 @@ CANCEL_TOMBSTONE_LIFETIME = 600.0
 class InstalledGraph:
     """Book-keeping for one opgraph running on this node.
 
-    ``deadline`` is when the graph tears down; lifetime renewal of a
-    standing query pushes it out (see :meth:`QueryExecutor.extend_query`).
+    ``operators`` is in topological order — every input ahead of its
+    consumer — which is the order operators start and flush in; the graph
+    is walked for it once, at install.  ``deadline`` is when the graph
+    tears down; lifetime renewal of a standing query pushes it out (see
+    :meth:`QueryExecutor.extend_query`).
     """
 
     query_id: str
@@ -192,7 +195,7 @@ class QueryExecutor:
         return installed
 
     def _start(self, installed: InstalledGraph) -> None:
-        order = [installed.operators[spec.operator_id] for spec in installed.graph.topological_order()]
+        order = list(installed.operators.values())
         for operator in order:
             operator.start()
         # Control channel: a ControlFlowManager drives probes if present,
@@ -257,8 +260,8 @@ class QueryExecutor:
                 else None
             )
             try:
-                for spec in installed.graph.topological_order():
-                    installed.operators[spec.operator_id].flush()
+                for operator in installed.operators.values():
+                    operator.flush()
             finally:
                 if tracer is not None:
                     tracer.restore(previous)

@@ -78,7 +78,10 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
     ``flush_interval`` seconds; query teardown flushes whatever remains.
 
     Params: ``namespace`` (rendezvous, query-scoped by default),
-    ``key_columns``, optional ``lifetime``, ``use_send`` (route the object
+    ``key_columns`` (one list of column names for every input, or a list
+    of such lists, one per input slot: the two sides of a rehash join share
+    one exchange but name their join columns differently),
+    optional ``lifetime``, ``use_send`` (route the object
     hop-by-hop with upcalls — required for hierarchical operators — instead
     of the two-phase put; never batched), ``scoped`` (default True),
     ``batch_size`` and ``flush_interval`` (defaults come from the execution
@@ -94,7 +97,13 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         self.namespace = (
             context.scoped_namespace(namespace) if self.param("scoped", True) else namespace
         )
-        self.key_columns: List[str] = list(self.require_param("key_columns"))
+        key_columns = self.require_param("key_columns")
+        self._keyed_per_slot = bool(key_columns) and not isinstance(key_columns[0], str)
+        self.key_columns: List[Any] = (
+            [list(columns) for columns in key_columns]
+            if self._keyed_per_slot
+            else list(key_columns)
+        )
         self.lifetime = float(self.param("lifetime", context.lifetime))
         self.use_send = bool(self.param("use_send", False))
         self.batch_size = int(
@@ -123,7 +132,7 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
             self.bytes_shipped += estimate_message_size(payload)
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        key = tup.key(self.key_columns)
+        key = tup.key(self.key_columns[slot] if self._keyed_per_slot else self.key_columns)
         partition_key = key[0] if len(key) == 1 else key
         self.tuples_published += 1
         if self.use_send:

@@ -23,8 +23,13 @@ from repro.qp.tuples import MalformedTupleError, Tuple
 class SymmetricHashJoin(PhysicalOperator):
     """Pipelining equi-join: hash and probe both inputs symmetrically.
 
-    Params: ``left_columns``, ``right_columns`` (equi-join key columns for
-    slot 0 and slot 1), optional ``output_table``.
+    Params: ``left_columns``, ``right_columns`` (equi-join key columns of
+    the left and the right rows; keys compare as value tuples, so a
+    composite key is type-exact), optional ``output_table``, optional
+    ``left_table``.  Without ``left_table`` the left rows arrive on input
+    slot 0 and the right rows on slot 1.  With it the operator has one
+    input carrying both — a rendezvous scan — and a row is a left row when
+    its table is ``left_table``.
     """
 
     op_type = "symmetric_hash_join"
@@ -35,27 +40,37 @@ class SymmetricHashJoin(PhysicalOperator):
         self.right_columns: List[str] = list(self.require_param("right_columns"))
         if len(self.left_columns) != len(self.right_columns):
             raise ValueError("join key column lists must have equal length")
+        self.left_table: Optional[str] = self.param("left_table")
         self._tables: PyTuple[DefaultDict[Any, List[Tuple]], ...] = (
             defaultdict(list),
             defaultdict(list),
         )
 
-    def _key(self, tup: Tuple, slot: int) -> Any:
-        columns = self.left_columns if slot == 0 else self.right_columns
-        return tup.key(columns)
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        if slot not in (0, 1):
-            raise MalformedTupleError(f"join received tuple on unknown slot {slot}")
-        key = self._key(tup, slot)
-        self._tables[slot][key].append(tup)
-        partners = self._tables[1 - slot].get(key)
-        if partners:
-            table = self.param("output_table")
-            if slot == 0:
-                joined = [tup.join(partner, table=table) for partner in partners]
-            else:
-                joined = [partner.join(tup, table=table) for partner in partners]
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        left_table = self.left_table
+        if left_table is None and slot not in (0, 1):
+            self.stats.tuples_dropped += len(batch)  # no such side: malformed for this join
+            return
+        key_columns = (self.left_columns, self.right_columns)
+        tables = self._tables
+        output_table = self.param("output_table")
+        joined: List[Tuple] = []
+        side = slot
+        for tup in batch:
+            if left_table is not None:
+                side = 0 if tup.schema.table == left_table else 1
+            try:
+                key = tup.key(key_columns[side])
+                tables[side][key].append(tup)
+                partners = tables[1 - side].get(key)
+                if partners:
+                    if side == 0:
+                        joined += [tup.join(partner, output_table) for partner in partners]
+                    else:
+                        joined += [partner.join(tup, output_table) for partner in partners]
+            except (MalformedTupleError, TypeError, KeyError):
+                self.stats.tuples_dropped += 1
+        if joined:
             self.emit(joined, tag)
 
     @property

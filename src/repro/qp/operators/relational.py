@@ -22,9 +22,17 @@ class Selection(PhysicalOperator):
 
     op_type = "selection"
 
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        if matches(self.param("predicate"), tup):
-            self.emit([tup], tag)
+    def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
+        predicate = self.param("predicate")
+        passed: List[Tuple] = []
+        for tup in batch:
+            try:
+                if matches(predicate, tup):
+                    passed.append(tup)
+            except (MalformedTupleError, TypeError, KeyError):
+                self.stats.tuples_dropped += 1
+        if passed:
+            self.emit(passed, tag)
 
 
 def _is_call(expression: Any, head: str) -> bool:

@@ -304,11 +304,16 @@ def _rehash_join_plan(
         )
         right = "probe_right"
     keep = _keep_list(columns, predicate, [*left_columns, *right_columns])
-    _add_join_key(producer, "extend_left", left_columns, left_table, "scan_left", keep)
-    _add_join_key(producer, "extend_right", right_columns, right_table, right, keep)
-    producer.add_operator("union_both", "union", {}, inputs=["extend_left", "extend_right"])
-    _add_rehash(producer, "rehash", rendezvous, "union_both")
-    consumer = _add_rendezvous_join(plan, rendezvous, left_table, right_table, output_table)
+    consumer = _add_rehash_join(
+        plan,
+        producer,
+        "",
+        rendezvous,
+        ("scan_left", right),
+        (left_columns, right_columns),
+        keep,
+        output_table or f"{left_table}*{right_table}",
+    )
     upstream = "join"
     if predicate is not None:
         # The residual WHERE predicate runs over the joined tuple, which
@@ -322,73 +327,65 @@ def _rehash_join_plan(
     return plan
 
 
-def _add_join_key(
-    graph: OpGraph,
-    operator_id: str,
-    columns: Sequence[str],
-    marker: str,
-    upstream: str,
-    keep: Optional[List[str]] = None,
-) -> None:
-    """Ready a stream for a rehash join: narrow it to ``keep`` (every
-    column when None), compute its join key and stamp each tuple with
-    ``marker``, which says what side of the join it is."""
-    graph.add_operator(
-        operator_id,
-        "projection",
-        {
-            **({"keep_all": True} if keep is None else {"keep": keep}),
-            "computed": {
-                "__join_key__": _key_expression(columns),
-                "__source_table__": ["lit", marker],
-            },
-        },
-        inputs=[upstream],
-    )
-
-
-def _add_rehash(graph: OpGraph, operator_id: str, rendezvous: str, upstream: str) -> None:
-    """Republish a keyed stream into the rendezvous namespace, partitioned
-    on the join key."""
-    graph.add_operator(
-        operator_id,
-        "put",
-        {"namespace": rendezvous, "key_columns": ["__join_key__"]},
-        inputs=[upstream],
-    )
-
-
-def _add_rendezvous_join(
+def _add_rehash_join(
     plan: QueryPlan,
+    producer: OpGraph,
+    suffix: str,
     rendezvous: str,
-    left_marker: str,
-    right_marker: str,
-    output_table: Optional[str],
-    suffix: str = "",
+    streams: Sequence[str],
+    key_columns: Sequence[Sequence[str]],
+    keep: Optional[List[str]],
+    output_table: str,
 ) -> OpGraph:
-    """The consuming half of a rehash join, as a new opgraph: scan the
-    rendezvous partition at each node, split the two sides apart by their
-    markers and symmetric-hash join them on the key (operator ``join``)."""
+    """One rehash-join edge between the ``(left, right)`` ``streams`` of
+    ``producer``, joined on their ``(left, right)`` ``key_columns``;
+    returns the new opgraph that consumes it.
+
+    The producing half narrows both streams to ``keep`` (every column when
+    None) and republishes them into the rendezvous namespace through one
+    ``put`` (operator ``rehash``), each partitioned on its own key columns.
+    A rehashed row carries its data, not its routing: the key is the
+    ``put``'s partitioning key, and the side is the row's table name —
+    left rows are retagged with a name private to the edge, so the right
+    table may be called anything, the left table's name too (a self-join).
+    Both sides share the exchange, so a few dimension rows leave in the
+    fact rows' full buckets instead of waiting for the straggler timer.
+
+    The consuming half scans the rendezvous partition at each node and
+    symmetric-hash joins what arrives (operator ``join``), telling the
+    sides apart by the tag.  Joined rows are named ``output_table``, so
+    the tag goes no further.
+    """
+    left, right = streams
+    left_columns, right_columns = (list(columns) for columns in key_columns)
+    left_tag = f"__left{suffix}__"
+    producer.add_operator(
+        f"extend_left{suffix}",
+        "projection",
+        {**({"keep_all": True} if keep is None else {"keep": keep}), "table": left_tag},
+        inputs=[left],
+    )
+    right = _add_prune(producer, f"extend_inner{suffix}" if suffix else "extend_right", keep, right)
+    producer.add_operator(
+        f"rehash{suffix}",
+        "put",
+        {"namespace": rendezvous, "key_columns": [left_columns, right_columns]},
+        inputs=[f"extend_left{suffix}", right],
+    )
     consumer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
     consumer.add_operator(
         f"scan_rehash{suffix}", "dht_scan", {"namespace": rendezvous, "scoped": True}
     )
-    for side, marker in (("left", left_marker), ("right", right_marker)):
-        consumer.add_operator(
-            f"split_{side}{suffix}",
-            "selection",
-            {"predicate": ["eq", ["col", "__source_table__"], ["lit", marker]]},
-            inputs=[f"scan_rehash{suffix}"],
-        )
     consumer.add_operator(
         f"join{suffix}",
         "symmetric_hash_join",
         {
-            "left_columns": ["__join_key__"],
-            "right_columns": ["__join_key__"],
+            "left_columns": left_columns,
+            "right_columns": right_columns,
+            "left_table": left_tag,
             "output_table": output_table,
         },
-        inputs=[f"split_left{suffix}", f"split_right{suffix}"],
+        inputs=[f"scan_rehash{suffix}"],
     )
     return consumer
 
@@ -535,13 +532,6 @@ def multi_join_plan(
                 {"columns": [step.left_column], "filter_namespace": f"bloom_{index}"},
                 inputs=["scan_build"],
             )
-        # The left stream's tuples are tagged with a step-private marker so
-        # the consumer can split them from the inner table's (which may have
-        # any name, including the base table's in a self-join).
-        rendezvous = f"{rendezvous_prefix}_{index}"
-        left_marker = f"__left_{index}__"
-        _add_join_key(graph, f"extend_left_{index}", [step.left_column], left_marker, stream, keep)
-        _add_rehash(graph, f"rehash_left_{index}", rendezvous, f"extend_left_{index}")
         inner_stream = _add_scan(graph, f"scan_inner_{index}", step.table, step.source)
         if step.strategy == "bloom":
             graph.add_operator(
@@ -551,29 +541,22 @@ def multi_join_plan(
                 inputs=[inner_stream],
             )
             inner_stream = f"probe_inner_{index}"
-        _add_join_key(
-            graph, f"extend_inner_{index}", [step.right_column], step.table, inner_stream, keep
+        # Unless told otherwise the joined rows are named as their inputs'
+        # own table names would spell, had the left rows not been retagged.
+        joined = "*".join([base_table, *(earlier.table for earlier in steps[: index + 1])])
+        graph = _add_rehash_join(
+            plan,
+            graph,
+            f"_{index}",
+            f"{rendezvous_prefix}_{index}",
+            (stream, inner_stream),
+            ([step.left_column], [step.right_column]),
+            keep,
+            step_output or joined,
         )
-        _add_rehash(graph, f"rehash_inner_{index}", rendezvous, f"extend_inner_{index}")
-        consumer = _add_rendezvous_join(
-            plan, rendezvous, left_marker, step.table, step_output, suffix=f"_{index}"
-        )
-        graph = consumer
         stream = f"join_{index}"
     if predicate is not None and not predicate_pushdown:
         graph.add_operator("filter_where", "selection", {"predicate": predicate}, inputs=[stream])
         stream = "filter_where"
     _add_results(graph, stream, columns)
     return plan
-
-
-def _key_expression(columns: Sequence[str]) -> Any:
-    """An expression computing a composite join key from column values."""
-    if len(columns) == 1:
-        return ["col", columns[0]]
-    expression: Any = ["concat"]
-    for index, column in enumerate(columns):
-        if index:
-            expression.append(["lit", "\x1f"])
-        expression.append(["col", column])
-    return expression

@@ -38,6 +38,9 @@ _INTERESTING_PARAMS = (
     "columns",
     "keep",
     "key_columns",
+    "left_table",
+    "left_columns",
+    "right_columns",
     "group_columns",
     "outer_columns",
     "inner_namespace",
@@ -128,9 +131,9 @@ def _render_decisions(
 
 
 def _edge_ships(plan: QueryPlan, edge_index: int) -> str:
-    """The columns join edge ``edge_index`` (0-based) carries besides the
-    join key and side marker, read off the operator that narrows its left
-    stream; ``*`` when nothing does and whole rows travel."""
+    """The columns join edge ``edge_index`` (0-based) carries, read off
+    the operator that narrows its left stream; ``*`` when that operator
+    has no keep list and whole rows travel."""
     for graph in plan.opgraphs:
         for candidate in (
             f"extend_left_{edge_index}",
@@ -251,8 +254,8 @@ def _render_operator(
     connector = "`- " if last else "|- "
     lines.append(f"{prefix}{connector}{_describe(spec)}")
     if spec.operator_id in rendered:
-        # A shared input (e.g. one scan feeding both sides of a split) is
-        # shown once in full; later references just point back.
+        # A shared input (e.g. one scan feeding two consumers) is shown
+        # once in full; later references just point back.
         lines[-1] += "  (see above)"
         return
     rendered.add(spec.operator_id)

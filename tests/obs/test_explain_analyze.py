@@ -75,10 +75,13 @@ def test_explain_analyze_annotates_three_way_join():
             r"(\w+): \w+\([^\n]*\n[ |]*\[actual: rows in=(\d+) out=(\d+)", report
         )
     }
-    assert rows["scan_rehash_0"] == (0, 40)
-    assert rows["split_left_0"] == (40, 36) and rows["split_right_0"] == (40, 4)
-    assert rows["join_0"] == (40, 36) and rows["join_1"] == (42, 36)
-    assert rows["rehash_left_1"] == (36, 0) and rows["results"] == (36, 0)
+    # The rendezvous scan feeds the join directly: no split in between.
+    assert rows["scan_rehash_0"] == (0, 40) and rows["join_0"] == (40, 36)
+    assert rows["scan_rehash_1"] == (0, 42) and rows["join_1"] == (42, 36)
+    assert not [operator for operator in rows if operator.startswith("split_")]
+    # One exchange per edge takes both streams: 36 joined rows + 6 of the
+    # second dimension.
+    assert rows["rehash_1"] == (42, 0) and rows["results"] == (36, 0)
     assert all("actual 36 rows" in line for line in estimate_lines)
 
     # The same report is reachable post-hoc from the result handle.

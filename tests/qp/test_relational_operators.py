@@ -125,10 +125,117 @@ def test_compiled_projection_equals_per_row_reference(params, rows):
     op = harness.build("projection", params)
     op.receive(rows)
     expected, dropped = _reference_projection(params, rows)
-    shape = lambda tup: (tup.table, tup.columns, tup.values())
-    assert [shape(tup) for tup in harness.results] == [shape(tup) for tup in expected]
+    assert [_shape(tup) for tup in harness.results] == [_shape(tup) for tup in expected]
     assert op.stats.tuples_dropped == dropped
     assert op.stats.tuples_in == len(rows) and op.stats.tuples_out == len(expected)
+
+
+def _shape(tup):
+    return (tup.table, tup.columns, tup.values())
+
+
+def _raises_on_u(tup):
+    """A callable predicate that blows up on some rows."""
+    if tup.table == "u":
+        raise TypeError("cannot judge a row of u")
+    return tup.get("a", 0) != 1
+
+
+_predicate = st.one_of(
+    st.builds(lambda c, v: ["eq", ["col", c], ["lit", v]], _column, st.integers(0, 2)),
+    st.builds(lambda c: [">", ["col", c], ["lit", 0]], _column),  # raises on a string value
+    st.builds(lambda c, d: ["or", ["eq", ["col", c], ["lit", 1]], ["lt", ["col", d], ["lit", 2]]], _column, _column),
+    st.just(["true"]),
+    st.just(_raises_on_u),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(predicate=_predicate, rows=_rows_strategy)
+def test_selection_on_a_batch_equals_one_row_at_a_time(predicate, rows):
+    """Filtering a whole batch changes nothing a consumer can see: same
+    rows, same order, same ``tuples_dropped`` as feeding the rows one at a
+    time — over mixed schemas, missing columns and a raising predicate."""
+    batched, single = OperatorHarness(), OperatorHarness()
+    batch_op = batched.build("selection", {"predicate": predicate})
+    single_op = single.build("selection", {"predicate": predicate})
+    batch_op.receive(rows)
+    for tup in rows:
+        single_op.receive(tup)
+    assert [_shape(tup) for tup in batched.results] == [_shape(tup) for tup in single.results]
+    assert batch_op.stats.tuples_dropped == single_op.stats.tuples_dropped
+    assert batch_op.stats.tuples_in == single_op.stats.tuples_in == len(rows)
+    assert batch_op.stats.tuples_out == single_op.stats.tuples_out == len(single.results)
+    # The predicate decides, nothing else: every survivor matches it.
+    survivors = [tup for tup in rows if _passes(predicate, tup)]
+    assert [_shape(tup) for tup in batched.results] == [_shape(tup) for tup in survivors]
+
+
+def _passes(predicate, tup):
+    from repro.qp.expressions import matches
+
+    try:
+        return matches(predicate, tup)
+    except (MalformedTupleError, TypeError, KeyError):
+        return False
+
+
+_JOIN_PARAMS = {"left_columns": ["a", "b"], "right_columns": ["c", "d"], "output_table": "out"}
+_join_rows = st.lists(
+    st.builds(
+        lambda table, values: Tuple(table, values),
+        st.sampled_from(["__left__", "r", "s"]),
+        st.dictionaries(
+            st.sampled_from(_COLUMNS), st.one_of(st.integers(0, 1), st.just("s"), st.just([])), max_size=4
+        ),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_join_rows, cuts=st.lists(st.integers(0, 14), max_size=4))
+def test_tagged_single_input_join_equals_the_two_slot_join(rows, cuts):
+    """With ``left_table`` a row's side is its table name; without it, the
+    slot it arrives on.  Same rows split by side, same arrival order:
+    same output rows in the same order, same drops (a row lacking a key
+    column, an unhashable key) — fed as one batch, as arbitrary batches,
+    or one row at a time."""
+    tagged, tagged_single, slotted = OperatorHarness(), OperatorHarness(), OperatorHarness()
+    tagged_op = tagged.build("symmetric_hash_join", {**_JOIN_PARAMS, "left_table": "__left__"})
+    single_op = tagged_single.build("symmetric_hash_join", {**_JOIN_PARAMS, "left_table": "__left__"})
+    slotted_op = slotted.build("symmetric_hash_join", _JOIN_PARAMS)
+    bounds = sorted({0, len(rows), *(cut for cut in cuts if cut < len(rows))})
+    for start, end in zip(bounds, bounds[1:]):
+        tagged_op.receive(rows[start:end])
+    for tup in rows:
+        single_op.receive(tup)
+        slotted_op.receive(tup, slot=0 if tup.table == "__left__" else 1)
+    expected = [_shape(tup) for tup in slotted.results]
+    assert [_shape(tup) for tup in tagged.results] == expected
+    assert [_shape(tup) for tup in tagged_single.results] == expected
+    assert all(tup.table == "out" for tup in tagged.results)
+    for op in (tagged_op, single_op):
+        assert op.stats.tuples_dropped == slotted_op.stats.tuples_dropped
+        assert op.stats.tuples_in == len(rows) and op.stats.tuples_out == len(expected)
+        assert op.state_size == slotted_op.state_size
+
+
+def test_join_emits_once_per_input_batch():
+    harness = OperatorHarness()
+    op = harness.build(
+        "symmetric_hash_join",
+        {"left_columns": ["k"], "right_columns": ["k"], "left_table": "__left__", "output_table": "o"},
+    )
+    batches = []
+    harness.collector.on_batch = lambda batch, slot, tag: batches.append(list(batch))
+    left = [Tuple.make("__left__", k=i % 2, v=i) for i in range(4)]
+    right = [Tuple.make("dim", k=i, name=f"n{i}") for i in range(2)]
+    op.receive(left)  # nothing to join yet: nothing emitted
+    op.receive(right)
+    assert [len(batch) for batch in batches] == [4]
+    op.receive(left[:1] + right[:1])  # both sides in one batch, as a rendezvous scan delivers them
+    assert [len(batch) for batch in batches] == [4, 1 + 3]
 
 
 def test_tee_and_union_pass_everything():

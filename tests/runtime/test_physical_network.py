@@ -15,6 +15,7 @@ import socket
 import pytest
 
 from repro.api import PIERNetwork
+from repro.qp.plans import symmetric_hash_join_plan
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
 from repro.runtime.physical import PhysicalNodeRuntime
@@ -23,12 +24,18 @@ QUERY = (
     "SELECT source, COUNT(*) AS hits FROM events GROUP BY source TIMEOUT 2"
 )
 # A 2-way rehash join whose select list prunes what the exchange ships.
+# The two sides name their key columns differently, so the one exchange
+# they share is keyed per input.
 JOIN_QUERY = "SELECT event_id, zone FROM events JOIN zones ON source = address TIMEOUT 2"
+# A two-column key (SQL's ON takes one column, so the plan is hand-built):
+# the key travels as a value tuple, in the put and through the codec.
+READINGS = [("a", 1), ("a", 2), ("b", 1), ("a", "1"), ("c", None)]
+SENSORS = [("a", 1), ("b", 1), ("c", 1), ("a", 3)]
 
 
 def _run_workload(mode):
     """Publish the same rows and run the same aggregation, then the same
-    join, under ``mode``."""
+    two joins, under ``mode``."""
     net = PIERNetwork(4, seed=11, mode=mode)
     try:
         net.create_table("events", partitioning=["source"])
@@ -41,14 +48,31 @@ def _run_workload(mode):
         net.publish(
             "zones", [Tuple.make("zones", zone=f"z{i}", address=f"10.0.0.{i}", rack=i) for i in range(2)]
         )
+        net.create_table("readings", partitioning=["val"])
+        net.publish(
+            "readings",
+            [Tuple.make("readings", site=site, slot=slot, val=i) for i, (site, slot) in enumerate(READINGS)],
+        )
+        net.create_table("sensors", partitioning=["name"])
+        net.publish(
+            "sensors",
+            [Tuple.make("sensors", place=place, port=port, name=f"s-{place}{port}") for place, port in SENSORS],
+        )
         net.run(0.5)
         result = net.query(QUERY)
         assert result.completed
         joined = net.query(JOIN_QUERY)
         assert joined.completed
+        composite = net.execute(
+            symmetric_hash_join_plan(
+                "readings", "sensors", ["site", "slot"], ["place", "port"], timeout=2.0, columns=["val", "name"]
+            )
+        )
+        assert composite.completed
         return (
             sorted((row["source"], row["hits"]) for row in result.rows()),
             sorted(tuple(sorted(row.items())) for row in joined.rows()),
+            sorted((row["val"], row["name"]) for row in composite.rows()),
         )
     finally:
         net.close()
@@ -67,6 +91,8 @@ def test_physical_results_match_simulated_and_avoid_pickle():
     assert physical[1] == simulated[1] == sorted(
         (("event_id", i), ("zone", f"z{i % 3}")) for i in range(12) if i % 3 < 2
     )
+    # ("a", 1) and ("b", 1) have a sensor; ("a", "1") is not ("a", 1).
+    assert physical[2] == simulated[2] == [(0, "s-a1"), (2, "s-b1")]
     # The acceptance bar: zero pickle frames on the physical wire path.
     assert codec.FALLBACKS.total() == 0
 

@@ -9,7 +9,8 @@ re-widens what a join ships fails here, not at the next benchmark run.
 
 import itertools
 import random
-from typing import Any, Iterator, List
+
+from wire_watch import watch_put_batches
 
 from repro import PIERNetwork
 from repro.overlay import naming
@@ -19,11 +20,14 @@ from repro.runtime.rand import derive_rng
 
 JOINS = "hp_fact JOIN hp_dim_k ON k = k JOIN hp_dim_j ON j = j"
 NEEDED = {"k", "j"}  # the select list and the join keys
-MARKERS = {"__join_key__", "__source_table__"}
-# QueryResult.bytes_sent of the pruned query below, recorded when column
-# pruning landed.  If a change moves it on purpose, re-record it here and
-# say why in CHANGES.md.
-PRUNED_BYTES = 259_845
+# What a rehashed row carries besides: nothing.  The join side rides in
+# the row's table name and the key is the put's own partitioning key.
+MARKERS: set = set()
+# QueryResult.bytes_sent of the pruned query below.  Recorded as 259,845
+# when column pruning landed; re-recorded when the two marker columns
+# (__join_key__, __source_table__) left the rehashed row.  If a change
+# moves it on purpose, re-record it here and say why in CHANGES.md.
+PRUNED_BYTES = 219_572
 
 
 def _deployment(monkeypatch) -> PIERNetwork:
@@ -66,37 +70,13 @@ def _deployment(monkeypatch) -> PIERNetwork:
     return net
 
 
-def _put_batches(payload: Any) -> Iterator[dict]:
-    """Every ``put_batch`` message inside ``payload``, however wrapped."""
-    if isinstance(payload, dict):
-        if payload.get("kind") == "put_batch":
-            yield payload
-        for value in payload.values():
-            yield from _put_batches(value)
-    elif isinstance(payload, (list, tuple)):
-        for value in payload:
-            yield from _put_batches(value)
-
-
 def _run(net: PIERNetwork, select: str):
     """Run ``SELECT select FROM JOINS``; also return the columns of every
     tuple the query's exchanges shipped."""
-    shipped: List[tuple] = []
-    transmit = net.environment.transmit
-
-    def watching(source, source_port, destination, payload, ack):  # noqa: ANN001
-        for message in _put_batches(payload):
-            for _suffix, value in message["entries"]:
-                if isinstance(value, Tuple):
-                    shipped.append(value.columns)
-        transmit(source, source_port, destination, payload, ack)
-
-    net.environment.transmit = watching
-    try:
-        result = net.query(f"SELECT {select} FROM {JOINS} TIMEOUT 10")
-    finally:
-        del net.environment.transmit
-    return result, shipped
+    result, shipped = watch_put_batches(
+        net, lambda: net.query(f"SELECT {select} FROM {JOINS} TIMEOUT 10")
+    )
+    return result, [tup.columns for tup in shipped]
 
 
 def test_pruned_join_ships_only_needed_columns_within_a_recorded_byte_budget(monkeypatch):

@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wire_watch import is_internal_column
+
 from repro import PIERNetwork
 from repro.qp.stats import DistinctSketch, Statistics
 from repro.qp.tuples import Tuple
@@ -119,7 +121,7 @@ def test_planner_compiles_three_way_rehash_pipeline():
     # Two rehash edges: producer graph + two join consumer graphs.
     assert len(plan.opgraphs) == 3
     ids = _op_ids(plan)
-    assert {"join_0", "join_1", "rehash_left_0", "rehash_inner_1", "results"} <= ids
+    assert {"join_0", "join_1", "rehash_0", "rehash_1", "results"} <= ids
 
 
 def test_planner_chooses_fetch_matches_per_edge():
@@ -137,7 +139,7 @@ def test_planner_chooses_fetch_matches_per_edge():
     # users is partitioned on its join key -> Fetch Matches, no exchange;
     # items is not -> rehash edge.
     assert "fetch_join_0" in ids
-    assert "join_1" in ids and "rehash_left_1" in ids
+    assert "join_1" in ids and "rehash_1" in ids
 
 
 def test_planner_picks_bloom_rewrite_when_left_keys_are_selective(stats_catalog):
@@ -408,46 +410,193 @@ def test_select_star_expands_when_the_catalog_knows_every_table(stats_catalog):
     assert "project" not in _op_ids(unknown)
 
 
-def test_builders_without_a_select_list_build_the_plans_they_always_built():
-    """``columns=None`` is the hand-built path (and ``SELECT *`` without a
-    catalog): every public builder's ``to_dict()`` must stay what it was
-    before column pruning, so benchmarks that build plans by hand keep
-    their message and byte counts.  The digest was recorded at the commit
-    before the change."""
+def _plan_digest(built):
     import hashlib
     import json
 
-    from repro.qp import plans, rewrites
+    text = json.dumps(
+        [json.loads(json.dumps(plan.to_dict()).replace(plan.query_id, "Q")) for plan in built],
+        sort_keys=True,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+HAND_BUILT_PREDICATE = ["eq", ["col", "a"], ["lit", 1]]
+
+
+def _hand_built_steps():
     from repro.qp.plans import JoinStep
 
-    predicate = ["eq", ["col", "a"], ["lit", 1]]
-    steps = [
+    return [
         JoinStep("t1", "a", "b", "bloom"),
         JoinStep("t2", "c", "d", "fetch"),
         JoinStep("t3", "e", "f", "rehash", "local_table"),
     ]
+
+
+def test_builders_without_a_select_list_build_the_plans_they_always_built():
+    """``columns=None`` is the hand-built path (and ``SELECT *`` without a
+    catalog): the ``to_dict()`` of every public builder that plans no
+    rehash — lookup, scan, both aggregations, fetch-matches, semi-join —
+    must stay what it was before column pruning, so benchmarks that build
+    plans by hand keep their message and byte counts.  The digest is over
+    these six plans as built at the commit before the rendezvous change,
+    where all eleven builders still matched the digest recorded before
+    column pruning; the rehash builders have their own test below."""
+    from repro.qp import plans, rewrites
+
+    predicate = HAND_BUILT_PREDICATE
     built = [
         plans.equality_lookup_plan("ns", 5, predicate=predicate, columns=["a"]),
         plans.broadcast_scan_plan("t", "dht_scan", predicate, ["a", "b"]),
         plans.flat_aggregation_plan("t", ["g"], [("count", None, "n")], predicate=predicate),
         plans.hierarchical_aggregation_plan("t", ["g"], [("count", None, "n")]),
-        plans.symmetric_hash_join_plan("l", "r", ["a"], ["b"], predicate=predicate, output_table="o"),
-        plans.symmetric_hash_join_plan("l", "r", ["a", "c"], ["b", "d"], source="local_table"),
         plans.fetch_matches_join_plan("o", "i", ["a"], outer_predicate=predicate, output_table="x"),
-        plans.multi_join_plan("b", steps, predicate=predicate, output_table="o"),
-        plans.multi_join_plan("b", steps, predicate=predicate, predicate_pushdown=True),
-        rewrites.bloom_join_plan("l", "r", ["a"], ["b"], output_table="o"),
         rewrites.semi_join_plan("o", "idx", "inner", ["a"], outer_predicate=predicate),
     ]
     for plan in built[4:]:
         assert not {"project", "prune_outer", "prune_pointers", "prune_outer_1"} & _op_ids(plan)
         for graph in plan.opgraphs:
             assert not any("keep" in spec.params for spec in graph.operators.values())
-    text = json.dumps(
-        [json.loads(json.dumps(plan.to_dict()).replace(plan.query_id, "Q")) for plan in built],
-        sort_keys=True,
+    assert _plan_digest(built) == "4f80abcdd1b9dc5efc22da910d567990d439367b332a609795fd331174a0f1a9"
+
+
+def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_plans():
+    """The rehash, bloom and multi-join builders with ``columns=None``.
+    Their digest was re-recorded on purpose when the side marker and the
+    key column left the rehashed row: the left stream is retagged instead
+    of stamped, one two-input ``put`` keyed per slot replaces the union /
+    the two puts, and the consumer is ``scan_rehash -> join`` with no
+    splits.  Still no keep list and no final projection on this path."""
+    from repro.qp import plans, rewrites
+
+    predicate = HAND_BUILT_PREDICATE
+    steps = _hand_built_steps()
+    built = [
+        plans.symmetric_hash_join_plan("l", "r", ["a"], ["b"], predicate=predicate, output_table="o"),
+        plans.symmetric_hash_join_plan("l", "r", ["a", "c"], ["b", "d"], source="local_table"),
+        plans.multi_join_plan("b", steps, predicate=predicate, output_table="o"),
+        plans.multi_join_plan("b", steps, predicate=predicate, predicate_pushdown=True),
+        rewrites.bloom_join_plan("l", "r", ["a"], ["b"], output_table="o"),
+    ]
+    for plan in built:
+        assert not {"project", "prune_outer", "prune_pointers", "prune_outer_1"} & _op_ids(plan)
+        assert not {"extend_right", "extend_inner_0", "extend_inner_2"} & _op_ids(plan)
+        for graph in plan.opgraphs:
+            assert not any("keep" in spec.params for spec in graph.operators.values())
+    assert _plan_digest(built) == "ee07cf02b07e3a18e207822c310b02bbe0c84ea0febd5c1eed305b8ceb24b2e9"
+
+
+# -- the rendezvous path: table tag + put key, no marker columns ------------------------ #
+
+def _assert_rehash_edge(plan, suffix, left, right, left_key, right_key, keep, output_table):
+    """One rehash edge: a retagging projection on the left stream, at most
+    a prune on the right, one two-input put keyed per slot, and a consumer
+    opgraph that is scan -> join with nothing between."""
+    tag = f"__left{suffix}__"
+    inner = f"extend_inner{suffix}" if suffix else "extend_right"
+    narrowing = {"keep_all": True} if keep is None else {"keep": keep}
+    assert _params(plan, f"extend_left{suffix}") == {**narrowing, "table": tag}
+    assert _inputs(plan, f"extend_left{suffix}") == [left]
+    if keep is None:
+        assert inner not in _op_ids(plan)  # the inner stream goes to the put as it is
+    else:
+        assert _params(plan, inner) == {"keep": keep} and _inputs(plan, inner) == [right]
+        right = inner
+    rendezvous = _params(plan, f"rehash{suffix}")["namespace"]
+    assert _params(plan, f"rehash{suffix}") == {
+        "namespace": rendezvous,
+        "key_columns": [[left_key], [right_key]],
+    }
+    assert _inputs(plan, f"rehash{suffix}") == [f"extend_left{suffix}", right]
+    assert _params(plan, f"scan_rehash{suffix}") == {"namespace": rendezvous, "scoped": True}
+    assert _params(plan, f"join{suffix}") == {
+        "left_columns": [left_key],
+        "right_columns": [right_key],
+        "left_table": tag,
+        "output_table": output_table,
+    }
+    assert _inputs(plan, f"join{suffix}") == [f"scan_rehash{suffix}"]
+
+
+def _assert_no_markers(plan):
+    text = str(plan.to_dict())
+    assert "__join_key__" not in text and "__source_table__" not in text
+    assert not [i for i in _op_ids(plan) if i.startswith(("split_", "union_", "rehash_left", "rehash_inner"))]
+
+
+def test_rehash_edges_tag_the_left_stream_and_key_the_put_on_a_three_way_join():
+    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b", "c")})
+    plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y JOIN c ON z = w")
+    # ON x = y, ON z = w: each side is keyed on its own column name.
+    _assert_rehash_edge(
+        plan, "_0", "scan_base", "scan_inner_0", "x", "y", ["x", "y", "z", "w"], "a*b"
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == "4061503797713520a6b5a77ba1e8a4376f41e8eb7127f03fa50a1148258dd6ec"
+    _assert_rehash_edge(plan, "_1", "join_0", "scan_inner_1", "z", "w", ["x", "z", "w"], "a*b*c")
+    _assert_no_markers(plan)
+    assert [len(graph.operators) for graph in plan.opgraphs] == [5, 6, 4]
+
+
+def test_rehash_edge_behind_a_bloom_filter(stats_catalog):
+    planner = NaivePlanner(
+        {"tiny": TableInfo("tiny", "dht", []), "big": TableInfo("big", "dht", [])},
+        statistics=stats_catalog,
+    )
+    plan = planner.plan_sql("SELECT k FROM tiny JOIN big ON x = x")
+    assert "bloom_build" in _op_types(plan)
+    # The inner rows are pruned after the filter, then share the put.
+    _assert_rehash_edge(plan, "_0", "scan_base", "probe_inner_0", "x", "x", ["k", "x"], "tiny*big")
+    _assert_no_markers(plan)
+
+
+def test_rehash_edges_before_and_after_a_fetch_edge():
+    from repro.qp.plans import JoinStep, multi_join_plan
+
+    after_fetch = multi_join_plan(
+        "o", [JoinStep("u", "uid", "id", "fetch"), JoinStep("i", "iid", "sku")], columns=["n"]
+    )
+    # The fetch join names its rows o*u itself; the rehash edge after it
+    # spells the same name out statically.
+    assert _params(after_fetch, "fetch_join_0")["output_table"] is None
+    _assert_rehash_edge(
+        after_fetch, "_1", "fetch_join_0", "scan_inner_1", "iid", "sku", ["n", "iid", "sku"], "o*u*i"
+    )
+    before_fetch = multi_join_plan(
+        "o",
+        [JoinStep("i", "iid", "sku"), JoinStep("u", "uid", "id", "fetch")],
+        columns=["n"],
+        output_table="answer",
+    )
+    _assert_rehash_edge(
+        before_fetch, "_0", "scan_base", "scan_inner_0", "iid", "sku",
+        ["n", "iid", "sku", "uid", "id"], "o*i",
+    )
+    # The probe runs in the consumer opgraph, on rows already named o*i.
+    assert _inputs(before_fetch, "prune_outer_1") == ["join_0"]
+    assert _params(before_fetch, "fetch_join_1")["output_table"] == "answer"
+    for plan in (after_fetch, before_fetch):
+        _assert_no_markers(plan)
+
+
+def test_rehash_edge_without_a_select_list_retags_whole_rows():
+    from repro.qp.plans import JoinStep, multi_join_plan, symmetric_hash_join_plan
+    from repro.qp.rewrites import bloom_join_plan
+
+    single = symmetric_hash_join_plan("l", "r", ["a"], ["b"])
+    _assert_rehash_edge(single, "", "scan_left", "scan_right", "a", "b", None, "l*r")
+    named = symmetric_hash_join_plan("l", "r", ["a"], ["b"], output_table="o")
+    assert _params(named, "join")["output_table"] == "o"
+    bloom = bloom_join_plan("l", "r", ["a"], ["b"])
+    _assert_rehash_edge(bloom, "", "scan_left", "probe_right", "a", "b", None, "l*r")
+    multi = multi_join_plan("l", [JoinStep("r", "a", "b")])
+    _assert_rehash_edge(multi, "_0", "scan_base", "scan_inner_0", "a", "b", None, "l*r")
+    for plan in (single, named, bloom, multi):
+        _assert_no_markers(plan)
+    # A composite key: one list of columns per side, in order.
+    composite = symmetric_hash_join_plan("l", "r", ["a", "c"], ["b", "d"])
+    assert _params(composite, "rehash")["key_columns"] == [["a", "c"], ["b", "d"]]
+    assert _params(composite, "join")["left_columns"] == ["a", "c"]
+    assert _params(composite, "join")["right_columns"] == ["b", "d"]
 
 
 # -- column pruning end to end -------------------------------------------------------- #
@@ -516,10 +665,6 @@ MARKET_JOINS = {
 }
 
 
-def _internal(column):
-    return column.startswith("__") or column.endswith(".__source_table__")
-
-
 @pytest.mark.parametrize("strategies", sorted(MARKET_JOINS))
 def test_internal_columns_never_reach_a_client(market_network, strategies):
     net = market_network
@@ -534,7 +679,7 @@ def test_internal_columns_never_reach_a_client(market_network, strategies):
     tables = ["orders"] + [part.split()[0] for part in joins.split(" JOIN ")[1:]]
     user_columns = set().union(*(net.statistics.columns(table) for table in tables))
     for row in star.rows():
-        assert not [column for column in row if _internal(column)]
+        assert not [column for column in row if is_internal_column(column)]
         assert set(row) == user_columns
 
 
