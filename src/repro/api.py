@@ -894,11 +894,16 @@ class PIERNetwork:
 
         ``query`` is a query id, :class:`~repro.qp.proxy.QueryHandle`, or
         :class:`QueryResult`.  Works identically in simulated and physical
-        mode — teardown keeps the install records, so the sweep runs post
-        hoc.  Busy times require the query to have run with tracing
-        enabled (``network.query(sql, analyze=True)`` does both).
+        mode — teardown keeps the install records for
+        :data:`~repro.qp.executor.FINISHED_RETENTION` seconds, so the sweep
+        runs post hoc; later than that the nodes have dropped them, and the
+        report says so instead of showing a plan that seemingly did
+        nothing.  Busy times require the query to have run with tracing
+        enabled (``network.query(sql, analyze=True)`` does both, and
+        collects at completion).
         """
         from repro.obs.analyze import collect_actuals, render_explain_analyze
+        from repro.qp.executor import FINISHED_RETENTION
 
         query_id = query if isinstance(query, str) else query.query_id
         if plan is None:
@@ -910,6 +915,13 @@ class PIERNetwork:
                     plan = handle.plan
                     break
         if plan is None:
-            raise ValueError(f"no proxy in this deployment knows query {query_id!r}")
-        actuals = collect_actuals(self, query_id)
-        return render_explain_analyze(plan, actuals)
+            raise ValueError(
+                f"no proxy in this deployment knows query {query_id!r} (a proxy forgets "
+                f"a query {FINISHED_RETENTION:g} s after it finished)"
+            )
+        report = render_explain_analyze(plan, collect_actuals(self, query_id))
+        if any(node.executor.released(query_id) for node in self.nodes):
+            report += (
+                f"\nactuals released: query finished more than {FINISHED_RETENTION:g} s ago"
+            )
+        return report

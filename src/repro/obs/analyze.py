@@ -1,10 +1,12 @@
 """EXPLAIN ANALYZE: the planner's explain tree annotated with actuals.
 
-After a query runs, every node still holds its :class:`InstalledGraph`
-book-keeping (teardown stops the operators but keeps the install record),
-so the actual per-operator counters — tuples in/out/dropped, exchange
-messages and bytes shipped — can be swept deployment-wide *post hoc* in
-both simulation and physical modes.  :func:`collect_actuals` merges them
+For :data:`~repro.qp.executor.FINISHED_RETENTION` seconds after a query
+runs, every node still holds its :class:`InstalledGraph` book-keeping
+(teardown stops the operators; the install record is dropped one retention
+later), so the actual per-operator counters — tuples in/out/dropped,
+exchange messages and bytes shipped — can be swept deployment-wide *post
+hoc* in both simulation and physical modes.  Past the retention the sweep
+finds nothing, and ``PIERNetwork.explain_analyze`` says so.  :func:`collect_actuals` merges them
 per operator id; :func:`render_explain_analyze` feeds the merged dict into
 :func:`repro.sql.explain.render_explain`, which prints each operator's
 actuals next to its line and each join edge's actual output rows next to

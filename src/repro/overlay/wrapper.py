@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.overlay.identifiers import IdentifierSpace
 from repro.overlay.naming import ObjectName
@@ -48,6 +48,29 @@ NewDataCallback = Callable[[str, object, Any], None]
 LScanCallback = Callable[[str, object, object], None]
 # Upcall handlers return True to continue routing, False to stop the message.
 UpcallHandler = Callable[[str, object, object], bool]
+# namespace -> its handlers.  The tuples are replaced, never mutated, so a
+# delivery loop holds a snapshot: a handler that registers or unregisters
+# from inside a callback neither skips nor repeats its neighbours.
+_Handlers = Dict[str, Tuple[Callable[..., Any], ...]]
+
+
+def _register(handlers: _Handlers, namespace: str, handler: Callable[..., Any]) -> Callable[[], None]:
+    """Add ``handler`` to ``namespace``; the returned callable takes that
+    one registration back out and forgets the namespace with its last
+    handler.  Calling it again does nothing."""
+    handlers[namespace] = handlers.get(namespace, ()) + (handler,)
+
+    def unregister() -> None:
+        remaining = list(handlers.get(namespace, ()))
+        if handler not in remaining:
+            return
+        remaining.remove(handler)
+        if remaining:
+            handlers[namespace] = tuple(remaining)
+        else:
+            del handlers[namespace]
+
+    return unregister
 
 
 @dataclass
@@ -141,9 +164,10 @@ class OverlayNode:
         # most, current while the router's view key is the one it filled under.
         self._owner_cache: List[Tuple[int, int, NodeContact]] = []
         self._owner_cache_key: Optional[int] = None
-        self._new_data_handlers: Dict[str, List[NewDataCallback]] = {}
-        self._new_batch_handlers: Dict[str, List[NewDataCallback]] = {}
-        self._upcall_handlers: Dict[str, List[UpcallHandler]] = {}
+        self._new_data_handlers: _Handlers = {}
+        self._new_batch_handlers: _Handlers = {}
+        self._upcall_handlers: _Handlers = {}
+        self._stabilize_hooks: List[Callable[[], None]] = []
         self._joined = False
         # Bumped on rejoin so a stabilization timer armed before a failure
         # cannot double-drive the loop after recovery.
@@ -234,7 +258,15 @@ class OverlayNode:
             return
         self.router.sync(self.directory)
         self.object_manager.sweep()
+        for hook in self._stabilize_hooks:
+            hook()
         self._schedule_stabilization()
+
+    def on_stabilize(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` on every stabilization tick, after the object
+        manager's sweep: where the node's long-lived components expire the
+        soft state they keep, without a timer of their own."""
+        self._stabilize_hooks.append(hook)
 
     # ------------------------------------------------------------------ #
     # Inter-node operations (Table 2)                                     #
@@ -460,19 +492,30 @@ class OverlayNode:
 
     def new_data(
         self, namespace: str, callback_client: NewDataCallback, batched: bool = False
-    ) -> None:
-        """Register for notification when an object in ``namespace`` arrives here.
+    ) -> Callable[[], None]:
+        """Register for notification when an object in ``namespace`` arrives
+        here; returns the matching unsubscribe callable.
 
         A ``batched`` client is called once per arrival with the list of
         its values — all the objects of a ``put_batch``, or a list of one —
         instead of once per object.
         """
         handlers = self._new_batch_handlers if batched else self._new_data_handlers
-        handlers.setdefault(namespace, []).append(callback_client)
+        return _register(handlers, namespace, callback_client)
 
-    def upcall(self, namespace: str, callback_client: UpcallHandler) -> None:
-        """Register an interceptor for ``send`` messages passing through this node."""
-        self._upcall_handlers.setdefault(namespace, []).append(callback_client)
+    def upcall(self, namespace: str, callback_client: UpcallHandler) -> Callable[[], None]:
+        """Register an interceptor for ``send`` messages passing through
+        this node; returns the matching unsubscribe callable."""
+        return _register(self._upcall_handlers, namespace, callback_client)
+
+    def registrations(self) -> Iterator[Tuple[str, Callable[..., Any]]]:
+        """Every live ``new_data`` / ``upcall`` registration on this node,
+        as ``(namespace, handler)`` — what the sanitizer's teardown and
+        release ledgers audit."""
+        for handlers in (self._new_data_handlers, self._new_batch_handlers, self._upcall_handlers):
+            for namespace, registered in handlers.items():
+                for handler in registered:
+                    yield namespace, handler
 
     # ------------------------------------------------------------------ #
     # Lookup / routing                                                    #
@@ -706,7 +749,7 @@ class OverlayNode:
         # Upcalls fire at every node the message *arrives at* along the path
         # (including the final destination), but not at the originator.
         if arrived_over_network:
-            for handler in self._upcall_handlers.get(namespace, []):
+            for handler in self._upcall_handlers.get(namespace, ()):
                 self.stats.upcalls_delivered += 1
                 if not handler(namespace, message["key"], message["value"]):
                     return

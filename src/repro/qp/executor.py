@@ -5,7 +5,10 @@ wires the local dataflow (data pushes child -> parent; probes pull parent
 -> child), starts the operators, and issues the initial probe.  The opgraph
 runs until the query's timeout expires, at which point buffered state is
 flushed in topological order, operators are stopped, and any query-scoped
-DHT state on this node is discarded.
+DHT state on this node is discarded.  The install record itself is soft
+state too: it stays readable for :data:`FINISHED_RETENTION` seconds (so a
+client can still sweep the operators' counters), then the node drops it
+and keeps only a tombstone that refuses a late duplicate of its envelope.
 
 Because PIER nodes are only loosely synchronised, an opgraph may start
 after other nodes have already begun sending it data; the DHT's storage of
@@ -24,10 +27,29 @@ from repro.qp.operators.base import ExecutionContext, PhysicalOperator, build_op
 from repro.qp.operators.control import ControlFlowManager
 from repro.qp.tuples import Tuple
 
-# How long a cancelled query's tombstone lives.  It only needs to outlast
-# dissemination envelopes still in flight (whose lifetime is the query
-# timeout); matching the default soft-state lifetime is comfortably enough.
-CANCEL_TOMBSTONE_LIFETIME = 600.0
+# How long a finished opgraph's install record — and, at the proxy, a
+# finished query's handle — stays readable before the node drops it.
+FINISHED_RETENTION = 30.0
+
+# How long this node refuses what it has seen the end of: a cancelled
+# query's id, a dropped record's install key.  A tombstone only needs to
+# outlast dissemination envelopes still in flight; matching the default
+# soft-state lifetime (ten times a broadcast's) is comfortably enough.
+TOMBSTONE_LIFETIME = 600.0
+
+
+def pop_expired(stamps: Dict[str, float], now: float, lifetime: float) -> List[str]:
+    """Remove from ``stamps`` — key -> time stamp, in the order the stamps
+    were made — every key stamped ``lifetime`` or more before ``now``, and
+    return them oldest first."""
+    expired = []
+    for key, stamp in stamps.items():
+        if now - stamp < lifetime:
+            break
+        expired.append(key)
+    for key in expired:
+        del stamps[key]
+    return expired
 
 
 @dataclass
@@ -38,7 +60,8 @@ class InstalledGraph:
     consumer — which is the order operators start and flush in; the graph
     is walked for it once, at install.  ``deadline`` is when the graph
     tears down; lifetime renewal of a standing query pushes it out (see
-    :meth:`QueryExecutor.extend_query`).
+    :meth:`QueryExecutor.extend_query`).  A record its node has dropped
+    (:data:`FINISHED_RETENTION` after it finished) has no operators left.
     """
 
     query_id: str
@@ -68,11 +91,16 @@ class QueryExecutor:
         # Node-level defaults for the batching exchange (see PutExchange);
         # per-query plan metadata overrides them.
         self.exchange_defaults = dict(exchange_defaults or {})
-        # Queries cancelled on this node: envelopes still in flight when the
-        # cancellation arrived must not install after the fact.
-        self._cancelled_queries: set = set()
+        # Install keys of finished records -> when they finished, oldest
+        # first: what the next sweep drops once FINISHED_RETENTION has passed.
+        self._finished: Dict[str, float] = {}
+        # Tombstones -> when they were set, oldest first: the ids of queries
+        # cancelled on this node and the install keys of dropped records.
+        # An envelope still in flight must not install after the fact.
+        self._refused: Dict[str, float] = {}
         self.graphs_installed = 0
         self.graphs_completed = 0
+        overlay.on_stabilize(self._sweep)
 
     # -- node-local data sources ------------------------------------------- #
     def register_local_table(self, name: str, rows: List[Tuple]) -> None:
@@ -119,9 +147,9 @@ class QueryExecutor:
     ) -> Optional[InstalledGraph]:
         """Instantiate and start ``graph``.  Duplicate installs are ignored,
         as are opgraphs of queries already cancelled on this node."""
-        if query_id in self._cancelled_queries:
-            return None
         install_key = f"{query_id}/{graph.graph_id}"
+        if query_id in self._refused or install_key in self._refused:
+            return None
         if install_key in self._installed:
             return None
         extras: Dict[str, Any] = {
@@ -248,6 +276,9 @@ class QueryExecutor:
         if installed.finished:
             return
         installed.finished = True
+        self._finished[f"{installed.query_id}/{installed.graph.graph_id}"] = (
+            self.overlay.runtime.get_current_time()
+        )
         if flush:
             # The teardown flush runs from the executor's timeout timer,
             # outside any operator scope — activate the query's trace so
@@ -273,16 +304,12 @@ class QueryExecutor:
         if sanitizer is not None:
             # Teardown ledger: prove no timer stayed armed and no operator
             # still buffers tuples after stop() (raises SanitizerError).
-            sanitizer.check_teardown(installed, node_address=self.overlay.address)
+            sanitizer.check_teardown(installed, self.overlay)
 
     def cancel_query(self, query_id: str) -> int:
         """Abort every opgraph of ``query_id`` running on this node, and
         refuse any of its opgraphs that are still in flight."""
-        if query_id not in self._cancelled_queries:
-            self._cancelled_queries.add(query_id)
-            self.overlay.runtime.schedule_event(
-                CANCEL_TOMBSTONE_LIFETIME, query_id, self._cancelled_queries.discard
-            )
+        self._refused.setdefault(query_id, self.overlay.runtime.get_current_time())
         cancelled = 0
         for installed in self._installed.values():
             if installed.query_id == query_id and not installed.finished:
@@ -307,9 +334,41 @@ class QueryExecutor:
             if installed.finished:
                 continue
             self.finish(installed, flush=False)
-            del self._installed[install_key]
+            self._drop(install_key)
             purged += 1
         return purged
+
+    # -- release ------------------------------------------------------------------- #
+    def _sweep(self) -> None:
+        """Drop the records that finished more than FINISHED_RETENTION ago,
+        leaving a tombstone for each, and forget the tombstones older than
+        TOMBSTONE_LIFETIME.  Runs on the overlay's stabilization tick,
+        next to the object manager's sweep: no timer of its own."""
+        now = self.overlay.runtime.get_current_time()
+        dropped: List[InstalledGraph] = []
+        for install_key in pop_expired(self._finished, now, FINISHED_RETENTION):
+            dropped.append(self._drop(install_key))
+            self._refused[install_key] = now
+        pop_expired(self._refused, now, TOMBSTONE_LIFETIME)
+        sanitizer = getattr(self.overlay.runtime, "sanitizer", None)
+        if dropped and sanitizer is not None:
+            # Release ledger: once the last record of a query is gone,
+            # nothing of it may be reachable from this node.
+            held = {installed.query_id for installed in self._installed.values()}
+            for query_id in dict.fromkeys(installed.query_id for installed in dropped):
+                if query_id not in held:
+                    records = [record for record in dropped if record.query_id == query_id]
+                    sanitizer.check_released(query_id, self, records)
+
+    def _drop(self, install_key: str) -> InstalledGraph:
+        """Forget a finished record.  Its operators go with it, by
+        reference count: the dataflow only points downstream, and stop()
+        has undone what pointed back at an operator (timers, overlay
+        registrations, a control-flow manager's probe targets)."""
+        installed = self._installed.pop(install_key)
+        self._finished.pop(install_key, None)
+        installed.operators.clear()
+        return installed
 
     def _release_query_state(self, installed: InstalledGraph) -> None:
         prefix = f"{installed.query_id}:"
@@ -319,7 +378,15 @@ class QueryExecutor:
 
     # -- introspection --------------------------------------------------------------- #
     def installed_graphs(self) -> List[InstalledGraph]:
+        """The running graphs, and those that finished within about the
+        last FINISHED_RETENTION seconds."""
         return list(self._installed.values())
+
+    def released(self, query_id: str) -> bool:
+        """Whether this node ran opgraphs of ``query_id`` and has since
+        dropped their records (for as long as it remembers that it did)."""
+        prefix = f"{query_id}/"
+        return any(key.startswith(prefix) for key in self._refused)
 
     def running_graphs(self) -> List[InstalledGraph]:
         return [graph for graph in self._installed.values() if not graph.finished]

@@ -139,15 +139,17 @@ def _apply_arithmetic(operator: str, left: Any, right: Any) -> Any:
 def column_references(expression: Expression) -> List[str]:
     """All column names referenced by an expression or predicate."""
     references: List[str] = []
-
-    def walk(node: Expression) -> None:
-        if not isinstance(node, (list, tuple)) or not node:
-            return
-        if node[0] == "col" and len(node) > 1 and isinstance(node[1], str):
-            references.append(node[1])
-            return
-        for child in node[1:]:
-            walk(child)
-
-    walk(expression)
+    _collect_references(expression, references)
     return references
+
+
+def _collect_references(node: Expression, references: List[str]) -> None:
+    # Module-level on purpose: a nested function that calls itself is a
+    # reference cycle, left for the collector once per call.
+    if not isinstance(node, (list, tuple)) or not node:
+        return
+    if node[0] == "col" and len(node) > 1 and isinstance(node[1], str):
+        references.append(node[1])
+        return
+    for child in node[1:]:
+        _collect_references(child, references)

@@ -17,6 +17,7 @@ straight to the proxy.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple as PyTuple
 
 from repro.overlay.identifiers import object_identifier
@@ -24,7 +25,7 @@ from repro.overlay.naming import random_suffix
 from repro.qp.integrity import INTEGRITY_NAMESPACE, replica_sampled
 from repro.qp.ledger import Groups, OriginLedger, Pairs, partial_pairs, wire_partials
 from repro.qp.operators.base import PhysicalOperator, register_operator
-from repro.qp.operators.groupby import _BaseGroupBy
+from repro.qp.operators.groupby import _BaseGroupBy, merge_partials
 from repro.qp.tuples import Tuple
 from repro.security.spot_check import commit_to_states
 
@@ -140,7 +141,9 @@ class HierarchicalAggregate(_BaseGroupBy):
         # Re-forward attempts per stale-delivered batch, with the newest
         # epoch the batch names (None for one-shot queries).
         self._reforwards: Dict[PyTuple[Any, ...], PyTuple[int, Optional[int]]] = {}
-        self.ledger = OriginLedger(self._merge_all)
+        # The ledger merges with the functions, not with a method of this
+        # operator: the two must not hold each other.
+        self.ledger = OriginLedger(partial(merge_partials, self._merge_functions))
         self.epoch_entries_evicted = 0
         self.partials_sent = 0
         self.partials_intercepted = 0
@@ -152,8 +155,8 @@ class HierarchicalAggregate(_BaseGroupBy):
         super().start()  # arms the pane clock when a window spec is present
         self._is_root_owner = self._is_root()
         self._incarnation_ts = self.context.now
-        self.context.overlay.upcall(self.namespace, self._on_upcall)
-        self.context.overlay.new_data(self.namespace, self._on_root_arrival)
+        self.intercept(self.namespace, self._on_upcall)
+        self.listen(self.namespace, self._on_root_arrival)
         # Catch up on partial aggregates that reached this node before the
         # opgraph was installed here (loose synchronization).
         self.context.overlay.local_scan(
@@ -415,12 +418,9 @@ class HierarchicalAggregate(_BaseGroupBy):
 
     # -- upcall (intermediate hop) ------------------------------------------- #
     def _on_upcall(self, _namespace: str, _key: object, value: object) -> bool:
-        if self._stopped:
-            # A purged incarnation's overlay registration outlives the
-            # operator (rejoin re-installs a fresh one); consuming here
-            # would starve the live incarnation's handler behind it.
-            return True
-        if not isinstance(value, dict):
+        if self._stopped or not isinstance(value, dict):
+            # Stopped from inside the delivery loop that is calling us: let
+            # the message travel on to the live handlers behind this one.
             return True
         if "batches" in value:
             if self._is_root_owner:
@@ -639,8 +639,8 @@ class HierarchicalJoinExchange(PhysicalOperator):
         self.final_results = 0
 
     def start(self) -> None:
-        self.context.overlay.upcall(self.namespace, self._on_upcall)
-        self.context.overlay.new_data(self.namespace, self._on_bucket_arrival)
+        self.intercept(self.namespace, self._on_upcall)
+        self.listen(self.namespace, self._on_bucket_arrival)
         # Nodes are only loosely synchronised: envelopes rehashed by nodes
         # that started earlier may already be stored here.  Catch up on them
         # (Section 3.3.4, "No Global Synchronization").

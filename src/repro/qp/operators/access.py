@@ -8,7 +8,7 @@ type *checking* is deferred to downstream operators.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from repro.qp.operators.base import (
     DEFAULT_PROBE_TAG,
@@ -79,7 +79,7 @@ class DHTScanAccess(_AccessMethod):
         self.table = self.param("table", self.require_param("namespace"))
 
     def start(self) -> None:
-        self.context.overlay.new_data(self.namespace, self._on_new_data, batched=True)
+        self.listen(self.namespace, self._on_new_data, batched=True)
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         stored: List[object] = []
@@ -136,7 +136,6 @@ class LocalTableAccess(_AccessMethod):
         super().__init__(spec, context)
         self.table = self.require_param("table")
         self.follow = bool(self.param("follow", True))
-        self._unsubscribe: Optional[Callable[[], None]] = None
 
     def _rows(self) -> Iterable[Tuple]:
         tables = self.context.extras.get("local_tables", {})
@@ -147,13 +146,7 @@ class LocalTableAccess(_AccessMethod):
             return
         subscribe = self.context.extras.get("subscribe_local_table")
         if subscribe is not None:
-            self._unsubscribe = subscribe(self.table, self._on_rows_appended)
-
-    def stop(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        super().stop()
+            self._registrations.append(subscribe(self.table, self._on_rows_appended))
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         self._inject(self._rows(), tag)

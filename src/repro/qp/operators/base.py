@@ -132,6 +132,9 @@ class PhysicalOperator:
         self._stopped = False
         # Timers armed through arm_timer(), cancelled wholesale by stop().
         self._armed_timers: List[Any] = []
+        # Unsubscribe callables of what listen()/intercept() registered,
+        # called by stop().
+        self._registrations: List[Callable[[], None]] = []
         # Trace accumulator (None when untraced): receive()/arm_timer()
         # touch it with two float stores instead of allocating spans.
         self._obs = context.operator_activity(spec) if context is not None else None
@@ -202,15 +205,42 @@ class PhysicalOperator:
         self._armed_timers.clear()
         return cancelled
 
+    # -- overlay registrations ---------------------------------------------- #
+    def listen(
+        self, namespace: str, callback: Callable[[str, object, Any], None], batched: bool = False
+    ) -> None:
+        """Have ``callback`` told of objects arriving in ``namespace`` at
+        this node (the wrapper's ``newData``) until this operator stops.
+
+        Every overlay registration an operator makes MUST go through here
+        or :meth:`intercept` (pierlint rule P08): the base :meth:`stop`
+        takes it back out, which is what keeps a finished query's operators
+        from being held — and called — by the node for ever after, and
+        what the SimSanitizer's teardown ledger verifies.
+        """
+        self._registrations.append(
+            self.context.overlay.new_data(namespace, callback, batched=batched)
+        )
+
+    def intercept(self, namespace: str, handler: Callable[[str, object, object], bool]) -> None:
+        """Have ``handler`` see ``send`` messages of ``namespace`` passing
+        through this node (the wrapper's ``upcall``) until this operator
+        stops."""
+        self._registrations.append(self.context.overlay.upcall(namespace, handler))
+
     # -- lifecycle --------------------------------------------------------- #
     def start(self) -> None:
         """Called once when the opgraph is installed on this node."""
 
     def stop(self) -> None:
-        """Called at query teardown (timeout).  Cancels armed timers;
-        overriding subclasses must call ``super().stop()``."""
+        """Called at query teardown (timeout).  Cancels armed timers and
+        undoes overlay registrations; overriding subclasses must call
+        ``super().stop()``."""
         self._stopped = True
         self.disarm_timers()
+        for unregister in self._registrations:
+            unregister()
+        self._registrations.clear()
 
     def residual_buffered(self) -> int:
         """Tuples still buffered after :meth:`stop` (sanitizer ledger).

@@ -41,6 +41,12 @@ class ControlFlowManager(PhysicalOperator):
         if self.reprobe_interval:
             self.arm_timer(self.reprobe_interval, self._reprobe)
 
+    def stop(self) -> None:
+        super().stop()
+        # The sources push up to this operator: holding them past the last
+        # probe would tie the whole opgraph into a reference cycle.
+        self._children.clear()
+
     def _reprobe(self, _data: object) -> None:
         if self._stopped:
             return

@@ -61,6 +61,23 @@ States = List[Any]
 Groups = Dict[PyTuple[Any, ...], States]
 
 
+def merge_partials(
+    functions: List[Any], buffer: Groups, partials: Iterable[PyTuple[PyTuple[Any, ...], States]]
+) -> None:
+    """Merge every ``(key, states)`` of ``partials`` into ``buffer`` (which
+    never shares a state list with its input), aggregate by aggregate with
+    ``functions``."""
+    for key, states in partials:
+        existing = buffer.get(key)
+        if existing is None:
+            buffer[key] = list(states)
+        else:
+            buffer[key] = [
+                function.merge(left, right)
+                for function, left, right in zip(functions, existing, states)
+            ]
+
+
 class _BaseGroupBy(PhysicalOperator):
     """Shared machinery for the group-by variants."""
 
@@ -277,18 +294,7 @@ class _BaseGroupBy(PhysicalOperator):
     def _merge_all(
         self, buffer: Groups, partials: Iterable[PyTuple[PyTuple[Any, ...], States]]
     ) -> None:
-        """Merge every ``(key, states)`` of ``partials`` into ``buffer``
-        (which never shares a state list with its input)."""
-        functions = self._merge_functions
-        for key, states in partials:
-            existing = buffer.get(key)
-            if existing is None:
-                buffer[key] = list(states)
-            else:
-                buffer[key] = [
-                    function.merge(left, right)
-                    for function, left, right in zip(functions, existing, states)
-                ]
+        merge_partials(self._merge_functions, buffer, partials)
 
     def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
         self._fold(batch)

@@ -292,38 +292,38 @@ class BloomFilterProbe(PhysicalOperator):
         self.tuples_filtered = 0
 
     def start(self) -> None:
-        def on_get(_namespace: str, _key: object, objects: List[object]) -> None:
-            bloom: Optional[BloomFilter] = None
-            for payload in objects:
-                if not isinstance(payload, dict):
-                    continue
-                piece = BloomFilter.from_dict(payload)
-                bloom = piece if bloom is None else bloom.merge(piece)
-            if bloom is not None and self._bloom is not None:
-                # Refresh: merging is monotone, so tuples already passed
-                # stay valid; the refreshed filter only admits more.
-                bloom = bloom.merge(self._bloom)
-            self._bloom = bloom if bloom is not None else (self._bloom or BloomFilter())
-            pending, self._pending = self._pending, []
-            for tup, tag in pending:
-                self.on_receive(tup, 0, tag)
-
-        def fetch(_data: object) -> None:
-            if self._stopped:
-                return
-            self.context.overlay.get(self.filter_namespace, "bloom", on_get)
-            # Keep refreshing so filters from late-starting builders (or
-            # keys streamed into the build side mid-query) are picked up,
-            # narrowing the false-negative window for later inner tuples.
-            if self.wait > 0:
-                self.arm_timer(self.wait, fetch)
-
         # Give builders elsewhere in the network time to publish their
         # filters; input tuples buffer until the merged filter arrives.
         if self.wait > 0:
-            self.arm_timer(self.wait, fetch)
+            self.arm_timer(self.wait, self._fetch)
         else:
-            fetch(None)
+            self._fetch(None)
+
+    def _fetch(self, _data: object) -> None:
+        if self._stopped:
+            return
+        self.context.overlay.get(self.filter_namespace, "bloom", self._on_filters)
+        # Keep refreshing so filters from late-starting builders (or
+        # keys streamed into the build side mid-query) are picked up,
+        # narrowing the false-negative window for later inner tuples.
+        if self.wait > 0:
+            self.arm_timer(self.wait, self._fetch)
+
+    def _on_filters(self, _namespace: str, _key: object, objects: List[object]) -> None:
+        bloom: Optional[BloomFilter] = None
+        for payload in objects:
+            if not isinstance(payload, dict):
+                continue
+            piece = BloomFilter.from_dict(payload)
+            bloom = piece if bloom is None else bloom.merge(piece)
+        if bloom is not None and self._bloom is not None:
+            # Refresh: merging is monotone, so tuples already passed
+            # stay valid; the refreshed filter only admits more.
+            bloom = bloom.merge(self._bloom)
+        self._bloom = bloom if bloom is not None else (self._bloom or BloomFilter())
+        pending, self._pending = self._pending, []
+        for tup, tag in pending:
+            self.on_receive(tup, 0, tag)
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         if self._bloom is None:

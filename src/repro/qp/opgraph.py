@@ -106,28 +106,36 @@ class OpGraph:
 
     def topological_order(self) -> List[OperatorSpec]:
         """Operators ordered so every input precedes its consumer."""
+        # Depth-first post-order over an explicit stack: a nested function
+        # that calls itself is a reference cycle (function <-> closure
+        # cell) that would pin this graph until a collector pass, once per
+        # call — and every install calls this.
+        operators = self.operators
         order: List[OperatorSpec] = []
-        visited: Dict[str, int] = {}
-
-        def visit(operator_id: str) -> None:
-            state = visited.get(operator_id, 0)
-            if state == 1:
-                raise ValueError("opgraph contains a dependency cycle")
-            if state == 2:
-                return
-            visited[operator_id] = 1
-            spec = self.operators[operator_id]
-            for input_id in spec.inputs:
-                if input_id not in self.operators:
+        done: Dict[str, bool] = {}  # absent: unseen, False: on the stack, True: ordered
+        for root_id in operators:
+            if root_id in done:
+                continue
+            done[root_id] = False
+            stack = [(operators[root_id], iter(operators[root_id].inputs))]
+            while stack:
+                spec, remaining = stack[-1]
+                input_id = next(remaining, None)
+                if input_id is None:
+                    stack.pop()
+                    done[spec.operator_id] = True
+                    order.append(spec)
+                    continue
+                if input_id not in operators:
                     raise ValueError(
-                        f"operator {operator_id!r} references unknown input {input_id!r}"
+                        f"operator {spec.operator_id!r} references unknown input {input_id!r}"
                     )
-                visit(input_id)
-            visited[operator_id] = 2
-            order.append(spec)
-
-        for operator_id in self.operators:
-            visit(operator_id)
+                state = done.get(input_id)
+                if state is False:
+                    raise ValueError("opgraph contains a dependency cycle")
+                if state is None:
+                    done[input_id] = False
+                    stack.append((operators[input_id], iter(operators[input_id].inputs)))
         return order
 
     def validate(self) -> None:

@@ -4,7 +4,9 @@ A client opens a (TCP) connection to any PIER node, which becomes its
 *proxy*: the proxy parses the query, disseminates its opgraphs, receives
 answer tuples produced anywhere in the network, and forwards them to the
 client.  Queries terminate by timeout; the proxy then reports the collected
-result set to the client's completion callback.
+result set to the client's completion callback, and forgets the query
+:data:`~repro.qp.executor.FINISHED_RETENTION` seconds later — the rows
+live on in whatever result object the client holds, not in the proxy.
 
 Failure awareness (the paper's relaxed, dilated-reachable-snapshot
 semantics made visible): at submission the proxy captures the query's
@@ -31,7 +33,7 @@ from repro.qp.dissemination import (
     QueryDisseminator,
     query_envelope,
 )
-from repro.qp.executor import QueryExecutor
+from repro.qp.executor import FINISHED_RETENTION, QueryExecutor, pop_expired
 from repro.qp.integrity import (
     INTEGRITY_NAMESPACE,
     IntegrityCollector,
@@ -116,7 +118,10 @@ class ProxyService:
         self.overlay = overlay
         self.executor = executor
         self.disseminator = disseminator
+        # Running queries, and those that finished within the retention.
         self._queries: Dict[str, QueryHandle] = {}
+        # Finished query ids -> when they finished, oldest first.
+        self._finished: Dict[str, float] = {}
         self._started = False
         # Client rate limitation (repro.security.rate_limiter): installed
         # by ``enable_rate_limiting``; None means every submission admits.
@@ -132,6 +137,7 @@ class ProxyService:
         self._started = True
         self.overlay.new_data(RESULT_NAMESPACE, self._on_result_message)
         self.overlay.new_data(INTEGRITY_NAMESPACE, self._on_integrity_message)
+        self.overlay.on_stabilize(self._sweep)
 
     def enable_rate_limiting(
         self, window: float = 60.0, threshold: float = 100.0
@@ -350,7 +356,26 @@ class ProxyService:
         return sum(1 for handle in self._queries.values() if not handle.finished)
 
     def query(self, query_id: str) -> Optional[QueryHandle]:
+        """The handle of a running query, or of one that finished within
+        about the last FINISHED_RETENTION seconds."""
         return self._queries.get(query_id)
+
+    def _finish(self, handle: QueryHandle) -> None:
+        handle.finished = True
+        handle.finished_at = self._finished[handle.query_id] = (
+            self.overlay.runtime.get_current_time()
+        )
+
+    def _sweep(self) -> None:
+        """Forget the queries that finished more than FINISHED_RETENTION
+        ago.  A forgotten handle lets go of its callbacks — they are what
+        ties it to the client's stream object in a cycle — and stays
+        intact, rows and all, for whoever still holds it.  Runs on the
+        overlay's stabilization tick: no timer of its own."""
+        now = self.overlay.runtime.get_current_time()
+        for query_id in pop_expired(self._finished, now, FINISHED_RETENTION):
+            handle = self._queries.pop(query_id)
+            handle.result_callback = handle.done_callback = None
 
     def cancel(self, query_id: str) -> bool:
         """Terminate a running query at the client's request.
@@ -362,9 +387,8 @@ class ProxyService:
         handle = self._queries.get(query_id)
         if handle is None or handle.finished:
             return False
-        handle.finished = True
+        self._finish(handle)
         handle.cancelled = True
-        handle.finished_at = self.overlay.runtime.get_current_time()
         self._trace_finish(handle)
         if handle.done_callback is not None:
             handle.done_callback(handle)
@@ -469,8 +493,7 @@ class ProxyService:
         now = self.overlay.runtime.get_current_time()
         if now + 1e-9 < handle.submitted_at + handle.plan.timeout + 1.0:
             return  # lifetime was renewed; renew() armed a later timer
-        handle.finished = True
-        handle.finished_at = self.overlay.runtime.get_current_time()
+        self._finish(handle)
         self._finalize_integrity(handle)
         self._trace_finish(handle)
         if handle.done_callback is not None:

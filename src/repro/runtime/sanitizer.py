@@ -17,10 +17,15 @@ the discrete-event model depends on:
   any depth: the routing layer owns the envelope of a message in flight
   and updates those fields per hop by design (see ``overlay/wrapper.py``
   and the in-path operators in ``qp/hierarchical.py``).
-* **Timer / buffer ledgers** — every timer armed through an operator's
-  ``ExecutionContext`` is recorded; after a query's operators are
-  ``stop()``-ed, any timer still live or any tuple still buffered is a
-  leak and raises, naming the operator and callback.
+* **Timer / buffer / registration ledgers** — every timer armed through an
+  operator's ``ExecutionContext`` is recorded; after a query's operators
+  are ``stop()``-ed, any timer still live, any tuple still buffered or any
+  overlay registration still held by one of them is a leak and raises,
+  naming the operator and callback.
+* **Release ledger** — when a node drops the last install record of a
+  query (one retention after it finished there), nothing of the query may
+  still be reachable from the node: no install record, no overlay or
+  local-table registration, no armed timer.
 * **Run-to-run determinism** — each dispatched event folds into a running
   digest; :func:`verify_determinism` runs a seeded scenario twice and
   compares digests.
@@ -35,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple as PyTuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple as PyTuple
 
 __all__ = ["SanitizerError", "SimSanitizer", "payload_fingerprint", "verify_determinism"]
 
@@ -254,17 +259,17 @@ class SimSanitizer:
                 )
 
     # -- per-query timer / buffer ledgers ------------------------------------- #
-    def check_teardown(self, installed: Any, node_address: Any = None) -> None:
-        """After ``stop()``: no armed timers, no buffered tuples may remain.
+    def check_teardown(self, installed: Any, overlay: Any) -> None:
+        """After ``stop()``: no armed timers, no buffered tuples and no
+        overlay registrations may remain.
 
         ``installed`` is a :class:`repro.qp.executor.InstalledGraph`; its
         context records every event armed through ``ExecutionContext
-        .schedule`` while sanitizing.
+        .schedule`` while sanitizing.  ``overlay`` is the node's
+        :class:`~repro.overlay.wrapper.OverlayNode`.
         """
-        armed = getattr(installed.context, "armed_events", None) or ()
-        leaked = [
-            event for event in armed if event._in_heap and not event.cancelled
-        ]
+        node_address = overlay.address
+        leaked = self._live_timers(installed)
         if leaked:
             details = ", ".join(self._describe_timer(event) for event in leaked[:5])
             raise SanitizerError(
@@ -274,6 +279,11 @@ class SimSanitizer:
                 f"arm timers via PhysicalOperator.arm_timer (cancelled by "
                 f"stop()); leaked: {details}"
             )
+        if installed.context.armed_events:
+            # Audited.  What the release ledger looks at is what gets armed
+            # from here on — and the dispatched events' callbacks would tie
+            # the stopped operators into a cycle with their context.
+            installed.context.armed_events.clear()
         for operator_id, operator in installed.operators.items():
             residual = getattr(operator, "residual_buffered", lambda: 0)()
             if residual:
@@ -283,6 +293,68 @@ class SimSanitizer:
                     f"{node_address!r} still buffers {residual} tuple(s) "
                     f"after stop()"
                 )
+        operators = {id(operator) for operator in installed.operators.values()}
+        for namespace, handler in overlay.registrations():
+            owner = getattr(handler, "__self__", None)
+            if id(owner) in operators:
+                raise SanitizerError(
+                    f"registration leak: query {installed.query_id!r} operator "
+                    f"{owner.spec.operator_id!r} ({type(owner).__name__}) on node "
+                    f"{node_address!r} is still registered for namespace "
+                    f"{namespace!r} after stop() — operators must register through "
+                    f"PhysicalOperator.listen / intercept (undone by stop())"
+                )
+
+    def check_released(self, query_id: str, executor: Any, released: Iterable[Any] = ()) -> None:
+        """After a node dropped its last install record of ``query_id``:
+        nothing of the query may still be reachable from the node.
+
+        ``executor`` is the node's :class:`repro.qp.executor.QueryExecutor`;
+        ``released`` are the records it just dropped, whose contexts are
+        checked for timers still armed.  Reachable means: an install record
+        of the query, a handler in the overlay's ``new_data`` / ``upcall``
+        maps or the executor's local-table listeners that belongs to one of
+        its operators or sits under one of its private namespaces, or a
+        live entry in an ``ExecutionContext.armed_events``.
+        """
+        node_address = executor.overlay.address
+        prefix = f"{query_id}:"
+
+        def of_query(callback: Any) -> bool:
+            context = getattr(getattr(callback, "__self__", None), "context", None)
+            return getattr(context, "query_id", None) == query_id
+
+        held = [
+            f"install record {install_key!r}"
+            for install_key, installed in executor._installed.items()
+            if installed.query_id == query_id
+        ]
+        held += [
+            f"overlay registration for {namespace!r}"
+            for namespace, handler in executor.overlay.registrations()
+            if namespace.startswith(prefix) or of_query(handler)
+        ]
+        held += [
+            f"local-table listener on {table!r}"
+            for table, listeners in executor._table_listeners.items()
+            if any(of_query(listener) for listener in listeners)
+        ]
+        held += [
+            f"armed timer {self._describe_timer(event)}"
+            for installed in released
+            for event in self._live_timers(installed)
+        ]
+        if held:
+            raise SanitizerError(
+                f"release leak: node {node_address!r} dropped query "
+                f"{query_id!r} but still holds {len(held)} thing(s) of it: "
+                + ", ".join(held[:5])
+            )
+
+    @staticmethod
+    def _live_timers(installed: Any) -> List[Any]:
+        armed = getattr(installed.context, "armed_events", None) or ()
+        return [event for event in armed if event._in_heap and not event.cancelled]
 
     @staticmethod
     def _describe_timer(event: Any) -> str:

@@ -112,7 +112,10 @@ class StreamingQuery:
     def _dispatch_done(self, _handle: object) -> None:
         for callback in self._done_callbacks:
             callback(self)
+        # Nothing more will be dispatched: let go of the client's callbacks,
+        # which as a rule refer back to whatever holds this stream.
         self._done_callbacks.clear()
+        self._result_callbacks.clear()
 
     # -- state ---------------------------------------------------------------- #
     @property

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.qp.executor import QueryExecutor
+from repro.qp.executor import FINISHED_RETENTION, QueryExecutor
 from repro.qp.opgraph import OpGraph
 from repro.qp.operators.base import PhysicalOperator, register_operator
-from repro.runtime.sanitizer import SanitizerError, payload_fingerprint, verify_determinism
+from repro.runtime.sanitizer import (
+    SanitizerError,
+    SimSanitizer,
+    payload_fingerprint,
+    verify_determinism,
+)
 from repro.runtime.simulation import SimulationEnvironment
 from repro.simnet import build_overlay
 
@@ -131,6 +136,23 @@ class _LeakyBufferOperator(PhysicalOperator):
         return len(getattr(self, "_hoard", ()))
 
 
+@register_operator
+class _ClingyOperator(PhysicalOperator):
+    """Registers with the overlay directly and keeps no way to undo it —
+    the bug P08 flags statically; a ``tracked`` one goes through listen()."""
+
+    op_type = "test_clingy"
+
+    def start(self) -> None:
+        if self.param("tracked"):
+            self.listen("clingy", self._on_data)
+        else:
+            self.context.overlay.new_data("clingy", self._on_data)  # pierlint: disable=P08
+
+    def _on_data(self, _namespace, _key, _value) -> None:  # pragma: no cover - never called
+        pass
+
+
 def _install_and_finish(op_type: str):
     deployment = build_overlay(1, seed=3)
     executor = QueryExecutor(deployment.node(0))
@@ -168,6 +190,35 @@ def test_tracked_arm_timer_is_disarmed_by_stop(monkeypatch):
             pass
 
     _install_and_finish("test_tidy_timer")  # no SanitizerError
+
+
+def test_registration_leak_reported_at_teardown(monkeypatch):
+    monkeypatch.setenv("PIER_SANITIZE", "1")
+    with pytest.raises(SanitizerError, match="registration leak.*'leaky'.*_ClingyOperator.*'clingy'"):
+        _install_and_finish("test_clingy")
+
+
+def test_release_ledger_names_what_a_dropped_query_still_holds():
+    deployment = build_overlay(1, seed=3)
+    overlay = deployment.node(0)
+    executor = QueryExecutor(overlay)
+    sanitizer = deployment.environment.sanitizer or SimSanitizer()
+
+    def install(query_id: str, tracked: bool):
+        graph = OpGraph("g0")
+        graph.add_operator("clingy", "test_clingy", {"tracked": tracked})
+        return executor.install(query_id, graph, timeout=5.0, proxy_address=overlay.address)
+
+    running = install("q-running", tracked=True)
+    with pytest.raises(SanitizerError, match="release leak.*q-running.*install record.*'clingy'"):
+        sanitizer.check_released("q-running", executor, [running])
+    executor.finish(running)
+    deployment.run(FINISHED_RETENTION + 11.0)  # past the stabilization tick that drops it
+    assert not executor.installed_graphs() and executor.released("q-running")
+    sanitizer.check_released("q-running", executor, [running])  # nothing left: no error
+    overlay.new_data("q-running:rendezvous", lambda *_: None)
+    with pytest.raises(SanitizerError, match="release leak.*'q-running:rendezvous'"):
+        sanitizer.check_released("q-running", executor)
 
 
 # -- determinism -------------------------------------------------------------- #

@@ -36,6 +36,7 @@ def _lint(name: str, rule_id: str):
         ("P05", {6, 10, 12}),
         ("P06", {8, 12, 16}),
         ("P07", {4, 9, 10, 12}),
+        ("P08", {6, 8, 11}),
     ],
 )
 def test_rule_flags_seeded_violations(rule_id, expected_lines):
@@ -44,7 +45,7 @@ def test_rule_flags_seeded_violations(rule_id, expected_lines):
     assert all(v.rule_id == rule_id for v in violations)
 
 
-@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P04", "P05", "P06", "P07"])
+@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P04", "P05", "P06", "P07", "P08"])
 def test_rule_passes_clean_twin(rule_id):
     assert _lint(f"{rule_id.lower()}_clean.py", rule_id) == []
 
@@ -82,6 +83,10 @@ def test_scopes_follow_module_roles():
     assert "P03" not in rules_for("runtime/physical.py")
     assert "P05" in rules_for("qp/operators/groupby.py")
     assert "P05" not in rules_for("qp/operators/base.py")
+    assert "P08" in rules_for("qp/hierarchical.py")
+    assert "P08" in rules_for("qp/operators/access.py")
+    assert "P08" not in rules_for("qp/operators/base.py")
+    assert "P08" not in rules_for("qp/proxy.py")
     assert "P06" in rules_for("runtime/physical.py")
     assert "P06" in rules_for("overlay/wrapper.py")
     assert "P06" not in rules_for("runtime/codec.py")

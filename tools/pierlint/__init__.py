@@ -17,6 +17,10 @@ P03   direct ``random.*`` / wall-clock calls in simulator-driven modules
 P04   ``to_dict()``/``from_dict`` round-trips on the hot send/receive path
 P05   timers armed via raw ``context.schedule`` (no tracked cancel path),
       or ``stop()`` overrides that skip ``super().stop()``
+P06   pickle on wire paths outside the codec's counted fallback
+P07   attack behaviour outside ``runtime/churn.py`` and ``security/``
+P08   operator overlay registrations via raw ``overlay.new_data`` /
+      ``overlay.upcall`` (no tracked unsubscribe path)
 ====  ==================================================================
 
 Suppression: append ``# pierlint: disable=P0x`` to the offending line, or

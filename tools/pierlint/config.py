@@ -35,6 +35,12 @@ holds in part of the tree:
   repertoire and the adversary's ground-truth ledger live — and
   ``security/``, the defences that are measured against them.
 
+* P08 applies to operator implementations, which must make their overlay
+  registrations through ``PhysicalOperator.listen`` / ``intercept``; the
+  helpers live in ``qp/operators/base.py``, which is therefore exempt.
+  Components that register for the life of the node (``overlay/``,
+  ``qp/proxy.py``, ``qp/dissemination.py``) are out of scope.
+
 Files outside the ``repro`` package (tests, benchmarks, tools) are not
 linted by default — conventions like seeded RNG access are free to be
 broken by test fixtures on purpose.
@@ -69,6 +75,7 @@ RULE_SCOPES: Dict[str, _Scope] = {
     ),
     "P06": ([""], ["runtime/codec.py"]),
     "P07": ([""], ["runtime/churn.py", "security/"]),
+    "P08": (["qp/operators/", "qp/hierarchical.py"], ["qp/operators/base.py"]),
 }
 
 ALL_RULE_IDS = sorted(RULE_SCOPES)

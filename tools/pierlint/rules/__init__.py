@@ -18,6 +18,7 @@ from tools.pierlint.rules import (
     p05_timer_leak,
     p06_pickle_wire,
     p07_attack_repertoire,
+    p08_registration_leak,
 )
 
 RULE_MODULES: Dict[str, object] = {
@@ -30,5 +31,6 @@ RULE_MODULES: Dict[str, object] = {
         p05_timer_leak,
         p06_pickle_wire,
         p07_attack_repertoire,
+        p08_registration_leak,
     )
 }

@@ -131,7 +131,7 @@ def lint_paths(paths: Iterable[Path]) -> List[Violation]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.pierlint",
-        description="PIER-specific static analysis (rules P01-P07).",
+        description="PIER-specific static analysis (rules P01-P08).",
     )
     parser.add_argument(
         "paths",
