@@ -23,17 +23,11 @@ from repro.qp.tuples import MalformedTupleError, Tuple
 def coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
     """Convert a stored object into a tuple, best-effort.
 
-    Interned wire tuples pass through zero-copy; the legacy
-    ``{"table", "values"}`` dict form is rebuilt; a bare mapping becomes a
+    Interned wire tuples pass through zero-copy; a bare mapping becomes a
     tuple of ``table``."""
     if isinstance(value, Tuple):
         return value
     if isinstance(value, dict):
-        if "table" in value and "values" in value:
-            try:
-                return Tuple.from_wire(value)
-            except MalformedTupleError:
-                return None
         return Tuple(table, value)
     return None
 

@@ -16,7 +16,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple as PyTuple
 from repro.overlay.naming import random_suffix
 from repro.qp.operators.base import DEFAULT_PROBE_TAG, PhysicalOperator, register_operator
 from repro.qp.tuples import Tuple
-from repro.runtime.sizing import estimate_message_size
+from repro.runtime.sizing import wire_size
 
 RESULT_NAMESPACE = "__results__"
 
@@ -120,7 +120,7 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         self.tuples_published = 0
         self.batches_published = 0
         # EXPLAIN ANALYZE actuals: network messages this operator caused
-        # (always counted — one int add) and their estimated wire bytes
+        # (always counted — one int add) and their codec-sized wire bytes
         # (only measured for traced queries; sizing costs real work).
         self.messages_shipped = 0
         self.bytes_shipped = 0
@@ -129,7 +129,7 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
     def _note_shipped(self, payload: Any) -> None:
         self.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += estimate_message_size(payload)
+            self.bytes_shipped += wire_size(payload)
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         key = tup.key(self.key_columns[slot] if self._keyed_per_slot else self.key_columns)
@@ -166,7 +166,7 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         self.batches_published += 1
         self.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += estimate_message_size(values)
+            self.bytes_shipped += wire_size(values)
         self.context.overlay.put_batch(
             self.namespace,
             partition_key,
@@ -317,7 +317,7 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
         wire = [tup.to_wire() for tup in batch]
         self.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += estimate_message_size(wire)
+            self.bytes_shipped += wire_size(wire)
         self.context.overlay.direct_message(
             self.context.proxy_address,
             namespace=RESULT_NAMESPACE,

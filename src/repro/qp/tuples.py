@@ -12,18 +12,15 @@ the same shape share one interned :class:`Schema` (table name, column
 order, and an O(1) column->index map), and a :class:`Tuple` is just a
 schema reference plus a value tuple.  The tuple itself is the wire object
 — senders ship it as-is and receivers use it as-is (``to_wire`` /
-``from_wire``), with the legacy ``{"table": ..., "values": {...}}`` dict
-form still accepted on receive.  Tuples are immutable once created, which
-is what lets the simulator memoize their wire size (see
-:mod:`repro.runtime.sizing`) and pass them between virtual nodes without
-dict round-trips.
+``from_wire``).  Tuples are immutable once created, which is what lets
+the codec memoize a tuple's encoding and its encoded size (see
+:mod:`repro.runtime.sizing`) and lets the simulator pass tuples between
+virtual nodes by reference.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple as PyTuple
-
-from repro.runtime.sizing import MAX_DEPTH, deep_size
 
 
 class MalformedTupleError(Exception):
@@ -37,13 +34,13 @@ class Schema:
     """An interned (table, columns) descriptor shared by same-shape tuples.
 
     Interning makes the per-tuple cost of self-description one pointer:
-    the column list, the column->position map, and the fixed portion of
-    the wire-size estimate are computed once per distinct shape and shared
-    by every tuple of that shape.  Use :meth:`intern`; constructing
-    ``Schema`` directly creates an un-shared instance.
+    the column list, the column->position map, and the packed wire header
+    are computed once per distinct shape and shared by every tuple of that
+    shape.  Use :meth:`intern`; constructing ``Schema`` directly creates
+    an un-shared instance.
     """
 
-    __slots__ = ("table", "columns", "index", "_wire_overhead", "_packed_header", "_positions")
+    __slots__ = ("table", "columns", "index", "_packed_header", "_positions")
 
     _interned: Dict[PyTuple[str, PyTuple[str, ...]], "Schema"] = {}
 
@@ -53,7 +50,6 @@ class Schema:
         self.index: Dict[str, int] = {
             column: position for position, column in enumerate(columns)
         }
-        self._wire_overhead: Optional[int] = None
         self._packed_header: Optional[bytes] = None
         self._positions: Dict[
             PyTuple[Optional[str], ...], Optional[PyTuple[Optional[int], ...]]
@@ -87,24 +83,6 @@ class Schema:
                 resolved = None
             self._positions[columns] = resolved
             return resolved
-
-    @property
-    def wire_overhead(self) -> int:
-        """Bytes of the legacy dict wire form not attributable to values.
-
-        Matches the structural estimate of ``{"table": t, "values": {...}}``
-        minus the per-tuple column values, so interned wire tuples are
-        accounted byte-for-byte like their old dict form.
-        """
-        overhead = self._wire_overhead
-        if overhead is None:
-            overhead = (
-                91
-                + len(self.table)
-                + sum(16 + len(column) for column in self.columns)
-            )
-            self._wire_overhead = overhead
-        return overhead
 
     @property
     def packed_header(self) -> bytes:
@@ -141,7 +119,7 @@ class Tuple:
     def __init__(self, table: str, values: Mapping[str, Any]) -> None:
         self.schema = Schema.intern(table, values.keys())
         self._values: PyTuple[Any, ...] = tuple(values.values())
-        self._wire_size: Optional[PyTuple[int, int]] = None  # (depth, size)
+        self._wire_size: Optional[int] = None  # codec.encoded_size memo
         self._hash: Optional[int] = None
         self._encoded: Optional[bytes] = None
 
@@ -162,30 +140,16 @@ class Tuple:
         return Tuple(table, values)
 
     @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "Tuple":
-        """Rebuild a tuple from the legacy dict wire form (see :meth:`to_dict`)."""
-        if not isinstance(payload, Mapping) or "table" not in payload or "values" not in payload:
-            raise MalformedTupleError(f"not a tuple payload: {payload!r}")
-        return Tuple(str(payload["table"]), dict(payload["values"]))
-
-    @staticmethod
     def from_wire(payload: Any) -> "Tuple":
         """Accept a wire payload: an interned tuple passes through as-is
-        (zero-copy — tuples are immutable), the legacy
-        ``{"table", "values"}`` dict form is rebuilt."""
+        (zero-copy — tuples are immutable); anything else is malformed."""
         if isinstance(payload, Tuple):
             return payload
-        if isinstance(payload, Mapping):
-            return Tuple.from_dict(payload)
         raise MalformedTupleError(f"not a tuple payload: {payload!r}")
 
     def to_wire(self) -> "Tuple":
         """Wire representation: the tuple itself (schema reference + values)."""
         return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The legacy self-describing dict form (kept for compatibility)."""
-        return {"table": self.table, "values": dict(zip(self.schema.columns, self._values))}
 
     # -- access -------------------------------------------------------------- #
     @property
@@ -325,42 +289,6 @@ class Tuple:
         if not isinstance(value, Tuple):
             raise MalformedTupleError(f"not an encoded tuple: {value!r}")
         return value
-
-    # -- accounting ---------------------------------------------------------------- #
-    def wire_size(self, depth: int = 1) -> int:
-        """Memoized structural size of this tuple on the wire.
-
-        ``depth`` is the nesting level the tuple's legacy dict form would
-        occupy in the enclosing message (1 for a single ``put``'s value,
-        3 for a ``put_batch`` entry), so the result is byte-for-byte what
-        walking that dict form at the same depth would charge — including
-        the recursion cutoff for deeply nested column values.  Tuples are
-        immutable, so the size for a given depth is computed once; a tuple
-        normally travels one kind of message, so a single-entry cache
-        suffices.
-        """
-        if depth > MAX_DEPTH:
-            return 8
-        cached = self._wire_size
-        if cached is not None and cached[0] == depth:
-            return cached[1]
-        child_depth = depth + 1
-        if child_depth > MAX_DEPTH:
-            # The "table"/"values" strings and the values dict all sit past
-            # the cutoff: 8 flat bytes each.
-            size = 16 + 8 * 4
-        else:
-            value_depth = child_depth + 1
-            if value_depth > MAX_DEPTH:
-                # Column names and values flatten to 8 bytes apiece inside
-                # the values dict.
-                size = 91 + len(self.table) + 16 * len(self._values)
-            else:
-                size = self.schema.wire_overhead + sum(
-                    deep_size(value, value_depth) for value in self._values
-                )
-        self._wire_size = (depth, size)
-        return size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tuple):

@@ -1,9 +1,11 @@
-"""Binary wire codec for the physical runtime (paper Section 3.1).
+"""Binary wire codec of both runtimes (paper Section 3.1).
 
-The simulator passes payload objects between virtual nodes by reference,
-so it never serialises anything.  The physical runtime cannot: every
-message crosses a real socket.  This module is the single place where
-PIER payloads become bytes and back.
+The physical runtime sends every message across a real socket in this
+format; this module is the single place where PIER payloads become bytes
+and back.  The simulator passes payload objects between virtual nodes by
+reference, but it charges each message the bytes this format would send:
+:func:`encoded_size` is ``len(encode(value))`` computed without building
+any bytes, and :mod:`repro.runtime.sizing` adds the datagram envelope.
 
 The encoding is a tagged, struct-packed format designed around the
 interned-schema tuples from the hot-path overhaul:
@@ -22,8 +24,9 @@ interned-schema tuples from the hot-path overhaul:
   :class:`~repro.qp.tuples.Schema` contributes one cached header blob
   (table + column names) and the tuple contributes only its packed
   values, in column order.  ``Tuple.to_bytes`` memoizes the full
-  encoding on the (immutable) tuple, so a tuple that crosses many hops
-  or rides in many batches is packed once.
+  encoding on the (immutable) tuple, and :func:`encoded_size` memoizes
+  its length, so a tuple that crosses many hops or rides in many batches
+  is packed, or sized, once.
 * **Pickle is a declared fallback**, not the wire format.  Payload
   shapes the tagged encoding does not know (exotic application objects)
   fall back to a length-prefixed pickle frame, and the module counts
@@ -225,6 +228,65 @@ def _encode_fallback(value: Any, parts: List[bytes]) -> None:
     raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     parts.append(_U8.pack(TAG_PICKLE) + _U32.pack(len(raw)))
     parts.append(raw)
+
+
+def encoded_size(value: Any) -> int:
+    """``len(encode(value))``, computed without building any bytes.
+
+    Applies :func:`_encode_value`'s rules, one branch per type, tested in
+    the order types occur in routed messages (strings first).  A tuple's
+    size is memoized on the (immutable) tuple like its encoding.  A value
+    the tagged format does not know is sized by encoding it, so its pickle
+    frame is counted in :data:`FALLBACKS` exactly as sending it would be.
+    """
+    kind = value.__class__
+    if kind is str:
+        if value in _WELLKNOWN_INDEX:
+            return 2
+        length = len(value) if value.isascii() else len(value.encode("utf-8"))
+        return (2 if length < 256 else 5) + length
+    if kind is dict:
+        total = 5
+        for key, item in value.items():
+            total += encoded_size(key) + encoded_size(item)
+        return total
+    if kind is list or kind is tuple:
+        total = 5
+        for item in value:
+            total += encoded_size(item)
+        return total
+    if kind is int:
+        if -128 <= value <= 127:
+            return 2
+        if -(2 ** 31) <= value < 2 ** 31:
+            return 5
+        if -(2 ** 63) <= value < 2 ** 63:
+            return 9
+        return 5 + (value.bit_length() + 8) // 8
+    if kind is Tuple:
+        return _tuple_size(value)
+    if value is None or kind is bool:
+        return 1
+    if kind is float:
+        return 9
+    if kind is bytes:
+        return 5 + len(value)
+    if kind is set or kind is frozenset:
+        return 5 + sum(map(encoded_size, value))
+    if isinstance(value, Tuple):  # Tuple subclass
+        return _tuple_size(value)
+    return len(encode(value))
+
+
+def _tuple_size(tup: Tuple) -> int:
+    """Tag byte, the schema's cached header, then the values."""
+    size = tup._wire_size
+    if size is None:
+        size = 1 + len(tup.schema.packed_header)
+        for value in tup._values:
+            size += encoded_size(value)
+        tup._wire_size = size
+    return size
 
 
 def pack_schema(schema: Schema) -> bytes:

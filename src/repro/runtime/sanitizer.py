@@ -44,9 +44,10 @@ from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple as PyTu
 
 __all__ = ["SanitizerError", "SimSanitizer", "payload_fingerprint", "verify_determinism"]
 
-# repro.qp.tuples imports repro.runtime.sizing, so importing it eagerly
-# here would close an import cycle through repro.runtime.simulation.  The
-# fingerprint walk resolves the classes on first use instead.
+# Importing repro.qp.tuples runs the repro.qp package's imports (executor,
+# operators), which import the runtime back; so that importing this module
+# never depends on that order, the fingerprint walk resolves the classes
+# on first use.
 _TUPLE_CLASSES: Optional[PyTuple[type, type]] = None
 
 

@@ -8,7 +8,10 @@ corresponding :class:`NetworkEvent` fires at the destination.
 
 The simulator works at message-level granularity (each simulated "packet"
 carries a whole application message), does not model loss, and supports
-complete node failures — all as described in the paper.
+complete node failures — all as described in the paper.  Payloads travel
+by reference, but each message is charged the bytes of the datagram the
+physical runtime would send for it (:func:`repro.runtime.sizing.wire_size`),
+and an acknowledgement the bytes of a bare codec envelope.
 """
 
 from __future__ import annotations
@@ -19,17 +22,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.runtime.codec import ENVELOPE_BYTES
 from repro.runtime.congestion import CongestionModel, NetworkStats, NoCongestionModel
 from repro.runtime.endpoint import NetworkEndpoint
 from repro.runtime.events import Event, NetworkEvent
 from repro.runtime.rand import derive_rng
 from repro.runtime.sanitizer import SimSanitizer
 from repro.runtime.scheduler import MainScheduler
-
-# Sizing rules live in repro.runtime.sizing; re-exported here because the
-# simulator is where every send is priced (and callers import it from here).
-from repro.runtime.sizing import deep_size as _deep_size  # noqa: F401
-from repro.runtime.sizing import estimate_message_size  # noqa: F401
+from repro.runtime.sizing import wire_size
 from repro.runtime.topology import StarTopology, Topology
 from repro.runtime.vri import (
     PortRegistry,
@@ -179,8 +179,6 @@ class SimulationEnvironment(NetworkEndpoint):
     selects between them with ``PIERNetwork(mode=...)``.
     """
 
-    UDP_ACK_OVERHEAD_BYTES = 60
-
     def __init__(
         self,
         node_count: int,
@@ -284,7 +282,7 @@ class SimulationEnvironment(NetworkEndpoint):
         ack: Optional[_PendingAck],
     ) -> None:
         destination_address, destination_port = destination
-        size = estimate_message_size(payload)
+        size = wire_size(payload)
         self.stats.record_send(size)
         self.bytes_sent_by_node[source] += size
         tracer = self.tracer
@@ -360,14 +358,15 @@ class SimulationEnvironment(NetworkEndpoint):
         source_runtime = self._runtimes.get(source)
         if source_runtime is None or not source_runtime.alive:
             return
-        self.stats.bytes_sent += self.UDP_ACK_OVERHEAD_BYTES
+        # An ack is the physical runtime's ACK frame: the envelope alone.
+        self.stats.bytes_sent += ENVELOPE_BYTES
         # Per-node accounting parity: a delivered message's ack is traffic
         # the *receiver* sends, so charge it to that node too.  Failure-path
         # acks are synthesized by the environment (no node transmitted
         # anything), so only the global counter moves there — under drops,
         # sum(bytes_sent_by_node) is less than stats.bytes_sent by design.
         if success and acker is not None:
-            self.bytes_sent_by_node[acker] += self.UDP_ACK_OVERHEAD_BYTES
+            self.bytes_sent_by_node[acker] += ENVELOPE_BYTES
         # The ack travels back over the network, so charge one RTT-ish delay.
         self.scheduler.schedule_callback(
             0.0, self._notify_ack, (ack, success), node_id=source

@@ -1,164 +1,29 @@
-"""Structural wire-size estimation shared by the runtime environments.
+"""Message sizes for both runtime environments: the bytes the codec sends.
 
-The simulator only needs message sizes to drive the congestion models, so
-sizes are a structural estimate (a recursive walk over containers) rather
-than a real serialisation.  This module is the single source of truth for
-those rules; :mod:`repro.runtime.simulation` re-exports
-:func:`estimate_message_size` for its callers.
+A message's size is the length of the datagram the physical runtime
+would put on the wire for it — the fixed envelope header plus the
+payload's :mod:`repro.runtime.codec` encoding.  The simulator charges
+exactly that to its congestion models and byte counters, so simulated
+and physical ``bytes_sent`` count the same bytes.
 
-Two things make the estimate cheap on the hot path:
-
-* **Memoized wire objects.**  Any payload object exposing a
-  ``wire_size(depth)`` method (the interned-schema
-  :class:`repro.qp.tuples.Tuple` does) is charged that cached size
-  instead of being re-walked.  The contract is that wire objects are
-  immutable once sent, so the size is computed once per (tuple, embedding
-  depth) no matter how many hops or batches carry it; a batch's size is
-  its envelope plus the sum of the elements' cached sizes.
-* **No catalog of types.**  Scalars and containers are matched by
-  ``isinstance`` exactly as before; arbitrary objects are charged for
-  their instance fields — both ``__dict__`` *and* ``__slots__`` entries.
-  (Slots-only objects used to fall through to ``sys.getsizeof`` and
-  undercount their real payload fields.)
-
-The per-value byte rules are unchanged from the original estimator, so
-message and byte counters are byte-for-byte identical for dict payloads.
+Sizing builds no bytes: :func:`repro.runtime.codec.encoded_size` walks
+the payload by the codec's own tag and width rules, and an (immutable)
+:class:`repro.qp.tuples.Tuple` memoizes its size, so a tuple is walked
+once no matter how many hops or batches carry it.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Any, Dict, Optional
+from typing import Any
 
-HEADER_BYTES = 48
-
-# Recursion beyond this depth is charged a flat 8 bytes per value.
-MAX_DEPTH = 6
+from repro.runtime.codec import ENVELOPE_BYTES, encoded_size
 
 
 def wire_size(payload: Any) -> int:
-    """Exact size, in bytes, of ``payload`` in the physical wire format.
-
-    Unlike :func:`estimate_message_size` — a *structural* estimate whose
-    per-value rules are pinned by the simulator's congestion models and
-    byte counters — this is the true encoded length of the payload under
-    :mod:`repro.runtime.codec`, plus the fixed datagram envelope.  The
-    memoization contract carries over: immutable wire tuples cache their
-    encoding, so repeated sizing (or sending) of the same tuple packs it
-    once.
-    """
-    from repro.runtime import codec
-
-    return codec.ENVELOPE_BYTES + len(codec.encode(payload))
+    """Bytes of the datagram that carries ``payload``."""
+    return ENVELOPE_BYTES + encoded_size(payload)
 
 
-def estimate_message_size(payload: Any) -> int:
-    """Rough size, in bytes, of an application message.
-
-    A small per-message header charge plus the structural size of the
-    payload.  Most PIER messages are under 2 KB.
-    """
-    return HEADER_BYTES + deep_size(payload, 0)
-
-
-def deep_size(value: Any, depth: int) -> int:
-    """Structural size of one value at ``depth`` levels of nesting.
-
-    The exact-type fast paths at the top dispatch the overwhelmingly
-    common shapes (scalars, plain dicts/lists/tuples of scalars) without
-    recursive calls; subclasses and arbitrary objects fall through to the
-    generic walk below.  Both paths charge identical bytes.
-    """
-    if depth > MAX_DEPTH or value is None:
-        return 8
-    kind = value.__class__
-    if kind is int or kind is float or kind is bool:
-        return 8
-    if kind is str:
-        return 16 + len(value)
-    if kind is dict:
-        child_depth = depth + 1
-        if child_depth > MAX_DEPTH:
-            return 16 + 16 * len(value)
-        total = 16
-        for key, item in value.items():
-            total += 16 + len(key) if key.__class__ is str else deep_size(key, child_depth)
-            item_kind = item.__class__
-            if item_kind is int or item_kind is float or item_kind is bool:
-                total += 8
-            elif item_kind is str:
-                total += 16 + len(item)
-            else:
-                total += deep_size(item, child_depth)
-        return total
-    if kind is list or kind is tuple:
-        child_depth = depth + 1
-        if child_depth > MAX_DEPTH:
-            return 16 + 8 * len(value)
-        total = 16
-        for item in value:
-            item_kind = item.__class__
-            if item_kind is int or item_kind is float or item_kind is bool:
-                total += 8
-            elif item_kind is str:
-                total += 16 + len(item)
-            else:
-                total += deep_size(item, child_depth)
-        return total
-    if kind is bytes:
-        return 16 + len(value)
-    return _deep_size_slow(value, depth)
-
-
-def _deep_size_slow(value: Any, depth: int) -> int:
-    """Generic walk: memoized wire objects, subclasses, arbitrary objects."""
-    if isinstance(value, (int, float, bool)):
-        return 8
-    if isinstance(value, str):
-        return 16 + len(value)
-    if isinstance(value, bytes):
-        return 16 + len(value)
-    wire_size = getattr(value, "wire_size", None)
-    if wire_size is not None and callable(wire_size):
-        return wire_size(depth)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 16 + sum(deep_size(item, depth + 1) for item in value)
-    if isinstance(value, dict):
-        return 16 + sum(
-            deep_size(key, depth + 1) + deep_size(item, depth + 1)
-            for key, item in value.items()
-        )
-    fields = _instance_fields(value)
-    if fields is not None:
-        return 32 + deep_size(fields, depth + 1)
-    try:
-        return sys.getsizeof(value)
-    except TypeError:
-        return 64
-
-
-def _instance_fields(value: Any) -> Optional[Dict[str, Any]]:
-    """The instance attributes of an arbitrary object, or ``None``.
-
-    Collects ``__dict__`` when present and every ``__slots__`` name
-    declared along the MRO, so slots-only wire messages are charged for
-    their real fields.
-    """
-    slot_names = []
-    for klass in type(value).__mro__:
-        slots = klass.__dict__.get("__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        slot_names.extend(
-            name for name in slots if name not in ("__dict__", "__weakref__")
-        )
-    instance_dict = getattr(value, "__dict__", None)
-    if instance_dict is None and not slot_names:
-        return None
-    fields: Dict[str, Any] = dict(instance_dict) if instance_dict else {}
-    for name in slot_names:
-        try:
-            fields[name] = getattr(value, name)
-        except AttributeError:
-            continue
-    return fields
+# The older name, bound to the same function: tools outside ``src/`` call
+# and time message sizing by either name.
+estimate_message_size = wire_size

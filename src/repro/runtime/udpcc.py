@@ -233,9 +233,6 @@ class UdpCCTransport:
             if kind == "data":
                 self._handle_data(source, payload)
                 return
-            if "udpcc_id" in payload:
-                # Legacy framing: deliver, no ack semantics to honour.
-                payload = payload["payload"]
         if self._receive_handler is not None:
             self._receive_handler(source, payload)
 

@@ -52,7 +52,7 @@ def test_fetch_matches_join_probes_the_dht_index(small_overlay):
     for file_id in range(4):
         deployment.node(file_id).put(
             "files", file_id, f"s{file_id}",
-            Tuple.make("files", file_id=file_id, size=file_id * 10).to_dict(), 300,
+            Tuple.make("files", file_id=file_id, size=file_id * 10), 300,
         )
     deployment.run(3.0)
     from operator_harness import Collector

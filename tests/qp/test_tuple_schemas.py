@@ -75,22 +75,11 @@ def test_new_wire_form_is_zero_copy():
     assert Tuple.from_wire(tup.to_wire()) is tup
 
 
-def test_legacy_wire_form_round_trips():
-    tup = Tuple.make("events", src="10.0.0.1", count=3, tags=[1, 2])
-    legacy = tup.to_dict()
-    assert legacy == {
-        "table": "events",
-        "values": {"src": "10.0.0.1", "count": 3, "tags": [1, 2]},
-    }
-    rebuilt = Tuple.from_wire(legacy)
-    assert rebuilt == tup
-    assert rebuilt.columns == tup.columns
-    assert rebuilt.schema is tup.schema
-
-
 def test_from_wire_rejects_non_tuple_payloads():
     with pytest.raises(MalformedTupleError):
         Tuple.from_wire({"not": "a tuple"})
+    with pytest.raises(MalformedTupleError):
+        Tuple.from_wire({"table": "t", "values": {"a": 1}})  # no dict form
     with pytest.raises(MalformedTupleError):
         Tuple.from_wire(42)
     with pytest.raises(MalformedTupleError):
@@ -192,12 +181,12 @@ def test_project_deduplicates_requested_columns():
 def test_equality_and_hash_agree_across_construction_paths():
     via_make = Tuple.make("t", a=1, b="x")
     via_init = Tuple("t", {"a": 1, "b": "x"})
-    via_legacy = Tuple.from_wire({"table": "t", "values": {"a": 1, "b": "x"}})
+    via_bytes = Tuple.from_bytes(via_make.to_bytes())
     via_pickle = pickle.loads(pickle.dumps(via_make))
-    for clone in (via_init, via_legacy, via_pickle):
+    for clone in (via_init, via_bytes, via_pickle):
         assert clone == via_make
         assert hash(clone) == hash(via_make)
-    assert len({via_make, via_init, via_legacy, via_pickle}) == 1
+    assert len({via_make, via_init, via_bytes, via_pickle}) == 1
 
 
 def test_equality_ignores_column_order_like_the_dict_form_did():

@@ -26,12 +26,20 @@ def test_tuple_is_self_describing():
 
 def test_wire_roundtrip_preserves_tuple():
     tup = Tuple.make("t", a=1, b="x", c=[1, 2])
-    assert Tuple.from_dict(tup.to_dict()) == tup
+    assert Tuple.from_bytes(tup.to_bytes()) == tup
 
 
 def test_from_dict_rejects_non_tuple_payloads():
-    with pytest.raises(MalformedTupleError):
-        Tuple.from_dict({"not": "a tuple"})
+    """There is no dict form of a tuple: a dict payload, even one shaped
+    like ``{"table": ..., "values": ...}``, is malformed on both decode
+    paths."""
+    from repro.runtime import codec
+
+    for payload in ({"not": "a tuple"}, {"table": "t", "values": {"a": 1}}):
+        with pytest.raises(MalformedTupleError):
+            Tuple.from_wire(payload)
+        with pytest.raises(MalformedTupleError):
+            Tuple.from_bytes(codec.encode(payload))
 
 
 def test_missing_column_raises_malformed():
@@ -71,7 +79,7 @@ def test_tuple_hash_handles_unhashable_values():
 @settings(max_examples=60, deadline=None)
 def test_property_wire_roundtrip(values):
     tup = Tuple("t", values)
-    assert Tuple.from_dict(tup.to_dict()).as_mapping() == values
+    assert Tuple.from_bytes(tup.to_bytes()).as_mapping() == values
 
 
 def test_malformed_guard_returns_none_on_bad_tuples():

@@ -165,15 +165,6 @@ def test_tuples_nested_in_envelopes_roundtrip():
     assert codec.FALLBACKS.total() == 0
 
 
-def test_legacy_dict_tuple_form_roundtrips_without_fallback():
-    row = Tuple.make("legacy", k=1, v="x")
-    legacy = row.to_dict()  # {"table": ..., "values": {...}}
-    decoded = roundtrip(legacy)
-    assert decoded == legacy
-    assert Tuple.from_dict(decoded) == row
-    assert codec.FALLBACKS.total() == 0
-
-
 # -- pickle fallback ------------------------------------------------------------ #
 
 class SlottedPayload:

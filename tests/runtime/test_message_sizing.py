@@ -1,96 +1,135 @@
-"""Pinned message-size estimates for representative wire messages.
+"""A message's size is the length of the datagram the codec would send.
 
-The structural sizing rules drive the congestion models and every
-bandwidth experiment, so they are pinned here byte-for-byte: the interned
-tuple wire form must cost exactly what the legacy dict form cost, batches
-must cost their envelope plus the sum of cached element sizes, and
-``__slots__`` objects must be charged for their real payload fields
-(they used to fall through to ``sys.getsizeof`` and undercount).
+The simulator charges ``sizing.wire_size(payload)`` to its congestion
+models and byte counters; the physical runtime sends
+``codec.pack_datagram(...)``.  These tests hold the two to the same
+number for every payload shape the codec knows, pin what a few shapes
+cost, check that sizing builds no bytes, and send the same messages
+through both runtimes.
 """
 
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.qp.tuples import Tuple
-from repro.runtime.simulation import estimate_message_size
-from repro.runtime.sizing import HEADER_BYTES, deep_size
+from repro.runtime import codec
+from repro.runtime.codec import ENVELOPE_BYTES
+from repro.runtime.physical import PhysicalEnvironment
+from repro.runtime.simulation import SimulationEnvironment
+from repro.runtime.sizing import wire_size
 
-HEADER = HEADER_BYTES
+
+@pytest.fixture(autouse=True)
+def _reset_fallback_counter():
+    codec.FALLBACKS.reset()
+    yield
+    codec.FALLBACKS.reset()
 
 
-# -- scalar and container pins --------------------------------------------------- #
+def datagram_length(payload) -> int:
+    return len(codec.pack_datagram(codec.KIND_DATA, 1, 2, 3, payload))
+
+
+# -- agreement with the codec, for every shape it knows ---------------------------- #
+
+INT_EDGES = [
+    0, 127, 128, -128, -129,
+    2 ** 31 - 1, 2 ** 31, -(2 ** 31), -(2 ** 31) - 1,
+    2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1,
+    2 ** 200, -(2 ** 200),
+]
+# Short/long string forms switch at 256 *encoded* bytes: "é" * 128 is 128
+# characters but 256 bytes.
+STRING_EDGES = ["", "x" * 255, "x" * 256, "é" * 127, "é" * 128, "✓" * 86]
+
+ints = st.one_of(st.sampled_from(INT_EDGES), st.integers())
+strings = st.one_of(
+    st.text(alphabet=string.ascii_letters, max_size=12),
+    st.text(max_size=12),
+    st.sampled_from(STRING_EDGES),
+    st.integers(min_value=256, max_value=700).map(lambda n: "y" * n),
+    st.sampled_from(codec.WELLKNOWN_STRINGS),
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), ints, st.floats(), strings, st.binary(max_size=40)
+)
+columns = st.text(alphabet="abcdef", min_size=1, max_size=3)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(scalars, children, max_size=4),
+        st.sets(scalars, max_size=4),
+        st.frozensets(scalars, max_size=4),
+        st.builds(
+            Tuple,
+            st.sampled_from(["t", "events", "tablé"]),
+            st.dictionaries(columns, children, min_size=1, max_size=4),
+        ),
+    )
+
+
+payloads = st.recursive(scalars, _containers, max_leaves=24)
+
+
+@given(payloads)
+@settings(max_examples=300, deadline=None)
+def test_wire_size_is_the_datagram_length(payload):
+    size = wire_size(payload)
+    assert size == datagram_length(payload)
+    assert codec.FALLBACKS.total() == 0
 
 
 @pytest.mark.parametrize(
     "payload, expected",
     [
-        (None, HEADER + 8),
-        (7, HEADER + 8),
-        (3.5, HEADER + 8),
-        (True, HEADER + 8),
-        ("abc", HEADER + 16 + 3),
-        (b"abcd", HEADER + 16 + 4),
-        ([1, 2, 3], HEADER + 16 + 24),
-        ((1, "ab"), HEADER + 16 + 8 + 18),
-        ({"k": 1}, HEADER + 16 + (16 + 1) + 8),
-        ({1, 2}, HEADER + 16 + 16),
+        (None, ENVELOPE_BYTES + 1),
+        (7, ENVELOPE_BYTES + 2),
+        (3.5, ENVELOPE_BYTES + 9),
+        (True, ENVELOPE_BYTES + 1),
+        ("abc", ENVELOPE_BYTES + 2 + 3),
+        (b"abcd", ENVELOPE_BYTES + 5 + 4),
+        ([1, 2, 3], ENVELOPE_BYTES + 5 + 3 * 2),
+        ((1, "ab"), ENVELOPE_BYTES + 5 + 2 + 4),
+        ({"k": 1}, ENVELOPE_BYTES + 5 + 3 + 2),
+        ({1, 2}, ENVELOPE_BYTES + 5 + 2 * 2),
     ],
 )
 def test_scalar_and_container_sizes_are_pinned(payload, expected):
-    assert estimate_message_size(payload) == expected
+    assert wire_size(payload) == expected == datagram_length(payload)
 
 
-def test_depth_cutoff_charges_flat_bytes():
-    nested = [[[[[[[["deep string ignored"]]]]]]]]
-    # Depth 7 exceeds the cutoff: the innermost list is charged 8 flat.
-    assert estimate_message_size(nested) == HEADER + 16 * 7 + 8
+def test_deep_nesting_is_charged_in_full():
+    text = "deep string, charged"
+    nested = [[[[[[[[text]]]]]]]]
+    assert wire_size(nested) == ENVELOPE_BYTES + 8 * 5 + 2 + len(text)
 
 
-# -- tuple wire form -------------------------------------------------------------- #
-
-
-def test_interned_tuple_costs_exactly_its_legacy_dict_form():
-    tup = Tuple.make("events", src="10.0.0.1", port=22, count=3, proto="tcp")
-    assert estimate_message_size(tup) == estimate_message_size(tup.to_dict())
-    assert tup.wire_size(0) == deep_size(tup.to_dict(), 0)
+# -- tuples: memoized, never packed to be sized --------------------------------------- #
 
 
 def test_tuple_wire_size_is_memoized():
-    tup = Tuple.make("t", a=1, b="xyz")
+    tup = Tuple.make("t", a=1, b="xyz", c=[1, 2])
     assert tup._wire_size is None
-    first = tup.wire_size()
-    assert tup._wire_size == (1, first)
-    assert tup.wire_size() == first
+    first = wire_size(tup)
+    assert tup._encoded is None  # sizing built no bytes
+    assert first == ENVELOPE_BYTES + len(tup.to_bytes())
+    tup._wire_size = 1000
+    assert wire_size(tup) == ENVELOPE_BYTES + 1000  # the memo, not a re-walk
 
 
-def test_tuple_wire_size_tracks_embedding_depth():
-    """Nested-container column values interact with the recursion cutoff,
-    so the memoized size must match the legacy walk at *every* embedding
-    depth — not just the single-``put`` depth."""
+def test_tuple_size_does_not_depend_on_embedding_depth():
     tup = Tuple.make("t", k=1, tags=[["alpha", "beta"], ["gamma"]])
-    for depth in range(0, 9):
-        assert tup.wire_size(depth) == deep_size(tup.to_dict(), depth), depth
-
-
-def test_put_message_size_unchanged_by_zero_copy():
-    """A ``put`` carrying the tuple object must cost the same bytes as one
-    carrying the old per-tuple dict."""
-    tup = Tuple.make("events", src="10.0.0.1", count=3)
-
-    def put_message(value):
-        return {
-            "kind": "put",
-            "namespace": "events",
-            "key": "10.0.0.1",
-            "suffix": "abcdef123456",
-            "value": value,
-            "lifetime": 600.0,
-            "request_id": None,
-            "origin": 3,
-        }
-
-    assert estimate_message_size(put_message(tup)) == estimate_message_size(
-        put_message(tup.to_dict())
-    )
+    for depth in range(9):
+        payload = tup
+        for _ in range(depth):
+            payload = [payload]
+        assert wire_size(payload) == ENVELOPE_BYTES + 5 * depth + len(tup.to_bytes())
 
 
 def test_put_batch_size_is_envelope_plus_cached_elements():
@@ -107,18 +146,15 @@ def test_put_batch_size_is_envelope_plus_cached_elements():
             "origin": 0,
         }
 
-    zero_copy = batch_message([(f"{i:012x}", tup) for i, tup in enumerate(tuples)])
-    legacy = batch_message(
-        [[f"{i:012x}", tup.to_dict()] for i, tup in enumerate(tuples)]
-    )
-    assert estimate_message_size(zero_copy) == estimate_message_size(legacy)
-    # The batch is priced off the elements' memoized sizes.
-    header_only = estimate_message_size(batch_message([]))
-    per_element = [16 + (16 + 12) + tup.wire_size() for tup in tuples]
-    assert estimate_message_size(zero_copy) == header_only + sum(per_element)
+    size = wire_size(batch_message([(f"{i:012x}", tup) for i, tup in enumerate(tuples)]))
+    assert all(tup._encoded is None for tup in tuples)  # nothing was packed
+    # Each entry: a 2-tuple header, a 12-character suffix, the tuple's memo.
+    per_entry = [5 + (2 + 12) + tup._wire_size for tup in tuples]
+    assert size == wire_size(batch_message([])) + sum(per_entry)
+    assert [tup._wire_size for tup in tuples] == [len(tup.to_bytes()) for tup in tuples]
 
 
-# -- __slots__ objects ------------------------------------------------------------- #
+# -- objects the codec does not know: their counted pickle frame --------------------- #
 
 
 class _SlottedAck:
@@ -143,28 +179,81 @@ class _DictPayload:
         self.b = "xy"
 
 
+def _charged_its_pickle_frame(payload):
+    """Size ``payload`` and return what its pickle frame decodes to."""
+    size = wire_size(payload)
+    assert codec.FALLBACKS.encodes == 1  # sizing counts the fallback
+    frame = codec.encode(payload)
+    assert frame[0] == codec.TAG_PICKLE
+    assert size == ENVELOPE_BYTES + len(frame) == datagram_length(payload)
+    return codec.decode(frame)
+
+
 def test_slots_objects_are_charged_for_their_fields():
-    ack = _SlottedAck(request_id=12, success=True)
-    fields_dict = {"request_id": 12, "success": True}
-    expected = HEADER + 32 + deep_size(fields_dict, 1)
-    assert estimate_message_size(ack) == expected
-    # Regression guard: the old estimator undercounted slots-only objects
-    # (no __dict__ -> sys.getsizeof of the bare object, fields ignored).
-    assert estimate_message_size(ack) > HEADER + 32 + 16
+    decoded = _charged_its_pickle_frame(_SlottedAck(request_id=12, success=True))
+    assert (decoded.request_id, decoded.success) == (12, True)
 
 
 def test_slots_are_collected_across_the_mro():
-    derived = _SlottedDerived()
-    fields_dict = {"request_id": 7, "success": True, "hops": 3}
-    assert estimate_message_size(derived) == HEADER + 32 + deep_size(fields_dict, 1)
+    decoded = _charged_its_pickle_frame(_SlottedDerived())
+    assert (decoded.request_id, decoded.success, decoded.hops) == (7, True, 3)
 
 
-def test_dict_backed_objects_keep_their_old_size():
-    payload = _DictPayload()
-    assert estimate_message_size(payload) == HEADER + 32 + deep_size(vars(payload), 1)
+def test_dict_backed_objects_are_charged_their_pickle_frame():
+    decoded = _charged_its_pickle_frame(_DictPayload())
+    assert vars(decoded) == {"a": 1, "b": "xy"}
 
 
 def test_unset_slots_are_skipped():
     ack = _SlottedAck.__new__(_SlottedAck)
     ack.request_id = 1  # "success" left unset
-    assert estimate_message_size(ack) == HEADER + 32 + deep_size({"request_id": 1}, 1)
+    decoded = _charged_its_pickle_frame(ack)
+    assert decoded.request_id == 1 and not hasattr(decoded, "success")
+
+
+# -- both runtimes charge one send the same bytes ---------------------------------------- #
+
+
+def _frame(message):
+    """The UdpCC data frame the overlay's transport wraps a message in."""
+    return {"udpcc": "data", "id": 41, "port": 5000, "payload": message}
+
+
+ROWS = [Tuple.make("hp_fact", f_id=i, k=i % 9, src=f"10.0.0.{i}") for i in range(8)]
+MESSAGES = {
+    "put": {
+        "kind": "put", "namespace": "q1:rehash_0", "key": 4, "suffix": "00a1b2c3d4e5",
+        "value": ROWS[0], "lifetime": 600.0, "request_id": 17, "origin": 3,
+    },
+    "put_batch": {
+        "kind": "put_batch", "namespace": "q1:rehash_0", "key": 4,
+        "entries": [(f"{i:012x}", row) for i, row in enumerate(ROWS)],
+        "lifetime": 600.0, "request_id": 18, "origin": 3,
+    },
+    "lookup": {
+        "kind": "lookup", "target": 2 ** 159 + 12345, "request_id": 19,
+        "origin": 3, "hops": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MESSAGES))
+def test_both_runtimes_charge_a_send_the_same_bytes(kind):
+    payload = _frame(MESSAGES[kind])
+    simulated = SimulationEnvironment(2, seed=1)
+    before = simulated.stats.bytes_sent
+    simulated.runtime(0).send(5000, (1, 5000), payload)
+    simulated_bytes = simulated.stats.bytes_sent - before
+
+    physical = PhysicalEnvironment(2, seed=1)
+    try:
+        sender = physical.runtime(0)
+        before = physical.stats.bytes_sent
+        sender.send(5000, (physical.runtime(1).address, 5000), payload)
+        physical_bytes = physical.stats.bytes_sent - before
+        first_attempt = next(iter(sender._pending.values())).wire
+    finally:
+        physical.close()
+
+    assert simulated_bytes == physical_bytes == len(first_attempt) == wire_size(payload)
+    assert codec.FALLBACKS.total() == 0

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.runtime.codec import ENVELOPE_BYTES
 from repro.runtime.congestion import FIFOQueueModel
-from repro.runtime.simulation import SimulationEnvironment, estimate_message_size
+from repro.runtime.simulation import SimulationEnvironment
+from repro.runtime.sizing import estimate_message_size
 from repro.runtime.topology import StarTopology
 
 
@@ -172,8 +174,8 @@ def test_per_node_byte_accounting_includes_ack_overhead():
     env.runtime(0).send(9000, (2, 9000), {"hello": "world"}, "m", sender)
     env.run(1.0)
     assert sender.acks == [("m", True)]
-    # Node 2 sent no data message, only the ack.
-    assert env.bytes_sent_by_node[2] == env.UDP_ACK_OVERHEAD_BYTES
+    # Node 2 sent no data message, only the ack: a bare codec envelope.
+    assert env.bytes_sent_by_node[2] == ENVELOPE_BYTES
     assert sum(env.bytes_sent_by_node.values()) == env.stats.bytes_sent
 
 

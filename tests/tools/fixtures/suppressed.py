@@ -1,13 +1,13 @@
 """Fixture: suppression comments silence specific rules."""
-# pierlint: disable-file=P04
+# pierlint: disable-file=P02
 
 
 def inline(tuples):
     return tuples.Schema("t", ("a",))  # pierlint: disable=P01
 
 
-def file_wide(tup):
-    return tup.to_dict()  # suppressed by the disable-file above
+def handle_udp(source, payload):
+    payload["seen"] = True  # suppressed by the disable-file above
 
 
 def still_flagged(tuples):

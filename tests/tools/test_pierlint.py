@@ -32,7 +32,6 @@ def _lint(name: str, rule_id: str):
         ("P01", {5, 6}),
         ("P02", {6, 7, 8, 9, 12, 15}),
         ("P03", {9, 13, 18}),
-        ("P04", {5, 9}),
         ("P05", {6, 10, 12}),
         ("P06", {8, 12, 16}),
         ("P07", {4, 9, 10, 12}),
@@ -45,7 +44,7 @@ def test_rule_flags_seeded_violations(rule_id, expected_lines):
     assert all(v.rule_id == rule_id for v in violations)
 
 
-@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P04", "P05", "P06", "P07", "P08"])
+@pytest.mark.parametrize("rule_id", ["P01", "P02", "P03", "P05", "P06", "P07", "P08"])
 def test_rule_passes_clean_twin(rule_id):
     assert _lint(f"{rule_id.lower()}_clean.py", rule_id) == []
 
@@ -68,7 +67,7 @@ def test_p05_names_both_failure_modes():
 
 # -- suppression ------------------------------------------------------------- #
 def test_inline_and_file_suppressions():
-    violations = lint_file(FIXTURES / "suppressed.py", rule_ids=["P01", "P04"])
+    violations = lint_file(FIXTURES / "suppressed.py", rule_ids=["P01", "P02"])
     # Only the unsuppressed P01 on the last function remains.
     assert [(v.rule_id, v.line) for v in violations] == [("P01", 14)]
 

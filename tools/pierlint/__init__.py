@@ -14,7 +14,6 @@ Rules (see ``docs/ANALYSIS.md`` for the full catalog and rationale):
 P01   ``Schema(...)`` constructed outside ``Schema.intern``
 P02   mutation of received wire payloads / ``Tuple`` internals
 P03   direct ``random.*`` / wall-clock calls in simulator-driven modules
-P04   ``to_dict()``/``from_dict`` round-trips on the hot send/receive path
 P05   timers armed via raw ``context.schedule`` (no tracked cancel path),
       or ``stop()`` overrides that skip ``super().stop()``
 P06   pickle on wire paths outside the codec's counted fallback

@@ -16,8 +16,6 @@ holds in part of the tree:
   attacker selection, forge-victim choice, and spot-check sampling must
   go through ``derive_rng`` / deterministic hashing, or byzantine
   experiments would not replay.
-* P04 applies to the query-processor and overlay hot path; ``qp/tuples.py``
-  itself defines the dict round-trip helpers it guards against.
 * P05 applies to operator implementations, which must arm timers through
   the tracked ``PhysicalOperator.arm_timer`` helper.  The helper itself
   lives in ``qp/operators/base.py``, which is therefore exempt.  The
@@ -68,7 +66,6 @@ RULE_SCOPES: Dict[str, _Scope] = {
         [],
     ),
     "P03": ([""], ["runtime/rand.py", "runtime/physical.py"]),
-    "P04": (["qp/", "overlay/"], ["qp/tuples.py"]),
     "P05": (
         ["qp/operators/", "qp/hierarchical.py", "cq/", "obs/"],
         ["qp/operators/base.py"],

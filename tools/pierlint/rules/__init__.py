@@ -14,7 +14,6 @@ from tools.pierlint.rules import (
     p01_schema_intern,
     p02_wire_mutation,
     p03_nondeterminism,
-    p04_dict_roundtrip,
     p05_timer_leak,
     p06_pickle_wire,
     p07_attack_repertoire,
@@ -27,8 +26,7 @@ RULE_MODULES: Dict[str, object] = {
         p01_schema_intern,
         p02_wire_mutation,
         p03_nondeterminism,
-        p04_dict_roundtrip,
-        p05_timer_leak,
+            p05_timer_leak,
         p06_pickle_wire,
         p07_attack_repertoire,
         p08_registration_leak,
