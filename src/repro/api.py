@@ -54,6 +54,7 @@ from repro.qp.integrity import (
     apply_integrity,
     resolve_integrity,
 )
+from repro.qp.operators.access import coerce_tuple
 from repro.qp.opgraph import QueryPlan
 from repro.qp.proxy import QueryHandle
 from repro.qp.resilience import ResiliencePolicy, resolve_resilience
@@ -459,7 +460,15 @@ class PIERNetwork:
                 )
             columns = list(descriptor.partitioning)
         effective_lifetime = lifetime if lifetime is not None else descriptor.lifetime
-        rows = list(rows)
+        # A row is a Tuple or a mapping of column values — what a scan
+        # accepts from the DHT — and a bad one fails before any is sent.
+        given = list(rows)
+        rows = [coerce_tuple(namespace, row) for row in given]
+        if None in rows:
+            raise TypeError(
+                f"publish() rows are Tuples or dicts of column values; table "
+                f"{namespace!r} got a {type(given[rows.index(None)]).__name__}"
+            )
         for index, tup in enumerate(rows):
             origin = self.nodes[(publisher + index) % len(self.nodes)] if spread else self.nodes[publisher]
             origin.publish(namespace, columns, tup, lifetime=effective_lifetime)
@@ -722,19 +731,16 @@ class PIERNetwork:
         The caller grows ``plan.timeout`` first (see
         ``ContinuousQuery.renew``); this re-arms the proxy's completion
         timer and broadcasts a renew control message so every node pushes
-        out its opgraph teardown deadline to the new remaining time.
+        out its opgraph teardown to the query's new deadline.
         """
         node = self.nodes[proxy]
         query_id = query if isinstance(query, str) else query.query_id
         handle = node.proxy.query(query_id)
-        if handle is None or handle.finished:
-            return False
-        remaining = (handle.submitted_at + handle.plan.timeout) - self.now
-        if remaining <= 0:
+        if handle is None or handle.finished or handle.deadline <= self.now:
             return False
         node.proxy.renew(query_id)
         node.disseminator.broadcast_control(
-            query_id, {"action": "renew", "remaining": remaining}
+            query_id, {"action": "renew", "deadline": handle.deadline}
         )
         return True
 

@@ -136,7 +136,7 @@ class SharedPlan:
 
     @property
     def deadline(self) -> float:
-        return self.stream.handle.submitted_at + self.plan.timeout
+        return self.stream.handle.deadline
 
     @property
     def subscriber_count(self) -> int:

@@ -30,6 +30,8 @@ DEFAULT_ROOT_KEY = "pier-distribution-tree-root"
 ADVERTISE_NAMESPACE = "__dtree_advertise__"
 CHILDREN_NAMESPACE = "__dtree_children__"
 BROADCAST_NAMESPACE = "__dtree_broadcast__"
+# The default tree's broadcast namespace and root key are codec well-known
+# strings: every plan broadcast names both, on every tree edge.
 
 # How long a broadcast object is stored, and therefore how long a copy of
 # it can still arrive: its id is remembered exactly that long.

@@ -10,23 +10,27 @@ An opgraph is shipped only to the nodes that must run it.  Three
 * the *range-predicate index* (the Prefix Hash Tree) resolves the DHT keys
   covering a value range, and the opgraph is sent to each covering node.
 
-Opgraphs travel inside a query-dissemination DHT namespace; the receiving
-node hands them to its local executor.
+Opgraphs travel in a :class:`~repro.qp.opgraph.QueryEnvelope`: all of a
+query's broadcast opgraphs in one envelope down the tree, a targeted one
+in an envelope of its own through the query-dissemination DHT namespace.
+The envelope carries the proxy's absolute deadline, and the receiving node
+hands its graphs to the local executor to run until then.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.overlay.distribution_tree import DistributionTree
 from repro.overlay.identifiers import object_identifier
 from repro.overlay.naming import random_suffix
 from repro.overlay.wrapper import OverlayNode
-from repro.qp.opgraph import OpGraph, QueryPlan
+from repro.qp.opgraph import OpGraph, QueryEnvelope, QueryPlan
 
 DISSEMINATION_NAMESPACE = "__query_dissemination__"
 
-InstallHandler = Callable[[Dict[str, Any]], None]
+# Receives what arrived: a query's envelope, or a control / pane-burst dict.
+InstallHandler = Callable[[Union[QueryEnvelope, Dict[str, Any]]], None]
 
 # The plan metadata an executing node acts on (``QueryExecutor.install``
 # reads exactly these).  The rest of ``plan.metadata`` — the SQL text, the
@@ -42,21 +46,25 @@ ENVELOPE_METADATA_KEYS = (
 )
 
 
-def query_envelope(plan: QueryPlan, graph: OpGraph, proxy_address: Any) -> Dict[str, Any]:
-    """The wire format in which an opgraph travels to executing nodes.
+def query_envelope(
+    plan: QueryPlan, graphs: Iterable[OpGraph], proxy_address: Any, deadline: float
+) -> QueryEnvelope:
+    """The wire form in which opgraphs travel to executing nodes.
 
     The query-wide execution settings in the plan's metadata
     (:data:`ENVELOPE_METADATA_KEYS`) ride along so that they take effect
     on every executing node, not just the proxy that compiled the plan.
+    The envelope is built from the plan each time it is sent, so a
+    renewed lifetime travels as the renewed ``deadline``.
     """
     metadata = plan.metadata
-    return {
-        "query_id": plan.query_id,
-        "timeout": plan.timeout,
-        "proxy": proxy_address,
-        "metadata": {key: metadata[key] for key in ENVELOPE_METADATA_KEYS if key in metadata},
-        "graph": graph.to_dict(),
-    }
+    return QueryEnvelope(
+        plan.query_id,
+        deadline,
+        proxy_address,
+        {key: metadata[key] for key in ENVELOPE_METADATA_KEYS if key in metadata},
+        tuple(graph.to_wire() for graph in graphs),
+    )
 
 
 class QueryDisseminator:
@@ -89,20 +97,19 @@ class QueryDisseminator:
     def disseminate(
         self,
         plan: QueryPlan,
-        graph: OpGraph,
         proxy_address: Any,
-        timeout_override: Optional[float] = None,
+        deadline: float,
+        rejoined: Any = None,
     ) -> None:
-        """Ship one opgraph according to its dissemination spec.
+        """Ship every opgraph of ``plan`` according to its dissemination spec.
 
-        ``timeout_override`` replaces the envelope's execution time — used
-        by rejoin re-dissemination, where the installed graph must tear
-        down when the (already running) query does, not a full timeout
-        from now.
+        The broadcast opgraphs travel together, in one envelope, down the
+        distribution tree.  ``rejoined`` names a node that recovered while
+        the query runs: it alone gets the broadcast envelope, straight from
+        here — the rest of the tree already has it — while the targeted
+        opgraphs are routed again, since their keys may now be owned by
+        the rejoined node.
         """
-        envelope = query_envelope(plan, graph, proxy_address)
-        if timeout_override is not None:
-            envelope["timeout"] = timeout_override
         # Causal tracing: dissemination runs under the query's trace scope
         # so that every lookup, route choice, and transport send it causes
         # is attributed to the query (repro.obs).  The scope is ambient —
@@ -110,7 +117,7 @@ class QueryDisseminator:
         tracer = getattr(self.overlay.runtime, "tracer", None)
         trace_meta = plan.metadata.get("trace") if tracer is not None else None
         if not trace_meta:
-            self._dispatch(plan, graph, envelope)
+            self._dispatch(plan, proxy_address, deadline, rejoined)
             return
         previous = tracer.activate(trace_meta["trace_id"], trace_meta["span"])
         span = tracer.begin(
@@ -118,37 +125,52 @@ class QueryDisseminator:
             trace_meta["trace_id"],
             parent_id=trace_meta["span"],
             node=self.overlay.address,
-            graph=graph.graph_id,
-            strategy=graph.dissemination.strategy,
+            graphs=len(plan.opgraphs),
         )
         try:
-            self._dispatch(plan, graph, envelope)
+            self._dispatch(plan, proxy_address, deadline, rejoined)
         finally:
             tracer.end(span)
             tracer.restore(previous)
 
-    def _dispatch(self, plan: QueryPlan, graph: OpGraph, envelope: Dict[str, Any]) -> None:
-        strategy = graph.dissemination.strategy
-        if strategy == "broadcast":
-            self.graphs_broadcast += 1
-            self.tree.broadcast(f"{plan.query_id}/{graph.graph_id}", envelope)
-        elif strategy == "equality":
-            self.graphs_targeted += 1
-            self._send_to_key(
-                graph.dissemination.namespace, graph.dissemination.key, envelope
-            )
-        elif strategy == "range":
-            keys = self._resolve_range(graph)
-            for key in keys:
+    def _dispatch(
+        self, plan: QueryPlan, proxy_address: Any, deadline: float, rejoined: Any
+    ) -> None:
+        broadcast = []
+        for graph in plan.opgraphs:
+            strategy = graph.dissemination.strategy
+            if strategy == "broadcast":
+                broadcast.append(graph)
+                continue
+            envelope = query_envelope(plan, (graph,), proxy_address, deadline)
+            if strategy == "equality":
                 self.graphs_targeted += 1
-                self._send_to_key(graph.dissemination.namespace, key, envelope)
-        elif strategy == "local":
-            self.install_handler(envelope)
-        else:  # pragma: no cover - validated at plan construction
-            raise ValueError(f"unknown dissemination strategy {strategy!r}")
+                self._send_to_key(
+                    graph.dissemination.namespace, graph.dissemination.key, envelope
+                )
+            elif strategy == "range":
+                for key in self._resolve_range(graph):
+                    self.graphs_targeted += 1
+                    self._send_to_key(graph.dissemination.namespace, key, envelope)
+            else:  # local: only the proxy runs it
+                self.install_handler(envelope)
+        if not broadcast:
+            return
+        envelope = query_envelope(plan, broadcast, proxy_address, deadline)
+        if rejoined is not None:
+            self.overlay.direct_message(
+                rejoined,
+                namespace=DISSEMINATION_NAMESPACE,
+                key=f"rejoin:{plan.query_id}",
+                value=envelope,
+            )
+            return
+        self.graphs_broadcast += len(broadcast)
+        self.tree.broadcast(plan.query_id, envelope)
 
-    def _send_to_key(self, namespace: Optional[str], key: Any, envelope: Dict[str, Any]) -> None:
-        """Route the opgraph to the node responsible for (namespace, key)."""
+    def _send_to_key(self, namespace: Optional[str], key: Any, envelope: QueryEnvelope) -> None:
+        """Route the opgraph to the node responsible for (namespace, key).
+        The stored copy lives as long as the query has left to run."""
         if namespace is None:
             raise ValueError("equality/range dissemination requires a namespace")
         target = object_identifier(namespace, key)
@@ -157,7 +179,7 @@ class QueryDisseminator:
             key=f"{namespace}:{key!r}",
             suffix=random_suffix(),
             value=envelope,
-            lifetime=envelope["timeout"],
+            lifetime=envelope.deadline - self.overlay.runtime.get_current_time(),
             target=target,
         )
 
@@ -179,13 +201,11 @@ class QueryDisseminator:
 
     # -- inbound -------------------------------------------------------------- #
     def _on_broadcast(self, payload: object) -> None:
-        if isinstance(payload, dict) and (
-            "graph" in payload or "control" in payload or "panes" in payload
+        if isinstance(payload, QueryEnvelope) or (
+            isinstance(payload, dict) and ("control" in payload or "panes" in payload)
         ):
             self.install_handler(payload)
 
     def _on_targeted(self, _namespace: str, _key: object, value: object) -> None:
-        if isinstance(value, dict) and (
-            "graph" in value or "control" in value or "panes" in value
-        ):
+        if isinstance(value, QueryEnvelope):
             self.install_handler(value)

@@ -8,7 +8,7 @@ Virtual Runtime Interface.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.overlay.distribution_tree import DistributionTree
 from repro.overlay.naming import random_suffix
@@ -16,7 +16,7 @@ from repro.overlay.router import BootstrapDirectory, ChordRouter, NodeContact, R
 from repro.overlay.wrapper import OverlayNode
 from repro.qp.dissemination import QueryDisseminator
 from repro.qp.executor import QueryExecutor
-from repro.qp.opgraph import QueryPlan
+from repro.qp.opgraph import QueryEnvelope, QueryPlan
 from repro.qp.proxy import ProxyService, QueryHandle
 from repro.qp.tuples import Tuple
 from repro.runtime.vri import VirtualRuntime
@@ -156,34 +156,40 @@ class PIERNode:
             del self._pane_listeners[query_id]
 
     # -- dissemination sink ---------------------------------------------------------- #
-    def _install_envelope(self, envelope: Dict[str, Any]) -> None:
-        """Install an opgraph (or apply a control message) that arrived via
-        dissemination."""
-        from repro.qp.opgraph import OpGraph
+    def _install_envelope(self, envelope: Union[QueryEnvelope, Dict[str, Any]]) -> None:
+        """Install the opgraphs of a query envelope that arrived via
+        dissemination, or apply a control message or pane burst.
 
-        panes = envelope.get("panes")
-        if panes is not None:
-            for callback in list(self._pane_listeners.get(envelope["query_id"], ())):
-                callback(panes)
-            return
-        control = envelope.get("control")
-        if control is not None:
-            if control.get("action") == "renew":
+        Every graph runs until the proxy's deadline, the same moment on
+        every node however deep in the tree this one is; an envelope that
+        arrives after it installs nothing."""
+        if not isinstance(envelope, QueryEnvelope):
+            panes = envelope.get("panes")
+            if panes is not None:
+                for callback in list(self._pane_listeners.get(envelope["query_id"], ())):
+                    callback(panes)
+                return
+            control = envelope.get("control")
+            if control is not None and control.get("action") == "renew":
                 self.executor.extend_query(
-                    envelope["query_id"], float(control.get("remaining", 0.0))
+                    envelope["query_id"],
+                    control["deadline"] - self.runtime.get_current_time(),
                 )
             return
-        graph = OpGraph.from_dict(envelope["graph"])
-        query_id = envelope["query_id"]
-        proxy_address = envelope["proxy"]
+        remaining = envelope.deadline - self.runtime.get_current_time()
+        if remaining <= 0:
+            return
+        query_id = envelope.query_id
+        proxy_address = envelope.proxy
         deliver = None
         if proxy_address == self.overlay.address:
             deliver = lambda tup, qid=query_id: self.proxy.deliver_local_result(qid, tup)
-        self.executor.install(
-            query_id=query_id,
-            graph=graph,
-            timeout=envelope["timeout"],
-            proxy_address=proxy_address,
-            deliver_result=deliver,
-            metadata=envelope.get("metadata"),
-        )
+        for graph in envelope.opgraphs():
+            self.executor.install(
+                query_id=query_id,
+                graph=graph,
+                timeout=remaining,
+                proxy_address=proxy_address,
+                deliver_result=deliver,
+                metadata=envelope.metadata,
+            )

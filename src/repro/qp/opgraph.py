@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 _query_counter = itertools.count(1)
 
@@ -164,6 +164,41 @@ class OpGraph:
             ],
         }
 
+    def to_wire(self) -> Tuple[Any, ...]:
+        """The form an opgraph travels in to the nodes that run it:
+        ``(graph_id, ((operator_id, op_type, params, inputs), ...))`` with
+        each operator's inputs given as positions in that sequence.
+
+        The dissemination spec stays with the plan: it chose which nodes
+        receive the graph, and no receiving node reads it.  Operator ids
+        travel, because trace spans and EXPLAIN ANALYZE name operators by
+        them."""
+        specs = list(self.operators.values())
+        position = {spec.operator_id: index for index, spec in enumerate(specs)}
+        return (
+            self.graph_id,
+            tuple(
+                (
+                    spec.operator_id,
+                    spec.op_type,
+                    dict(spec.params),
+                    tuple(position[input_id] for input_id in spec.inputs),
+                )
+                for spec in specs
+            ),
+        )
+
+    @staticmethod
+    def from_wire(wire: Sequence[Any]) -> "OpGraph":
+        """Rebuild an opgraph from :meth:`to_wire`'s form.  It has the
+        default dissemination spec: the wire form carries none."""
+        graph_id, operators = wire
+        ids = [operator[0] for operator in operators]
+        graph = OpGraph(graph_id)
+        for operator_id, op_type, params, inputs in operators:
+            graph.add_operator(operator_id, op_type, params, (ids[slot] for slot in inputs))
+        return graph
+
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "OpGraph":
         dissemination = payload.get("dissemination", {})
@@ -237,3 +272,67 @@ class QueryPlan:
         for graph_payload in payload.get("opgraphs", []):
             plan.add_graph(OpGraph.from_dict(graph_payload))
         return plan
+
+
+class QueryEnvelope:
+    """One query's opgraphs on their way to the nodes that run them.
+
+    ``deadline`` is the proxy's absolute end of the query
+    (``submitted_at + timeout``): every node tears the query's graphs down
+    at that moment, however late the envelope reached it.  ``metadata``
+    holds the execution settings an executing node acts on (the
+    ``ENVELOPE_METADATA_KEYS`` of :mod:`repro.qp.dissemination`);
+    ``graphs`` the opgraphs in :meth:`OpGraph.to_wire` form.
+
+    Immutable, like a :class:`~repro.qp.tuples.Tuple`, and for the same
+    reason: a distribution-tree node hands one envelope to each of its
+    children, so the codec memoizes its encoded size (and, for sockets,
+    its bytes) on it and sizes or encodes it once, not once per edge.
+    """
+
+    __slots__ = ("query_id", "deadline", "proxy", "metadata", "graphs", "_wire_size", "_encoded")
+
+    def __init__(
+        self,
+        query_id: str,
+        deadline: float,
+        proxy: Any,
+        metadata: Dict[str, Any],
+        graphs: Tuple[Any, ...],
+    ) -> None:
+        init = object.__setattr__
+        init(self, "query_id", query_id)
+        init(self, "deadline", deadline)
+        init(self, "proxy", proxy)
+        init(self, "metadata", metadata)
+        init(self, "graphs", graphs)
+        init(self, "_wire_size", None)  # codec.encoded_size memo
+        init(self, "_encoded", None)  # codec encoding memo
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"QueryEnvelope is immutable: cannot set {name!r}")
+
+    def fields(self) -> Tuple[Any, ...]:
+        """The encoded fields, in wire order."""
+        return (self.query_id, self.deadline, self.proxy, self.metadata, self.graphs)
+
+    def opgraphs(self) -> List[OpGraph]:
+        return [OpGraph.from_wire(wire) for wire in self.graphs]
+
+    def to_bytes(self) -> bytes:
+        """The codec's encoding of this envelope, built at most once."""
+        encoded = self._encoded
+        if encoded is None:
+            from repro.runtime import codec
+
+            parts: List[bytes] = [bytes((codec.TAG_QUERY_ENVELOPE,))]
+            for value in self.fields():
+                codec._encode_value(value, parts)
+            encoded = b"".join(parts)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryEnvelope):
+            return NotImplemented
+        return self.fields() == other.fields()

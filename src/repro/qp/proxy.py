@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.overlay.wrapper import OverlayNode
-from repro.qp.dissemination import (
-    DISSEMINATION_NAMESPACE,
-    QueryDisseminator,
-    query_envelope,
-)
+from repro.qp.dissemination import QueryDisseminator
 from repro.qp.executor import FINISHED_RETENTION, QueryExecutor, pop_expired
 from repro.qp.integrity import (
     INTEGRITY_NAMESPACE,
@@ -40,7 +36,7 @@ from repro.qp.integrity import (
     IntegrityPolicy,
     IntegrityReport,
 )
-from repro.qp.opgraph import OpGraph, QueryPlan
+from repro.qp.opgraph import QueryPlan
 from repro.qp.operators.exchange import RESULT_NAMESPACE
 from repro.qp.resilience import ResiliencePolicy
 from repro.qp.tuples import MalformedTupleError, Tuple
@@ -84,6 +80,12 @@ class QueryHandle:
     @property
     def query_id(self) -> str:
         return self.plan.query_id
+
+    @property
+    def deadline(self) -> float:
+        """When the query ends, on every node: the plan's (possibly
+        renewed) timeout after submission."""
+        return self.submitted_at + self.plan.timeout
 
     @property
     def first_result_latency(self) -> Optional[float]:
@@ -208,8 +210,7 @@ class ProxyService:
             if context is not None:
                 plan.metadata["trace"] = context
         self._queries[plan.query_id] = handle
-        for graph in plan.opgraphs:
-            self.disseminator.disseminate(plan, graph, proxy_address=self.overlay.address)
+        self.disseminator.disseminate(plan, self.overlay.address, handle.deadline)
         # The proxy reports completion shortly after the query timeout so
         # that the last flush-produced results have time to arrive.
         self.overlay.runtime.schedule_event(
@@ -288,53 +289,16 @@ class ProxyService:
     def _redisseminate(self, handle: QueryHandle, address: Any) -> bool:
         """Re-install a running query's opgraphs on a recovered node.
 
-        Broadcast opgraphs are shipped straight to the rejoining node (the
-        rest of the network already has them — the executor's duplicate
-        guard would drop a full re-broadcast anyway); targeted opgraphs are
-        re-disseminated through the normal routing path, since ownership
-        of their keys may have moved to the recovered node.  Either way the
-        envelope carries the query's *remaining* time so the re-installed
-        graph tears down with the query, not ``timeout`` seconds from now.
-        Returns whether anything was (re)shipped.
+        The envelope carries the query's deadline as it stands now, so the
+        re-installed graphs tear down with the query, not a full timeout
+        from now.  Returns whether anything was (re)shipped.
         """
-        now = self.overlay.runtime.get_current_time()
-        remaining = (handle.submitted_at + handle.plan.timeout) - now
-        if remaining <= 0:
+        if handle.deadline <= self.overlay.runtime.get_current_time():
             return False
         handle.redisseminations += 1
-        # Rejoin re-dissemination runs under the query's original trace
-        # scope: the re-shipped envelopes carry the same trace id, so the
-        # span chain stays a single trace across the node's failure.
-        tracer = getattr(self.overlay.runtime, "tracer", None)
-        trace_meta = handle.plan.metadata.get("trace") if tracer is not None else None
-        previous = (
-            tracer.activate(trace_meta["trace_id"], trace_meta["span"])
-            if trace_meta
-            else None
+        self.disseminator.disseminate(
+            handle.plan, self.overlay.address, handle.deadline, rejoined=address
         )
-        try:
-            for graph in handle.plan.opgraphs:
-                if graph.dissemination.strategy == "broadcast":
-                    envelope = query_envelope(
-                        handle.plan, graph, proxy_address=self.overlay.address
-                    )
-                    envelope["timeout"] = remaining
-                    self.overlay.direct_message(
-                        address,
-                        namespace=DISSEMINATION_NAMESPACE,
-                        key=f"rejoin:{handle.query_id}",
-                        value=envelope,
-                    )
-                else:
-                    self.disseminator.disseminate(
-                        handle.plan,
-                        graph,
-                        proxy_address=self.overlay.address,
-                        timeout_override=remaining,
-                    )
-        finally:
-            if trace_meta:
-                tracer.restore(previous)
         return True
 
     # -- lifetime renewal ------------------------------------------------------ #
@@ -346,7 +310,7 @@ class ProxyService:
         if handle is None or handle.finished:
             return False
         now = self.overlay.runtime.get_current_time()
-        due = handle.submitted_at + handle.plan.timeout + 1.0
+        due = handle.deadline + 1.0
         if due <= now:
             return False
         self.overlay.runtime.schedule_event(due - now, query_id, self._on_query_timeout)
@@ -491,7 +455,7 @@ class ProxyService:
         if handle is None or handle.finished:
             return
         now = self.overlay.runtime.get_current_time()
-        if now + 1e-9 < handle.submitted_at + handle.plan.timeout + 1.0:
+        if now + 1e-9 < handle.deadline + 1.0:
             return  # lifetime was renewed; renew() armed a later timer
         self._finish(handle)
         self._finalize_integrity(handle)

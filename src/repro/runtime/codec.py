@@ -27,6 +27,11 @@ interned-schema tuples from the hot-path overhaul:
   encoding on the (immutable) tuple, and :func:`encoded_size` memoizes
   its length, so a tuple that crosses many hops or rides in many batches
   is packed, or sized, once.
+* **Query envelopes** (:class:`~repro.qp.opgraph.QueryEnvelope`) carry a
+  query's opgraphs, in the plan's vocabulary (operator types and param
+  keys are well-known strings), down the distribution tree.  An envelope
+  is immutable and memoizes its encoding and its size like a tuple, so a
+  tree node sizes or encodes it once for all of its children.
 * **Pickle is a declared fallback**, not the wire format.  Payload
   shapes the tagged encoding does not know (exotic application objects)
   fall back to a length-prefixed pickle frame, and the module counts
@@ -46,6 +51,7 @@ import pickle
 import struct
 from typing import Any, Dict, List, Optional, Tuple as PyTuple
 
+from repro.qp.opgraph import QueryEnvelope
 from repro.qp.tuples import Schema, Tuple
 
 # --------------------------------------------------------------------------- #
@@ -71,6 +77,7 @@ TAG_FROZENSET = 0x0F
 TAG_WIRE_TUPLE = 0x10
 TAG_WELLKNOWN = 0x11
 TAG_PICKLE = 0x12
+TAG_QUERY_ENVELOPE = 0x13
 
 _INT8 = struct.Struct("!b")
 _INT32 = struct.Struct("!i")
@@ -82,7 +89,8 @@ _U32 = struct.Struct("!I")
 
 # Envelope keys and message kinds that dominate routed messages, control
 # traffic, and aggregate partials.  Appending is safe; reordering or
-# removing entries changes the wire format.
+# removing entries changes the wire format.  An entry's index is one byte:
+# the table holds at most 256.
 WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     # overlay message vocabulary (overlay/wrapper.py)
     "kind", "namespace", "key", "suffix", "value", "lifetime",
@@ -101,6 +109,30 @@ WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     "udpcc", "udpcc_id", "data",
     # causal tracing (repro/obs): the trace context rides in envelopes
     "trace", "trace_id", "span",
+    # the plan's own vocabulary (qp/opgraph.py QueryEnvelope): the
+    # distribution tree's broadcast namespace and root key, ...
+    "__dtree_broadcast__:pier-distribution-tree-root",
+    "pier-distribution-tree-root", "broadcast_id", "graphs", "deadline",
+    "__query_dissemination__",
+    # ... the execution settings an envelope carries ...
+    "exchange_batch_size", "exchange_flush_interval",
+    "result_flush_interval", "resilience", "integrity",
+    # ... operator type names ...
+    "dht_scan", "dht_get", "local_table", "stream_source", "selection",
+    "projection", "rename", "tee", "union", "dupelim", "limit", "queue",
+    "materializer", "symmetric_hash_join", "nested_loop_join",
+    "fetch_matches_join", "bloom_build", "bloom_probe", "result_handler",
+    "groupby_hash", "partial_aggregate", "merge_aggregate",
+    "hierarchical_aggregate", "hierarchical_join", "eddy",
+    # ... operator param keys, and COUNT(*)'s aggregate name
+    "keep", "keep_all", "computed", "predicate", "columns", "key_columns",
+    "left_columns", "right_columns", "outer_columns", "left_table",
+    "inner_table", "inner_namespace", "filter_namespace", "output_table",
+    "scoped", "batch", "batch_size", "flush_interval", "use_send",
+    "group_columns", "aggregates", "emit_states", "emit_on_flush",
+    "window_spec", "hold", "local_wait", "interval", "wait", "stream",
+    "size_bits", "hash_count", "members", "policy", "follow", "replica",
+    "count_all",
 )
 
 _WELLKNOWN_INDEX: Dict[str, int] = {
@@ -191,6 +223,9 @@ def _encode_value(value: Any, parts: List[bytes]) -> None:
         )
         parts.extend(encoded)
         return
+    if kind is QueryEnvelope:
+        parts.append(value.to_bytes())
+        return
     if isinstance(value, Tuple):  # Tuple subclass
         parts.append(value.to_bytes())
         return
@@ -247,8 +282,14 @@ def encoded_size(value: Any) -> int:
         return (2 if length < 256 else 5) + length
     if kind is dict:
         total = 5
+        wellknown = _WELLKNOWN_INDEX
         for key, item in value.items():
-            total += encoded_size(key) + encoded_size(item)
+            # Message keys are nearly all well-known strings: two bytes,
+            # without a call.
+            if key.__class__ is str and key in wellknown:
+                total += 2 + encoded_size(item)
+            else:
+                total += encoded_size(key) + encoded_size(item)
         return total
     if kind is list or kind is tuple:
         total = 5
@@ -273,6 +314,8 @@ def encoded_size(value: Any) -> int:
         return 5 + len(value)
     if kind is set or kind is frozenset:
         return 5 + sum(map(encoded_size, value))
+    if kind is QueryEnvelope:
+        return _envelope_size(value)
     if isinstance(value, Tuple):  # Tuple subclass
         return _tuple_size(value)
     return len(encode(value))
@@ -286,6 +329,15 @@ def _tuple_size(tup: Tuple) -> int:
         for value in tup._values:
             size += encoded_size(value)
         tup._wire_size = size
+    return size
+
+
+def _envelope_size(envelope: QueryEnvelope) -> int:
+    """Tag byte, then the fields in order; memoized on the envelope."""
+    size = envelope._wire_size
+    if size is None:
+        size = 1 + sum(map(encoded_size, envelope.fields()))
+        object.__setattr__(envelope, "_wire_size", size)
     return size
 
 
@@ -386,6 +438,8 @@ def _decode_value(view: memoryview, offset: int) -> PyTuple[Any, int]:
         return (set(members) if tag == TAG_SET else frozenset(members)), offset
     if tag == TAG_WIRE_TUPLE:
         return _decode_wire_tuple(view, offset)
+    if tag == TAG_QUERY_ENVELOPE:
+        return _decode_envelope(view, offset)
     if tag == TAG_PICKLE:
         length = _U32.unpack_from(view, offset)[0]
         offset += 4
@@ -416,6 +470,21 @@ def _decode_wire_tuple(view: memoryview, offset: int) -> PyTuple[Tuple, int]:
         values.append(value)
     schema = Schema.intern(table, tuple(columns))
     return Tuple._from_parts(schema, tuple(values)), offset
+
+
+def _decode_envelope(view: memoryview, offset: int) -> PyTuple[QueryEnvelope, int]:
+    start = offset - 1
+    fields: List[Any] = []
+    for _ in range(5):
+        value, offset = _decode_value(view, offset)
+        fields.append(value)
+    envelope = QueryEnvelope(*fields)
+    # The bytes just read are the envelope's encoding: a node that forwards
+    # it down the tree sends them as they are.
+    encoded = bytes(view[start:offset])
+    object.__setattr__(envelope, "_encoded", encoded)
+    object.__setattr__(envelope, "_wire_size", len(encoded))
+    return envelope, offset
 
 
 # --------------------------------------------------------------------------- #

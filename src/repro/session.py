@@ -158,7 +158,7 @@ class StreamingQuery:
 
     @property
     def _deadline(self) -> float:
-        return self.handle.submitted_at + self.plan.timeout + self._extra_time
+        return self.handle.deadline + self._extra_time
 
     # -- consumption ------------------------------------------------------------ #
     def __iter__(self) -> Iterator[Tuple]:

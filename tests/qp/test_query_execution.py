@@ -201,8 +201,8 @@ def test_envelope_ships_the_execution_settings_and_nothing_else(network):
     }
     assert set(settings) == set(ENVELOPE_METADATA_KEYS)
     plan.metadata.update(settings)
-    envelope = query_envelope(plan, plan.opgraphs[0], proxy_address=0)
-    assert envelope["metadata"] == settings
+    envelope = query_envelope(plan, plan.opgraphs, proxy_address=0, deadline=plan.timeout)
+    assert envelope.metadata == settings
     # Every one of them reaches the operators of a node that is not the proxy.
     result = network.execute(plan, proxy=0)
     (installed,) = [

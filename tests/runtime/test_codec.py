@@ -10,6 +10,11 @@ import math
 
 import pytest
 
+from repro.overlay.distribution_tree import BROADCAST_NAMESPACE, DEFAULT_ROOT_KEY
+from repro.qp.dissemination import query_envelope
+from repro.qp.operators.base import _OPERATOR_REGISTRY
+from repro.qp.opgraph import QueryEnvelope
+from repro.qp.plans import symmetric_hash_join_plan
 from repro.qp.tuples import Schema, Tuple
 from repro.runtime import codec
 from repro.runtime.sizing import wire_size
@@ -93,6 +98,51 @@ def test_wellknown_strings_collapse_to_two_bytes():
         assert codec.decode(encoded) == text
 
 
+# The table as it stands; a later change may append to it, but the position
+# of every string here is the wire format.
+PINNED_WELLKNOWN = (
+    "kind", "namespace", "key", "suffix", "value", "lifetime", "request_id",
+    "origin", "target", "hops", "final", "entries", "lookup", "lookup_response",
+    "put", "put_batch", "ack", "direct", "send", "get_request", "get_response",
+    "renew", "ping", "hello", "contact", "found", "address", "identifier",
+    "values", "query_id", "timeout", "proxy", "metadata", "graph", "control",
+    "panes", "graph_id", "dissemination", "operators", "id", "type", "params",
+    "inputs", "table", "action", "source", "port", "epoch", "pane", "watermark",
+    "seq", "rows", "results", "status", "coverage", "count", "group", "window",
+    "slide", "payload", "udpcc", "udpcc_id", "data", "trace", "trace_id", "span",
+    "__dtree_broadcast__:pier-distribution-tree-root",
+    "pier-distribution-tree-root", "broadcast_id", "graphs", "deadline",
+    "__query_dissemination__", "exchange_batch_size", "exchange_flush_interval",
+    "result_flush_interval", "resilience", "integrity", "dht_scan", "dht_get",
+    "local_table", "stream_source", "selection", "projection", "rename", "tee",
+    "union", "dupelim", "limit", "queue", "materializer", "symmetric_hash_join",
+    "nested_loop_join", "fetch_matches_join", "bloom_build", "bloom_probe",
+    "result_handler", "groupby_hash", "partial_aggregate", "merge_aggregate",
+    "hierarchical_aggregate", "hierarchical_join", "eddy", "keep", "keep_all",
+    "computed", "predicate", "columns", "key_columns", "left_columns",
+    "right_columns", "outer_columns", "left_table", "inner_table",
+    "inner_namespace", "filter_namespace", "output_table", "scoped", "batch",
+    "batch_size", "flush_interval", "use_send", "group_columns", "aggregates",
+    "emit_states", "emit_on_flush", "window_spec", "hold", "local_wait",
+    "interval", "wait", "stream", "size_bits", "hash_count", "members", "policy",
+    "follow", "replica", "count_all",
+)
+
+
+def test_wellknown_strings_only_ever_grow_at_the_end():
+    assert codec.WELLKNOWN_STRINGS[: len(PINNED_WELLKNOWN)] == PINNED_WELLKNOWN
+    assert len(set(codec.WELLKNOWN_STRINGS)) == len(codec.WELLKNOWN_STRINGS) <= 256
+
+
+def test_the_plan_vocabulary_is_wellknown():
+    """Every operator type, and the tree namespace a plan broadcast travels
+    in, costs two bytes on the wire."""
+    types = {name for name, cls in _OPERATOR_REGISTRY.items() if cls.__module__.startswith("repro.")}
+    assert types and types <= set(codec.WELLKNOWN_STRINGS)
+    for text in (f"{BROADCAST_NAMESPACE}:{DEFAULT_ROOT_KEY}", DEFAULT_ROOT_KEY):
+        assert len(codec.encode(text)) == 2
+
+
 def test_non_wellknown_string_uses_inline_form():
     assert codec.encode("definitely-not-in-the-table")[0] == codec.TAG_SHORT_STR
 
@@ -163,6 +213,54 @@ def test_tuples_nested_in_envelopes_roundtrip():
     assert decoded == envelope
     assert all(isinstance(row, Tuple) for row in decoded["entries"])
     assert codec.FALLBACKS.total() == 0
+
+
+def _join_envelope() -> QueryEnvelope:
+    plan = symmetric_hash_join_plan("r", "s", ["k"], ["k"], timeout=5.0)
+    plan.metadata["exchange_batch_size"] = 8
+    return query_envelope(plan, plan.opgraphs, proxy_address=3, deadline=12.5)
+
+
+def test_query_envelope_roundtrips_and_is_sized_exactly():
+    envelope = _join_envelope()
+    encoded = codec.encode(envelope)
+    assert encoded[0] == codec.TAG_QUERY_ENVELOPE
+    assert codec.encoded_size(envelope) == len(encoded)
+    assert wire_size({"kind": "direct", "value": envelope}) == len(
+        codec.pack_datagram(codec.KIND_DATA, 1, 2, 3, {"kind": "direct", "value": envelope})
+    )
+    decoded = codec.decode(encoded)
+    assert type(decoded) is QueryEnvelope
+    assert decoded == envelope
+    assert (decoded.query_id, decoded.deadline, decoded.proxy) == (envelope.query_id, 12.5, 3)
+    assert decoded.metadata == {"exchange_batch_size": 8}
+    # A node that forwards what it received sends the bytes it read.
+    assert decoded.to_bytes() == encoded
+    assert codec.FALLBACKS.total() == 0
+
+
+def test_query_envelope_carries_every_graph_in_the_plans_vocabulary():
+    plan = symmetric_hash_join_plan("r", "s", ["k"], ["k"], timeout=5.0)
+    envelope = query_envelope(plan, plan.opgraphs, proxy_address=0, deadline=5.0)
+    rebuilt = codec.decode(codec.encode(envelope)).opgraphs()
+    assert [graph.graph_id for graph in rebuilt] == [graph.graph_id for graph in plan.opgraphs]
+    for graph, original in zip(rebuilt, plan.opgraphs):
+        assert graph.operators == original.operators
+    # Inputs travel as positions, operator types and param keys as
+    # well-known strings, and no dissemination spec travels at all.
+    (_graph_id, operators), *_ = envelope.graphs
+    assert all(isinstance(slot, int) for operator in operators for slot in operator[3])
+    assert "dissemination" not in repr(envelope.graphs)
+
+
+def test_query_envelope_is_immutable_and_its_memos_hold():
+    envelope = _join_envelope()
+    with pytest.raises(AttributeError):
+        envelope.deadline = 99.0
+    assert envelope.to_bytes() is envelope.to_bytes()
+    size = codec.encoded_size(envelope)
+    object.__setattr__(envelope, "_wire_size", size + 1000)
+    assert codec.encoded_size(envelope) == size + 1000  # the memo, not a re-walk
 
 
 # -- pickle fallback ------------------------------------------------------------ #

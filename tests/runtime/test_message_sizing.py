@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.qp.opgraph import QueryEnvelope
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
 from repro.runtime.codec import ENVELOPE_BYTES
@@ -70,6 +71,14 @@ def _containers(children):
             Tuple,
             st.sampled_from(["t", "events", "tablé"]),
             st.dictionaries(columns, children, min_size=1, max_size=4),
+        ),
+        st.builds(
+            QueryEnvelope,
+            strings,
+            st.floats(),
+            scalars,
+            st.dictionaries(strings, children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
         ),
     )
 
@@ -130,6 +139,20 @@ def test_tuple_size_does_not_depend_on_embedding_depth():
         for _ in range(depth):
             payload = [payload]
         assert wire_size(payload) == ENVELOPE_BYTES + 5 * depth + len(tup.to_bytes())
+
+
+def test_query_envelope_is_sized_once_without_building_bytes():
+    """Every child of a tree node gets the same envelope: the first edge
+    sizes it, the others read the memo."""
+    envelope = QueryEnvelope(
+        "q1", 10.0, 3, {"exchange_batch_size": 8},
+        (("q1-g0", (("scan", "dht_scan", {"namespace": "t"}, ()),)),),
+    )
+    edges = [{"kind": "direct", "value": {"broadcast_id": "q1", "payload": envelope}} for _ in range(3)]
+    first = wire_size(edges[0])
+    assert envelope._encoded is None  # sizing built no bytes
+    assert envelope._wire_size == len(envelope.to_bytes())
+    assert [wire_size(edge) for edge in edges] == [first] * 3 == [datagram_length(edges[0])] * 3
 
 
 def test_put_batch_size_is_envelope_plus_cached_elements():

@@ -263,7 +263,12 @@ def test_duplicate_envelope_is_refused_after_the_record_is_dropped():
     net = make_network(seed=17)
     plan = broadcast_scan_plan("fact", source="dht_scan", timeout=3.0)
     assert len(net.execute(plan)) == 12
-    envelope = query_envelope(plan, plan.opgraphs[0], proxy_address=net.nodes[0].address)
+    # A deadline past both installs below: only the install record and then
+    # its tombstone stand between the envelope and the executor.
+    envelope = query_envelope(
+        plan, plan.opgraphs, proxy_address=net.nodes[0].address,
+        deadline=net.now + 2 * RELEASED_AFTER,
+    )
     node = net.nodes[3]
     installs = node.executor.graphs_installed
     node._install_envelope(envelope)  # the record is still there: a duplicate

@@ -39,6 +39,22 @@ def test_publish_requires_catalog_entry_or_explicit_columns():
         net.publish("never_declared", [Tuple.make("never_declared", a=1)])
 
 
+def test_publish_accepts_mapping_rows_and_rejects_other_shapes():
+    """A dict row becomes a row of the published table, as it does when a
+    scan reads one out of the DHT; anything else fails at the call, before
+    a row is sent."""
+    net = PIERNetwork(6, seed=4)
+    net.create_table("inv", partitioning=["keyword"])
+    assert net.publish("inv", [{"keyword": "kw1", "file_id": 1}, Tuple.make("inv", keyword="kw2", file_id=2)]) == 2
+    net.run(2.0)
+    result = net.query("SELECT file_id FROM inv TIMEOUT 5")
+    assert sorted(result.column("file_id")) == [1, 2]
+    messages = net.environment.stats.messages_sent
+    with pytest.raises(TypeError, match="list"):
+        net.publish("inv", [{"keyword": "kw3", "file_id": 3}, ["kw4", 4]])
+    assert net.environment.stats.messages_sent == messages
+
+
 def test_legacy_publish_auto_registers_table():
     net = PIERNetwork(4, seed=5)
     net.publish("legacy", ["k"], [Tuple.make("legacy", k=1, v=2)])

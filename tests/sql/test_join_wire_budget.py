@@ -14,6 +14,7 @@ from wire_watch import watch_put_batches
 
 from repro import PIERNetwork
 from repro.overlay import naming
+from repro.overlay.distribution_tree import BROADCAST_NAMESPACE, DEFAULT_ROOT_KEY
 from repro.qp import opgraph
 from repro.qp.tuples import Tuple
 from repro.runtime.rand import derive_rng
@@ -28,9 +29,13 @@ MARKERS: set = set()
 # columns (__join_key__, __source_table__) left the rehashed row, and again
 # when the simulator began charging codec bytes instead of a structural
 # estimate (SELECT * fell from 345,053 to 111,823 bytes in the same
-# re-recording; both queries still send 310 messages).  If a change moves
-# it on purpose, re-record it here and say why in CHANGES.md.
-PRUNED_BYTES = 60_055
+# re-recording; both queries still send 310 messages), and again (60,055 to
+# 47,020) when a query's three opgraphs began to travel the distribution
+# tree as one envelope in the plan's well-known vocabulary: 22 fewer tree
+# messages, so both queries send 288 (SELECT * 111,823 to 98,821 bytes).
+# If a change moves it on purpose, re-record it here and say why in
+# CHANGES.md.
+PRUNED_BYTES = 47_020
 
 
 def _deployment(monkeypatch) -> PIERNetwork:
@@ -96,3 +101,29 @@ def test_pruned_join_ships_only_needed_columns_within_a_recorded_byte_budget(mon
     # serialisation time depends on size, so a few batches are cut at
     # other rows — 323 messages against 327 when this was recorded.)
     assert abs(pruned.messages_sent - whole.messages_sent) <= 0.02 * whole.messages_sent
+
+
+def test_the_plan_crosses_each_tree_edge_once(monkeypatch):
+    """All three opgraphs of the join travel down the distribution tree in
+    one envelope: one message per tree edge, not one per opgraph."""
+    net = _deployment(monkeypatch)
+    edges = sum(len(node.tree.children()) for node in net.nodes)
+    assert edges == len(net.nodes) - 1  # the tree spans the deployment
+    tree_namespace = f"{BROADCAST_NAMESPACE}:{DEFAULT_ROOT_KEY}"
+    forwarded = []
+    transmit = net.environment.transmit
+
+    def watching(source, source_port, destination, payload, ack):  # noqa: ANN001
+        if payload.get("kind") == "direct" and payload.get("namespace") == tree_namespace:
+            forwarded.append(payload["value"]["payload"])
+        transmit(source, source_port, destination, payload, ack)
+
+    net.environment.transmit = watching
+    try:
+        result = net.query(f"SELECT k FROM {JOINS} TIMEOUT 10")
+    finally:
+        del net.environment.transmit
+    assert result.rows()
+    assert len(forwarded) == edges == 11
+    assert {envelope.query_id for envelope in forwarded} == {result.query_id}
+    assert all(len(envelope.graphs) == 3 for envelope in forwarded)
