@@ -17,10 +17,32 @@ from typing import Any, Dict, Hashable, List, Tuple as PyTuple
 
 from repro.cq.windows import EPOCH_COLUMN, WindowSpec
 from repro.qp.fingerprint import PlanComponents
+from repro.qp.ledger import partial_pairs, wire_partials
 from repro.qp.tuples import Tuple
 
 GroupKey = PyTuple[Any, ...]
 States = Dict[GroupKey, List[Any]]
+
+
+def pane_blocks(rows: List[Tuple]) -> List[Dict[str, Any]]:
+    """A burst of pane-state rows in the form it is fanned out in: the
+    partials form (:func:`repro.qp.ledger.wire_partials`), one block per
+    consecutive run of rows stamped with the same pane and contributor
+    count, each block carrying its ``pane`` and ``contributors``.  A run
+    also ends where a group repeats, so a receiver applies every row in
+    its original order."""
+    runs: List[PyTuple[PyTuple[int, Any], States]] = []
+    for tup in rows:
+        stamp = (int(tup.get(EPOCH_COLUMN)), tup.get("__contributors__"))
+        key = tuple(tup.require("__group_key__"))
+        if not runs or runs[-1][0] != stamp or key in runs[-1][1]:
+            runs.append((stamp, {}))
+        runs[-1][1][key] = tup.get("__partial_states__")
+    return [
+        {"pane": pane, "contributors": contributors, **block}
+        for (pane, contributors), run in runs
+        for block in wire_partials(run)
+    ]
 
 
 class PaneBuffer:
@@ -79,18 +101,13 @@ class PaneBuffer:
             del self.groups[group.key]
 
     # -- the pane stream ---------------------------------------------------------- #
-    def receive(self, rows: List[Tuple]) -> None:
-        """One fan-out burst of pane-state rows arrived at this node."""
+    def receive(self, blocks: List[Dict[str, Any]]) -> None:
+        """One fan-out burst (:func:`pane_blocks`) arrived at this node."""
         groups = self.groups.values()
-        for tup in rows:
-            pane = tup.get(EPOCH_COLUMN)
-            states = tup.get("__partial_states__")
-            if pane is None or states is None:
-                continue
-            pane = int(pane)
+        for block in blocks:
+            pane, contrib = block["pane"], block["contributors"]
             superseded = False
             if pane >= self.floor:
-                contrib = tup.get("__contributors__")
                 if contrib is not None:
                     stored = self.contributors.get(pane)
                     if stored is not None and contrib < stored:
@@ -105,17 +122,16 @@ class PaneBuffer:
                             self.states.pop(pane, None)
                         self.contributors[pane] = contrib
                 if not superseded:
-                    key = tuple(tup.require("__group_key__"))
-                    self.states.setdefault(pane, {})[key] = states
+                    self.states.setdefault(pane, {}).update(partial_pairs([block]))
             for group in groups:
                 if pane < group.floor:
                     # Every epoch of this group needing the pane already
                     # closed (e.g. a very late post-handoff re-broadcast).
                     for member in group.members:
-                        member.late_rows += 1
+                        member.late_rows += block["count"]
                 elif superseded:
                     for member in group.members:
-                        member.superseded_pane_rows += 1
+                        member.superseded_pane_rows += block["count"]
 
     def evict(self) -> None:
         """Drop the panes no group needs any more."""

@@ -21,7 +21,8 @@ and the executor that makes them one:
 * **Epoch fan-out over the distribution tree.** Result delivery moves
   off per-client result channels: there is one upward partial stream per
   shared plan (into its proxy), and closed panes are broadcast once over
-  the existing distribution tree in ``{"panes": [...]}`` envelopes.
+  the existing distribution tree in ``{"panes": [...]}`` envelopes, as
+  column-wise partials blocks (:func:`~repro.cq.panes.pane_blocks`).
   A node with attached subscribers buffers each arriving burst once
   (``PIERNode.add_pane_listener`` → :class:`~repro.cq.panes.PaneBuffer`),
   so messages/epoch is a function of the deployment size, not the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
-from repro.cq.panes import EpochGroup, PaneBuffer
+from repro.cq.panes import EpochGroup, PaneBuffer, pane_blocks
 from repro.cq.windows import CQ_METADATA_KEY, EPOCH_COLUMN, WindowSpec
 from repro.qp.fingerprint import (
     PlanComponents,
@@ -112,9 +113,8 @@ class SharedPlan:
         # Proxy node -> that node's one copy of the pane stream.
         self._buffers: Dict[int, PaneBuffer] = {}
         self.epochs_assembled = 0  # non-empty group closes, however many members
-        # Pane rows buffered between fan-out flushes.  The buffer is
-        # *swapped* at broadcast time, never mutated afterwards — the
-        # broadcast payload must stay frozen once sent (PIER_SANITIZE).
+        # Pane rows buffered between fan-out flushes; a flush broadcasts
+        # them as :func:`~repro.cq.panes.pane_blocks`.
         self._fanout_buffer: List[Tuple] = []
         self._fanout_seq = 0
         self._flush_event: Optional[Any] = None
@@ -258,7 +258,7 @@ class SharedPlan:
         node = self.network.nodes[self.proxy]
         node.tree.broadcast(
             f"{self.query_id}/panes/{self._fanout_seq}",
-            {"query_id": self.query_id, "panes": rows},
+            {"query_id": self.query_id, "panes": pane_blocks(rows)},
         )
         self.panes_broadcast += 1
         self.rows_fanned_out += len(rows)

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple as 
 from repro.overlay.identifiers import object_identifier
 from repro.overlay.naming import random_suffix
 from repro.qp.integrity import INTEGRITY_NAMESPACE, replica_sampled
-from repro.qp.ledger import Groups, OriginLedger, Pairs, partial_pairs, wire_partials
+from repro.qp.ledger import Groups, OriginLedger, Pairs, partial_keys, partial_pairs, wire_partials
 from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.operators.groupby import _BaseGroupBy, merge_partials
 from repro.qp.tuples import Tuple
@@ -358,7 +358,7 @@ class HierarchicalAggregate(_BaseGroupBy):
         """The newest epoch a standing query's batch names, if any."""
         if self.window_spec is None:
             return None
-        keys = (item["key"] for item in batch.get("partials", []))
+        keys = partial_keys(batch.get("partials", []))
         return max((key[0] for key in keys if key and isinstance(key[0], int)), default=None)
 
     def _send_cumulative(self) -> None:
@@ -398,7 +398,7 @@ class HierarchicalAggregate(_BaseGroupBy):
         """Fold arriving batches into the ledger, exactly once each."""
         for batch in batches:
             self.ledger.fold(batch)
-            self._note_partial_keys(item["key"] for item in batch.get("partials", []))
+            self._note_partial_keys(partial_keys(batch.get("partials", [])))
 
     def _inject_forgeries(self, _data: object) -> None:
         """Byzantine hook (``forge_origin``): send what the attacker
@@ -446,7 +446,7 @@ class HierarchicalAggregate(_BaseGroupBy):
             entries = self._attacker.tamper(entries)
         if entries:
             self._hold_partials(partial_pairs(entries))
-            self._note_partial_keys(entry["key"] for entry in entries)
+            self._note_partial_keys(partial_keys(entries))
         return False  # hold; a combined partial will be forwarded later
 
     # -- ownership monitor ------------------------------------------------------ #
@@ -511,7 +511,7 @@ class HierarchicalAggregate(_BaseGroupBy):
         elif "partials" in value:
             entries = value["partials"]
             self._merge_all(self._root_states, partial_pairs(entries))
-            self._note_partial_keys(entry["key"] for entry in entries)
+            self._note_partial_keys(partial_keys(entries))
 
     def flush(self) -> None:
         # Any local groups not yet shipped travel now (e.g. snapshot query

@@ -40,6 +40,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple as PyTuple, Union
 
+from repro.qp.ledger import partial_pairs
 from repro.qp.opgraph import OpGraph, QueryPlan
 from repro.qp.operators.groupby import parse_aggregate_specs
 from repro.qp.tuples import Tuple
@@ -318,14 +319,6 @@ class IntegrityCollector:
             entry["node"] = payload.get("node")
             entry["origins"].update(origins)
 
-    # -- decoding helpers -------------------------------------------------- #
-    @staticmethod
-    def _decode_partials(partials: Any) -> Dict[PyTuple[Any, ...], List[Any]]:
-        decoded: Dict[PyTuple[Any, ...], List[Any]] = {}
-        for item in partials or []:
-            decoded[tuple(item["key"])] = list(item["states"])
-        return decoded
-
     def _merge_into(
         self,
         buffer: Dict[PyTuple[Any, ...], List[Any]],
@@ -358,7 +351,7 @@ class IntegrityCollector:
             origin_states: Dict[str, Dict[PyTuple[Any, ...], List[Any]]] = {}
             claimed_origins = claims["origins"] if claims is not None else {}
             for origin, claim in claimed_origins.items():
-                origin_states[origin] = self._decode_partials(claim.get("partials"))
+                origin_states[origin] = dict(partial_pairs(claim.get("partials") or []))
             if policy.spot_check:
                 for origin, self_report in reports.items():
                     report.origins_verified += 1
@@ -378,7 +371,7 @@ class IntegrityCollector:
                         for relay in (claimed_origins.get(origin) or {}).get("relays", []):
                             suspected.add(relay)
                     if "partials" in self_report:
-                        origin_states[origin] = self._decode_partials(self_report["partials"])
+                        origin_states[origin] = dict(partial_pairs(self_report["partials"]))
                         report.repaired_origins += 1
                     else:
                         # Detected but unrepairable: drop the corrupt claim

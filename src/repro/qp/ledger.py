@@ -22,6 +22,7 @@ state lists merge is the one thing its owner passes in.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Set, Tuple as PyTuple
 
 # Group key -> one partial state per aggregate.
@@ -30,13 +31,41 @@ Pairs = Iterable[PyTuple[PyTuple[Any, ...], List[Any]]]
 
 
 def wire_partials(groups: Groups) -> List[Dict[str, Any]]:
-    """Group states in the form they travel in: ``{"key", "states"}`` items."""
-    return [{"key": list(key), "states": states} for key, states in groups.items()]
+    """Group states in the form they travel in: one column-wise block per
+    key width, ``{"count": groups, "keys": [one list per key column],
+    "states": [one list per aggregate]}``, groups in table order within a
+    block.  Every group of a table carries one state per aggregate."""
+    widths: Dict[int, List[PyTuple[Any, ...]]] = {}
+    for key in groups:
+        widths.setdefault(len(key), []).append(key)
+    return [
+        {
+            "count": len(keys),
+            "keys": [list(column) for column in zip(*keys)],
+            "states": [list(column) for column in zip(*map(groups.__getitem__, keys))],
+        }
+        for keys in widths.values()
+    ]
 
 
-def partial_pairs(entries: Iterable[Dict[str, Any]]) -> Pairs:
-    """A message's ``partials`` list as ``(key, states)`` pairs."""
-    return ((tuple(entry["key"]), entry["states"]) for entry in entries)
+def _rows(columns: List[List[Any]], count: int) -> Iterator[PyTuple[Any, ...]]:
+    """A block's columns read back row by row (``count`` empty rows when
+    there are no columns: the global aggregate's key)."""
+    return zip(*columns) if columns else repeat((), count)
+
+
+def partial_pairs(blocks: Iterable[Dict[str, Any]]) -> Pairs:
+    """A message's ``partials`` as ``(key, states)`` pairs; each state list
+    is new, so a fold never shares one with the message."""
+    for block in blocks:
+        count = block["count"]
+        yield from zip(_rows(block["keys"], count), map(list, _rows(block["states"], count)))
+
+
+def partial_keys(blocks: Iterable[Dict[str, Any]]) -> Iterator[PyTuple[Any, ...]]:
+    """The group keys of a message's ``partials``, in order."""
+    for block in blocks:
+        yield from _rows(block["keys"], block["count"])
 
 
 class _OriginEntry:
@@ -92,7 +121,7 @@ class OriginLedger:
         if seq <= entry.floor or (seq in entry.deltas and not batch.get("cumulative")):
             self.replays_dropped += 1
             return False
-        partials = {key: list(states) for key, states in partial_pairs(batch.get("partials", []))}
+        partials = dict(partial_pairs(batch.get("partials", [])))
         if batch.get("cumulative"):
             entry.base = partials
             entry.floor = seq

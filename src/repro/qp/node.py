@@ -21,6 +21,9 @@ from repro.qp.proxy import ProxyService, QueryHandle
 from repro.qp.tuples import Tuple
 from repro.runtime.vri import VirtualRuntime
 
+# Takes one pane burst: a list of partials blocks (repro.cq.panes.pane_blocks).
+PaneListener = Callable[[List[Dict[str, Any]]], None]
+
 
 class PIERNode:
     """One participant in a PIER deployment."""
@@ -44,7 +47,7 @@ class PIERNode:
         # Shared-plan epoch fan-out (repro.cq.sharing): subscribers attached
         # through this node register here for pane bursts broadcast over
         # the distribution tree, keyed by the shared plan's query id.
-        self._pane_listeners: Dict[str, List[Callable[[List[Tuple]], None]]] = {}
+        self._pane_listeners: Dict[str, List[PaneListener]] = {}
         self._started = False
 
     # -- lifecycle ------------------------------------------------------------ #
@@ -137,14 +140,10 @@ class PIERNode:
         return cancelled
 
     # -- shared-plan pane fan-out ------------------------------------------------ #
-    def add_pane_listener(
-        self, query_id: str, callback: Callable[[List[Tuple]], None]
-    ) -> None:
+    def add_pane_listener(self, query_id: str, callback: PaneListener) -> None:
         self._pane_listeners.setdefault(query_id, []).append(callback)
 
-    def remove_pane_listener(
-        self, query_id: str, callback: Callable[[List[Tuple]], None]
-    ) -> None:
+    def remove_pane_listener(self, query_id: str, callback: PaneListener) -> None:
         listeners = self._pane_listeners.get(query_id)
         if not listeners:
             return

@@ -24,6 +24,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.qp.ledger import partial_pairs, wire_partials
 from repro.runtime.rand import derive_rng
 from repro.runtime.simulation import SimulationEnvironment
 
@@ -400,10 +401,7 @@ class Attacker:
         factor = self.role.inflation_factor
         if isinstance(states, dict):
             return {key: corrupt_states(st, factor) for key, st in states.items()}
-        return [
-            {"key": item["key"], "states": corrupt_states(item["states"], factor)}
-            for item in states
-        ]
+        return wire_partials({key: corrupt_states(st, factor) for key, st in partial_pairs(states)})
 
     def relay(self, batches: Sequence[Dict[str, Any]]) -> Optional[List[Dict[str, Any]]]:
         """An attacker on the forwarding path violates routing custody.
@@ -444,7 +442,7 @@ class Attacker:
                     "inc_ts": now,
                     "seq": 1,
                     "cumulative": True,
-                    "partials": [],
+                    "partials": wire_partials({}),
                     "relays": [self.role.address],
                 }
             )

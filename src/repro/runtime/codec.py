@@ -133,6 +133,10 @@ WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     "window_spec", "hold", "local_wait", "interval", "wait", "stream",
     "size_bits", "hash_count", "members", "policy", "follow", "replica",
     "count_all",
+    # partial aggregate state (qp/ledger.py wire_partials): origin-accounted
+    # batches and the column-wise blocks, also the pane fan-out's
+    "partials", "batches", "keys", "states", "inc", "inc_ts", "cumulative",
+    "relays", "contributors",
 )
 
 _WELLKNOWN_INDEX: Dict[str, int] = {

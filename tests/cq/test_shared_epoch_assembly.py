@@ -14,7 +14,7 @@ import pytest
 
 from repro import PIERNetwork
 from repro.apps.network_monitor import FIREWALL_TABLE, NetworkMonitorApp
-from repro.cq.panes import PaneBuffer
+from repro.cq.panes import PaneBuffer, pane_blocks
 from repro.cq.windows import EPOCH_COLUMN, WindowSpec
 from repro.obs.metrics import collect_deployment_metrics
 from repro.qp.aggregates import AggregateSpec
@@ -276,19 +276,21 @@ def _pane_burst(shared, pane: int, contributors: int, counts: dict) -> dict:
     table = shared.components.output_table
     return {
         "query_id": shared.query_id,
-        "panes": [
-            Tuple(
-                table,
-                {
-                    "source_ip": ip,
-                    "__partial_states__": [n],
-                    "__group_key__": (ip,),
-                    EPOCH_COLUMN: pane,
-                    "__contributors__": contributors,
-                },
-            )
-            for ip, n in counts.items()
-        ],
+        "panes": pane_blocks(
+            [
+                Tuple(
+                    table,
+                    {
+                        "source_ip": ip,
+                        "__partial_states__": [n],
+                        "__group_key__": (ip,),
+                        EPOCH_COLUMN: pane,
+                        "__contributors__": contributors,
+                    },
+                )
+                for ip, n in counts.items()
+            ]
+        ),
     }
 
 
@@ -378,10 +380,12 @@ def _buffer() -> PaneBuffer:
 
 
 def _pane(pane: int, states: dict) -> list:
-    return [
-        Tuple("out", {"__partial_states__": list(state), "__group_key__": (key,), EPOCH_COLUMN: pane})
-        for key, state in states.items()
-    ]
+    return pane_blocks(
+        [
+            Tuple("out", {"__partial_states__": list(state), "__group_key__": (key,), EPOCH_COLUMN: pane})
+            for key, state in states.items()
+        ]
+    )
 
 
 def _spec(window, slide=5.0) -> WindowSpec:
@@ -478,3 +482,61 @@ def test_late_landmark_group_folds_from_its_attach_pane():
     assert _close(late, 1) == {"a": (1, 1)}
     assert _close(late, 2) == {"a": (5, 4)}
     assert _close(other, 2) == {"a": (4, 4)}
+
+
+def _stamped(*rows) -> list:
+    """Pane-state rows ``(pane, contributors, key, (n, top))`` in arrival order."""
+    return [
+        Tuple(
+            "out",
+            {
+                "__partial_states__": list(state),
+                "__group_key__": (key,),
+                EPOCH_COLUMN: pane,
+                "__contributors__": contributors,
+            },
+        )
+        for pane, contributors, key, state in rows
+    ]
+
+
+def test_a_burst_in_block_form_leaves_what_its_rows_one_by_one_leave():
+    """A fan-out burst travels as one block per run of rows with the same
+    pane and contributor count; the buffer must end where applying the
+    rows one at a time ends: states, contributor counts, and each member's
+    late and superseded rows."""
+    burst = _stamped(
+        (0, 4, "a", (1, 1)),  # late: the group already closed pane 0
+        (1, 3, "a", (1, 1)),
+        (1, 3, "b", (2, 2)),
+        (1, 5, "a", (7, 7)),  # strictly fuller: pane 1 restarts from here
+        (1, 5, "c", (3, 3)),
+        (1, 5, "a", (8, 8)),  # a repeated group within a run
+        (1, 3, "b", (9, 9)),  # thinner: superseded
+        (2, None, "d", (4, 4)),
+    )
+    blocks = pane_blocks(burst)
+    assert [(block["pane"], block["contributors"], block["count"]) for block in blocks] == [
+        (0, 4, 1), (1, 3, 2), (1, 5, 2), (1, 5, 1), (1, 3, 1), (2, None, 1),
+    ]
+
+    def replay(bursts) -> tuple:
+        buffer = _buffer()
+        members = [_Member(), _Member()]
+        group = buffer.join(members[0], _spec(5.0), 1.0, {}, now=0.0)
+        buffer.join(members[1], _spec(5.0), 1.0, {}, now=0.0)
+        group.advance(0)
+        for received in bursts:
+            buffer.receive(received)
+        return (
+            buffer.states,
+            buffer.contributors,
+            [(member.late_rows, member.superseded_pane_rows) for member in members],
+        )
+
+    one_by_one = replay(pane_blocks([row]) for row in burst)
+    assert replay([blocks]) == one_by_one
+    states, contributors, counters = one_by_one
+    assert states == {1: {("a",): [8, 8], ("c",): [3, 3]}, 2: {("d",): [4, 4]}}
+    assert contributors == {1: 5}
+    assert counters == [(1, 1), (1, 1)]

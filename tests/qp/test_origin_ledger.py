@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.qp.ledger import OriginLedger, partial_pairs, wire_partials
+from repro.qp.ledger import OriginLedger, partial_keys, partial_pairs, wire_partials
+from repro.runtime.codec import encode, encoded_size
 
 
 def _sum_merge(buffer, pairs):
@@ -42,6 +43,44 @@ def test_wire_form_round_trips():
     assert dict(partial_pairs(wire_partials(groups))) == groups
 
 
+_scalars = st.one_of(st.integers(-(2**40), 2**40), st.text(max_size=6), st.none(), st.booleans())
+_states = st.one_of(
+    st.integers(0, 2**33),
+    st.floats(allow_nan=False),
+    st.tuples(st.floats(allow_nan=False), st.integers(0, 999)),  # AVG's (sum, count)
+    st.lists(st.integers(0, 9), max_size=2),
+)
+# Group keys of mixed widths: the global aggregate's empty key, plain
+# group keys, and a standing query's epoch-prefixed ones.
+_keys = st.one_of(
+    st.just(()),
+    st.tuples(_scalars),
+    st.tuples(_scalars, _scalars),
+    st.tuples(st.integers(0, 10**6), _scalars),
+)
+
+
+@st.composite
+def _group_tables(draw):
+    """A group table: every group carries one state per aggregate."""
+    aggregates = draw(st.integers(0, 3))
+    states = st.lists(_states, min_size=aggregates, max_size=aggregates)
+    return draw(st.dictionaries(_keys, states, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=_group_tables())
+def test_any_group_table_round_trips_and_sizes_as_it_encodes(groups):
+    wire = wire_partials(groups)
+    assert dict(partial_pairs(wire)) == groups
+    assert list(partial_keys(wire)) == [key for key, _states in partial_pairs(wire)]
+    # One block per key width, each holding groups of its width only.
+    widths = [{len(key) for key in partial_keys([block])} for block in wire]
+    assert all(len(width) == 1 for width in widths)
+    assert len(wire) == len({len(key) for key in groups})
+    assert encoded_size(wire) == len(encode(wire))
+
+
 def test_replay_is_dropped_by_seq_and_counted():
     ledger = _ledger()
     assert ledger.fold(_batch(1, {("g",): 2}))
@@ -60,7 +99,7 @@ def test_folded_states_never_alias_the_wire_batch():
     ledger.fold(batch)
     ledger.fold(_batch(2, {("g",): 1}))
     ledger.states("o1")[("g",)].append("scribble")
-    assert batch["partials"][0]["states"] == [2]
+    assert batch["partials"][0]["states"] == [[2]]
     assert ledger.states("o1") == {("g",): [3]}
 
 

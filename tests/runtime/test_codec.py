@@ -125,7 +125,8 @@ PINNED_WELLKNOWN = (
     "batch_size", "flush_interval", "use_send", "group_columns", "aggregates",
     "emit_states", "emit_on_flush", "window_spec", "hold", "local_wait",
     "interval", "wait", "stream", "size_bits", "hash_count", "members", "policy",
-    "follow", "replica", "count_all",
+    "follow", "replica", "count_all", "partials", "batches", "keys", "states",
+    "inc", "inc_ts", "cumulative", "relays", "contributors",
 )
 
 

@@ -21,6 +21,7 @@ from repro.qp.integrity import (
     mean_relative_error,
     resolve_integrity,
 )
+from repro.qp.ledger import wire_partials
 from repro.qp.plans import hierarchical_aggregation_plan
 from repro.qp.resilience import ResiliencePolicy
 from repro.qp.tuples import Tuple
@@ -145,7 +146,7 @@ def test_redundancy_outvotes_corrupt_replica_claims():
                 "node": 100 + replica,
                 "origins": {
                     "origin-a": {
-                        "partials": [{"key": ["s0"], "states": [count]}],
+                        "partials": wire_partials({("s0",): [count]}),
                         "relays": [],
                     }
                 },
@@ -176,7 +177,7 @@ def test_collector_flags_missing_and_mismatched_claims():
                 "node": origin,
                 "inc_ts": 0.0,
                 "commitment": commit_to_states(origin, honest),
-                "partials": [{"key": ["s0"], "states": [7]}],
+                "partials": wire_partials({("s0",): [7]}),
             }
         )
     collector.receive(
@@ -187,7 +188,7 @@ def test_collector_flags_missing_and_mismatched_claims():
             "origins": {
                 # origin-a's claim was inflated in flight; origin-b omitted.
                 "origin-a": {
-                    "partials": [{"key": ["s0"], "states": [700]}],
+                    "partials": wire_partials({("s0",): [700]}),
                     "relays": ["relay-x"],
                 },
             },
