@@ -10,9 +10,9 @@ The tracked numbers are events/sec per binding (scheduler dispatches
 plus message deliveries) and the byte counters the binary codec
 produces on the real wire.  Both byte columns count codec datagrams: the
 simulator charges each message the length of the datagram the physical
-runtime would send for it (and each ack a bare 14-byte envelope, which
-the physical runtime does not count), where it used to charge a
-structural estimate about 3x larger.  Results are written to
+runtime would send for it (and each ack a bare 14-byte envelope, as the
+physical runtime counts each ACK frame it sends), where it used to charge
+a structural estimate about 3x larger.  Results are written to
 ``BENCH_physical.json`` at the repo root.  Correctness is asserted on
 every run: both bindings must return exactly one join row per fact
 tuple, and the physical run must never take the codec's pickle
@@ -23,7 +23,7 @@ stay within 10x of the simulator's events/sec at equal node count.
 The simulator never sleeps — it compresses virtual time and its wall
 clock is pure processing — while the physical loop spends most of its
 wall time deliberately asleep in ``select()`` between real timers (the
-query runs wall-clock to its TIMEOUT).  So the apples-to-apples number
+query runs wall-clock until its data is done).  So the apples-to-apples number
 for the physical side is events per *busy* second
 (``PhysicalEnvironment.busy_seconds``: wall time minus select() idle),
 which is what a busy-polling loop or a codec that re-encoded every hop

@@ -94,6 +94,8 @@ class QueryResult:
     tuples: List[Tuple] = field(default_factory=list)
     first_result_latency: Optional[float] = None
     completed: bool = False
+    # How it ended: "data", "deadline" or "cancel" (QueryHandle.completed_by).
+    completed_by: Optional[str] = None
     submitted_at: float = 0.0
     finished_at: Optional[float] = None
     sql: Optional[str] = None
@@ -137,6 +139,7 @@ class QueryResult:
             tuples=list(handle.results),
             first_result_latency=handle.first_result_latency,
             completed=handle.finished and not handle.cancelled,
+            completed_by=handle.completed_by,
             submitted_at=handle.submitted_at,
             finished_at=handle.finished_at,
             sql=plan.metadata.get("sql"),

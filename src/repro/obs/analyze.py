@@ -65,8 +65,8 @@ def collect_actuals(
                 entry["rows_in"] += stats.tuples_in
                 entry["rows_out"] += stats.tuples_out
                 entry["rows_dropped"] += stats.tuples_dropped
-                entry["messages"] += getattr(operator, "messages_shipped", 0)
-                entry["bytes"] += getattr(operator, "bytes_shipped", 0)
+                entry["messages"] += stats.messages_shipped
+                entry["bytes"] += stats.bytes_shipped
                 entry["nodes"] += 1
     tracer = getattr(network.environment, "tracer", None)
     if tracer is not None:

@@ -29,8 +29,9 @@ from repro.qp.opgraph import OpGraph, QueryEnvelope, QueryPlan
 
 DISSEMINATION_NAMESPACE = "__query_dissemination__"
 
-# Receives what arrived: a query's envelope, or a control / pane-burst dict.
-InstallHandler = Callable[[Union[QueryEnvelope, Dict[str, Any]]], None]
+# Receives what arrived — a query's envelope, or a control / pane-burst
+# dict — and whether it came down the distribution tree.
+InstallHandler = Callable[[Union[QueryEnvelope, Dict[str, Any]], bool], None]
 
 # The plan metadata an executing node acts on (``QueryExecutor.install``
 # reads exactly these).  The rest of ``plan.metadata`` — the SQL text, the
@@ -153,7 +154,7 @@ class QueryDisseminator:
                     self.graphs_targeted += 1
                     self._send_to_key(graph.dissemination.namespace, key, envelope)
             else:  # local: only the proxy runs it
-                self.install_handler(envelope)
+                self.install_handler(envelope, False)
         if not broadcast:
             return
         envelope = query_envelope(plan, broadcast, proxy_address, deadline)
@@ -204,8 +205,8 @@ class QueryDisseminator:
         if isinstance(payload, QueryEnvelope) or (
             isinstance(payload, dict) and ("control" in payload or "panes" in payload)
         ):
-            self.install_handler(payload)
+            self.install_handler(payload, True)
 
     def _on_targeted(self, _namespace: str, _key: object, value: object) -> None:
         if isinstance(value, QueryEnvelope):
-            self.install_handler(value)
+            self.install_handler(value, False)

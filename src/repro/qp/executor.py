@@ -18,14 +18,18 @@ that data plus the scan-then-subscribe access methods let late starters
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.overlay.wrapper import OverlayNode
-from repro.qp.opgraph import OpGraph, QueryPlan
-from repro.qp.operators.base import ExecutionContext, PhysicalOperator, build_operator
+from repro.qp.opgraph import DecodedGraph, OpGraph
+from repro.qp.operators.base import ExecutionContext, FinishedOperators, build_operator
 from repro.qp.operators.control import ControlFlowManager
 from repro.qp.tuples import Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - completion imports the operators
+    from repro.qp.completion import ProgressReporter
 
 # How long a finished opgraph's install record — and, at the proxy, a
 # finished query's handle — stays readable before the node drops it.
@@ -52,25 +56,42 @@ def pop_expired(stamps: Dict[str, float], now: float, lifetime: float) -> List[s
     return expired
 
 
-@dataclass
+@dataclass(slots=True)
 class InstalledGraph:
     """Book-keeping for one opgraph running on this node.
 
     ``operators`` is in topological order — every input ahead of its
     consumer — which is the order operators start and flush in; the graph
-    is walked for it once, at install.  ``deadline`` is when the graph
-    tears down; lifetime renewal of a standing query pushes it out (see
-    :meth:`QueryExecutor.extend_query`).  A record its node has dropped
+    is walked for it once per envelope (:class:`DecodedGraph`).
+    ``deadline`` is when the graph tears down; lifetime renewal of a
+    standing query pushes it out, and the end of a query whose data is
+    done pulls it in (see :meth:`QueryExecutor.extend_query`).  Once
+    finished, a record keeps only its operators' counters
+    (:class:`~repro.qp.operators.base.FinishedOperators`) and lets go of
+    the graph and the execution context; a record its node has dropped
     (:data:`FINISHED_RETENTION` after it finished) has no operators left.
     """
 
     query_id: str
-    graph: OpGraph
-    context: ExecutionContext
-    operators: Dict[str, PhysicalOperator]
+    install_key: str
+    decoded: Optional[DecodedGraph]
+    context: Optional[ExecutionContext]
+    operators: Mapping
     started_at: float
     deadline: float = 0.0
     finished: bool = False
+    timer: Any = None  # the teardown event armed for ``deadline``
+    # The context's timer ledger (SimSanitizer; None otherwise), kept past
+    # finish so that a timer armed after teardown is still found at release.
+    armed_events: Optional[List[Any]] = None
+
+    @property
+    def graph(self) -> Optional[OpGraph]:
+        return self.decoded.graph if self.decoded is not None else None
+
+    @property
+    def graph_id(self) -> str:
+        return self.install_key[len(self.query_id) + 1 :]
 
 
 class QueryExecutor:
@@ -98,6 +119,10 @@ class QueryExecutor:
         # cancelled on this node and the install keys of dropped records.
         # An envelope still in flight must not install after the fact.
         self._refused: Dict[str, float] = {}
+        # Queries -> their graphs still running on this node.
+        self._running: Dict[str, List[InstalledGraph]] = {}
+        # Running streaming queries -> their progress reporter on this node.
+        self._progress: Dict[str, "ProgressReporter"] = {}
         self.graphs_installed = 0
         self.graphs_completed = 0
         overlay.on_stabilize(self._sweep)
@@ -135,18 +160,29 @@ class QueryExecutor:
         """Expose a stream producer to ``stream_source`` access methods."""
         self.streams[name] = producer
 
+    def setting(self, metadata: Optional[Dict[str, Any]], knob: str) -> Any:
+        """A query's execution setting: the plan's, else this node's default."""
+        return (metadata or {}).get(knob, self.exchange_defaults.get(knob))
+
     # -- installation ---------------------------------------------------------- #
     def install(
         self,
         query_id: str,
-        graph: OpGraph,
+        graph: Union[OpGraph, DecodedGraph],
         timeout: float,
         proxy_address: Any,
         deliver_result: Optional[Callable[[Tuple], None]] = None,
         metadata: Optional[Dict[str, Any]] = None,
+        progress: Optional["ProgressReporter"] = None,
     ) -> Optional[InstalledGraph]:
         """Instantiate and start ``graph``.  Duplicate installs are ignored,
-        as are opgraphs of queries already cancelled on this node."""
+        as are opgraphs of queries already cancelled on this node.
+
+        ``graph`` comes decoded from an envelope (which works its order out
+        once for every node it reaches) or bare; ``progress`` is the
+        query's reporter on this node when its end comes from its data."""
+        decoded = graph if isinstance(graph, DecodedGraph) else DecodedGraph(graph)
+        graph = decoded.graph
         install_key = f"{query_id}/{graph.graph_id}"
         if query_id in self._refused or install_key in self._refused:
             return None
@@ -158,7 +194,7 @@ class QueryExecutor:
             "subscribe_local_table": self.subscribe_local_table,
         }
         for knob in ("exchange_batch_size", "exchange_flush_interval", "result_flush_interval"):
-            value = (metadata or {}).get(knob, self.exchange_defaults.get(knob))
+            value = self.setting(metadata, knob)
             if value is not None:
                 extras[knob] = value
         # The query's resilience policy rides in the dissemination envelope
@@ -186,11 +222,9 @@ class QueryExecutor:
             deliver_result=deliver_result,
             lifetime=max(timeout * 2.0, 60.0),
             extras=extras,
+            progress=progress,
         )
-        operators = {
-            spec.operator_id: build_operator(spec, context)
-            for spec in graph.topological_order()
-        }
+        operators = {spec.operator_id: build_operator(spec, context) for spec in decoded.order}
         # Wire the data channel: producer pushes into the consumer's slot.
         for spec in graph.operators.values():
             consumer = operators[spec.operator_id]
@@ -199,14 +233,20 @@ class QueryExecutor:
         started_at = self.overlay.runtime.get_current_time()
         installed = InstalledGraph(
             query_id=query_id,
-            graph=graph,
+            install_key=install_key,
+            decoded=decoded,
             context=context,
             operators=operators,
             started_at=started_at,
             deadline=started_at + timeout,
+            armed_events=context.armed_events,
         )
         self._installed[install_key] = installed
+        self._running.setdefault(query_id, []).append(installed)
         self.graphs_installed += 1
+        if progress is not None:
+            progress.add(operators.values())
+            self._progress[query_id] = progress
         tracer = getattr(self.overlay.runtime, "tracer", None)
         if tracer is not None and trace is not None:
             tracer.event(
@@ -218,9 +258,19 @@ class QueryExecutor:
                 operators=len(operators),
             )
         self._start(installed)
-        # A node executes an opgraph until the query's timeout expires.
-        self.overlay.runtime.schedule_event(timeout, install_key, self._on_timeout)
+        # A node executes an opgraph until the query's timeout expires —
+        # unless a result delivered on the proxy's own node while the graph
+        # started already cancelled it.
+        if not installed.finished:
+            self._arm_teardown(installed, timeout)
         return installed
+
+    def _arm_teardown(self, installed: InstalledGraph, delay: float) -> None:
+        if installed.timer is not None:
+            installed.timer.cancel()
+        installed.timer = self.overlay.runtime.schedule_event(
+            delay, installed.install_key, self._on_timeout
+        )
 
     def _start(self, installed: InstalledGraph) -> None:
         order = list(installed.operators.values())
@@ -229,9 +279,7 @@ class QueryExecutor:
         # Control channel: a ControlFlowManager drives probes if present,
         # otherwise the executor probes every source operator once.
         controls = [op for op in order if isinstance(op, ControlFlowManager)]
-        sources = [
-            installed.operators[spec.operator_id] for spec in installed.graph.sources()
-        ]
+        sources = [installed.operators[spec.operator_id] for spec in installed.decoded.sources]
         if controls:
             for control in controls:
                 for source in sources:
@@ -246,28 +294,26 @@ class QueryExecutor:
         installed = self._installed.get(install_key)
         if installed is None or installed.finished:
             return
-        if self.overlay.runtime.get_current_time() + 1e-9 < installed.deadline:
-            return  # lifetime was renewed; a later timer covers the new deadline
         self.finish(installed)
 
     def extend_query(self, query_id: str, remaining: float) -> int:
-        """Push out the teardown deadline of a standing query's opgraphs
-        (lifetime renewal): each running graph of ``query_id`` now tears
-        down ``remaining`` seconds from now."""
-        if remaining <= 0:
-            return 0
+        """Move the teardown deadline of ``query_id``'s running opgraphs to
+        ``remaining`` seconds from now: later for a standing query's
+        lifetime renewal, or now (``remaining <= 0``) for a query whose
+        proxy saw its data done — its graphs finish at once."""
         now = self.overlay.runtime.get_current_time()
-        extended = 0
-        for install_key, installed in self._installed.items():
-            if installed.query_id != query_id or installed.finished:
-                continue
-            installed.deadline = now + remaining
-            self.overlay.runtime.schedule_event(remaining, install_key, self._on_timeout)
-            extended += 1
-        return extended
+        running = list(self._running.get(query_id, ()))
+        for installed in running:
+            installed.deadline = now + max(remaining, 0.0)
+            if remaining <= 0:
+                self.finish(installed)
+            else:
+                self._arm_teardown(installed, remaining)
+        return len(running)
 
     def finish(self, installed: InstalledGraph, flush: bool = True) -> None:
-        """Flush buffered state bottom-up, stop operators, release DHT state.
+        """Flush buffered state bottom-up, stop operators, and — with the
+        query's last graph on this node — release its DHT state.
 
         ``flush=False`` aborts instead (query cancellation): buffered
         partial state is discarded rather than pushed downstream, so a
@@ -276,9 +322,18 @@ class QueryExecutor:
         if installed.finished:
             return
         installed.finished = True
-        self._finished[f"{installed.query_id}/{installed.graph.graph_id}"] = (
-            self.overlay.runtime.get_current_time()
-        )
+        if installed.timer is not None:
+            installed.timer.cancel()
+            installed.timer = None
+        self._finished[installed.install_key] = self.overlay.runtime.get_current_time()
+        running = self._running[installed.query_id]
+        running.remove(installed)
+        last = not running
+        if last:  # the query is ending on this node
+            del self._running[installed.query_id]
+            progress = self._progress.pop(installed.query_id, None)
+            if progress is not None:
+                progress.close()
         if flush:
             # The teardown flush runs from the executor's timeout timer,
             # outside any operator scope — activate the query's trace so
@@ -298,24 +353,28 @@ class QueryExecutor:
                     tracer.restore(previous)
         for operator in installed.operators.values():
             operator.stop()
-        self._release_query_state(installed)
+        if last:
+            self._release_query_state(installed.query_id)
         self.graphs_completed += 1
         sanitizer = getattr(self.overlay.runtime, "sanitizer", None)
         if sanitizer is not None:
             # Teardown ledger: prove no timer stayed armed and no operator
             # still buffers tuples after stop() (raises SanitizerError).
             sanitizer.check_teardown(installed, self.overlay)
+        # What stays readable until the record is dropped: the counters.
+        installed.operators = FinishedOperators(
+            installed.decoded.names, installed.operators.values()
+        )
+        installed.decoded = installed.context = None
 
     def cancel_query(self, query_id: str) -> int:
         """Abort every opgraph of ``query_id`` running on this node, and
         refuse any of its opgraphs that are still in flight."""
         self._refused.setdefault(query_id, self.overlay.runtime.get_current_time())
-        cancelled = 0
-        for installed in self._installed.values():
-            if installed.query_id == query_id and not installed.finished:
-                self.finish(installed, flush=False)
-                cancelled += 1
-        return cancelled
+        running = list(self._running.get(query_id, ()))
+        for installed in running:
+            self.finish(installed, flush=False)
+        return len(running)
 
     def on_node_recovered(self) -> int:
         """Drop opgraphs orphaned by this node's failure so re-dissemination
@@ -367,11 +426,11 @@ class QueryExecutor:
         registrations, a control-flow manager's probe targets)."""
         installed = self._installed.pop(install_key)
         self._finished.pop(install_key, None)
-        installed.operators.clear()
+        installed.operators = {}
         return installed
 
-    def _release_query_state(self, installed: InstalledGraph) -> None:
-        prefix = f"{installed.query_id}:"
+    def _release_query_state(self, query_id: str) -> None:
+        prefix = f"{query_id}:"
         for namespace in list(self.overlay.object_manager.namespaces()):
             if namespace.startswith(prefix):
                 self.overlay.object_manager.drop_namespace(namespace)
@@ -391,7 +450,8 @@ class QueryExecutor:
     def running_graphs(self) -> List[InstalledGraph]:
         return [graph for graph in self._installed.values() if not graph.finished]
 
-    def operator(self, query_id: str, graph_id: str, operator_id: str) -> Optional[PhysicalOperator]:
+    def operator(self, query_id: str, graph_id: str, operator_id: str) -> Optional[Any]:
+        """A running graph's operator, or a finished one's counters."""
         installed = self._installed.get(f"{query_id}/{graph_id}")
         if installed is None:
             return None

@@ -14,6 +14,7 @@ from repro.overlay.distribution_tree import DistributionTree
 from repro.overlay.naming import random_suffix
 from repro.overlay.router import BootstrapDirectory, ChordRouter, NodeContact, Router
 from repro.overlay.wrapper import OverlayNode
+from repro.qp.completion import ProgressReporter, graphs_stream
 from repro.qp.dissemination import QueryDisseminator
 from repro.qp.executor import QueryExecutor
 from repro.qp.opgraph import QueryEnvelope, QueryPlan
@@ -155,13 +156,19 @@ class PIERNode:
             del self._pane_listeners[query_id]
 
     # -- dissemination sink ---------------------------------------------------------- #
-    def _install_envelope(self, envelope: Union[QueryEnvelope, Dict[str, Any]]) -> None:
+    def _install_envelope(
+        self, envelope: Union[QueryEnvelope, Dict[str, Any]], broadcast: bool = False
+    ) -> None:
         """Install the opgraphs of a query envelope that arrived via
         dissemination, or apply a control message or pane burst.
 
         Every graph runs until the proxy's deadline, the same moment on
         every node however deep in the tree this one is; an envelope that
-        arrives after it installs nothing."""
+        arrives after it installs nothing.  A renew control moves that
+        deadline — to now, when the proxy saw the query's data done.  An
+        envelope that came down the distribution tree (``broadcast``) and
+        streams gets a progress reporter: its end can come from its data
+        (repro.qp.completion)."""
         if not isinstance(envelope, QueryEnvelope):
             panes = envelope.get("panes")
             if panes is not None:
@@ -180,15 +187,34 @@ class PIERNode:
             return
         query_id = envelope.query_id
         proxy_address = envelope.proxy
+        local = proxy_address == self.overlay.address
         deliver = None
-        if proxy_address == self.overlay.address:
+        if local:
             deliver = lambda tup, qid=query_id: self.proxy.deliver_local_result(qid, tup)
-        for graph in envelope.opgraphs():
+        decoded = envelope.decoded()
+        progress = None
+        if broadcast and graphs_stream(decoded, envelope.metadata):
+            progress = ProgressReporter(
+                self.overlay,
+                query_id,
+                proxy_address,
+                # The exchanges' straggler interval: a quiet node has
+                # shipped what its batches held.
+                self.executor.setting(envelope.metadata, "exchange_flush_interval") or 0.25,
+                envelope.deadline,
+                self.proxy.note_progress if local else None,
+            )
+        records = [
             self.executor.install(
                 query_id=query_id,
-                graph=graph,
+                graph=entry,
                 timeout=remaining,
                 proxy_address=proxy_address,
                 deliver_result=deliver,
                 metadata=envelope.metadata,
+                progress=progress,
             )
+            for entry in decoded
+        ]
+        if progress is not None and any(records):
+            progress.touch()  # installed and probed: the quiet clock starts

@@ -37,11 +37,18 @@ class _AccessMethod(PhysicalOperator):
     one go enters the dataflow as one batch."""
 
     table: str  # what a bare mapping from the source is a row of
+    # Objects the source handed over, before coercion dropped any: what a
+    # scan of a query's rendezvous namespace counts as received.
+    tuples_scanned = 0
 
     def _inject(self, values: Iterable[Any], tag: str) -> None:
         """Convert ``values`` to tuples and emit them as one batch; what
         cannot be made a tuple is dropped and counted."""
         batch = list(values)
+        self.tuples_scanned += len(batch)
+        progress = self.context.progress
+        if progress is not None:
+            progress.touch()
         if set(map(type, batch)) - {Tuple}:
             coerced = [coerce_tuple(self.table, value) for value in batch]
             batch = [tup for tup in coerced if tup is not None]
@@ -64,6 +71,7 @@ class DHTScanAccess(_AccessMethod):
     """
 
     op_type = "dht_scan"
+    streaming = True
 
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         super().__init__(spec, context)
@@ -125,6 +133,7 @@ class LocalTableAccess(_AccessMethod):
     """
 
     op_type = "local_table"
+    streaming = True
 
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         super().__init__(spec, context)

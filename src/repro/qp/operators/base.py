@@ -19,8 +19,9 @@ row (docs/PERFORMANCE.md, "Batch data channel").
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple as PyTuple, Type
 
 from repro.overlay.wrapper import OverlayNode
 from repro.qp.opgraph import OperatorSpec
@@ -29,13 +30,63 @@ from repro.qp.tuples import MalformedTupleError, Tuple
 DEFAULT_PROBE_TAG = "main"
 
 
-@dataclass
+@dataclass(slots=True)
 class OperatorStats:
-    """Per-operator counters, mirroring what an eddy would observe."""
+    """Per-operator counters, mirroring what an eddy would observe, plus
+    the EXPLAIN ANALYZE actuals: network messages the operator caused and
+    their codec-sized wire bytes (measured for traced queries only).
 
+    A finished graph's install record keeps them packed
+    (:class:`FinishedOperators`) and hands them back in this form, which
+    reads like the operator did (``record.operators[id].stats.tuples_in``).
+    """
+
+    op_type: str = "abstract"
     tuples_in: int = 0
     tuples_out: int = 0
     tuples_dropped: int = 0
+    messages_shipped: int = 0
+    bytes_shipped: int = 0
+
+    @property
+    def stats(self) -> "OperatorStats":
+        return self
+
+
+class FinishedOperators(Mapping):
+    """What a finished graph's install record keeps of its operators: their
+    counters, packed into one flat tuple beside the ``(operator_id,
+    op_type)`` pairs (:attr:`repro.qp.opgraph.DecodedGraph.names`, shared
+    by every node that ran the graph).  Reads like the operator mapping it
+    replaces: ``record.operators[operator_id].stats.tuples_in``."""
+
+    __slots__ = ("_names", "_counts")
+
+    def __init__(self, names: PyTuple[PyTuple[str, str], ...], operators: Iterable[Any]) -> None:
+        self._names = names
+        counts: List[int] = []
+        for operator in operators:
+            stats = operator.stats
+            counts += (
+                stats.tuples_in,
+                stats.tuples_out,
+                stats.tuples_dropped,
+                stats.messages_shipped,
+                stats.bytes_shipped,
+            )
+        self._counts = tuple(counts)
+
+    def __getitem__(self, operator_id: str) -> OperatorStats:
+        for index, (name, op_type) in enumerate(self._names):
+            if name == operator_id:
+                return OperatorStats(op_type, *self._counts[5 * index : 5 * index + 5])
+        raise KeyError(operator_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return (name for name, _ in self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 @dataclass
@@ -55,6 +106,9 @@ class ExecutionContext:
     deliver_result: Optional[Callable[[Tuple], None]] = None
     lifetime: float = 120.0
     extras: Dict[str, Any] = field(default_factory=dict)
+    # The node's progress reporter for this query (repro.qp.completion),
+    # or None when the query's end does not come from its data.
+    progress: Optional[Any] = None
 
     def __post_init__(self) -> None:
         # Timer ledger (SimSanitizer): when the runtime sanitizes, every
@@ -122,11 +176,15 @@ class PhysicalOperator:
     """
 
     op_type = "abstract"
+    # Whether the operator emits as it receives (True) or holds state until
+    # the deadline flush (False): only plans made of streaming operators
+    # can end when their data does (repro.qp.completion).
+    streaming = False
 
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         self.spec = spec
         self.context = context
-        self.stats = OperatorStats()
+        self.stats = OperatorStats(self.op_type)
         # Downstream consumers: (operator, input-slot index at the consumer).
         self._parents: List[PyTuple["PhysicalOperator", int]] = []
         self._stopped = False
@@ -138,6 +196,11 @@ class PhysicalOperator:
         # Trace accumulator (None when untraced): receive()/arm_timer()
         # touch it with two float stores instead of allocating spans.
         self._obs = context.operator_activity(spec) if context is not None else None
+
+    @classmethod
+    def streams(cls, spec: OperatorSpec) -> bool:
+        """Whether an instance built from ``spec`` emits as it receives."""
+        return cls.streaming
 
     # -- wiring ----------------------------------------------------------- #
     def add_parent(self, parent: "PhysicalOperator", slot: int) -> None:
@@ -316,13 +379,17 @@ def register_operator(cls: Type[PhysicalOperator]) -> Type[PhysicalOperator]:
     return cls
 
 
+def operator_class(op_type: str) -> Type[PhysicalOperator]:
+    """The physical operator class registered under ``op_type``."""
+    try:
+        return _OPERATOR_REGISTRY[op_type]
+    except KeyError as exc:
+        raise ValueError(f"unknown operator type {op_type!r}") from exc
+
+
 def build_operator(spec: OperatorSpec, context: ExecutionContext) -> PhysicalOperator:
     """Instantiate the physical operator named by ``spec.op_type``."""
-    try:
-        cls = _OPERATOR_REGISTRY[spec.op_type]
-    except KeyError as exc:
-        raise ValueError(f"unknown operator type {spec.op_type!r}") from exc
-    return cls(spec, context)
+    return operator_class(spec.op_type)(spec, context)
 
 
 def registered_operator_types() -> List[str]:

@@ -90,6 +90,13 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
     """
 
     op_type = "put"
+    streaming = True
+
+    @classmethod
+    def streams(cls, spec) -> bool:  # noqa: ANN001
+        # A routed (use_send) put feeds the in-path hierarchical operators,
+        # which hold state until the deadline.
+        return cls.streaming and not spec.params.get("use_send", False)
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
@@ -119,17 +126,15 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
             self.flush_interval = 0.25
         self.tuples_published = 0
         self.batches_published = 0
-        # EXPLAIN ANALYZE actuals: network messages this operator caused
-        # (always counted — one int add) and their codec-sized wire bytes
-        # (only measured for traced queries; sizing costs real work).
-        self.messages_shipped = 0
-        self.bytes_shipped = 0
         self._buffers: Dict[Any, List[Any]] = {}
 
     def _note_shipped(self, payload: Any) -> None:
-        self.messages_shipped += 1
+        # EXPLAIN ANALYZE actuals: messages are always counted (one int
+        # add), their wire bytes only for traced queries (sizing costs
+        # real work).
+        self.stats.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += wire_size(payload)
+            self.stats.bytes_shipped += wire_size(payload)
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         key = tup.key(self.key_columns[slot] if self._keyed_per_slot else self.key_columns)
@@ -164,9 +169,9 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         if not values:
             return
         self.batches_published += 1
-        self.messages_shipped += 1
+        self.stats.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += wire_size(values)
+            self.stats.bytes_shipped += wire_size(values)
         self.context.overlay.put_batch(
             self.namespace,
             partition_key,
@@ -198,6 +203,7 @@ class Queue(PhysicalOperator):
     """
 
     op_type = "queue"
+    streaming = True
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
@@ -269,6 +275,7 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
     """
 
     op_type = "result_handler"
+    streaming = True
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)
@@ -278,8 +285,6 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
         )
         self._pending: List[Tuple] = []
         self.results_shipped = 0
-        self.messages_shipped = 0
-        self.bytes_shipped = 0
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         if self.param("table"):
@@ -315,9 +320,9 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
                 self.context.deliver_result(tup)
             return
         wire = [tup.to_wire() for tup in batch]
-        self.messages_shipped += 1
+        self.stats.messages_shipped += 1
         if self._obs is not None:
-            self.bytes_shipped += wire_size(wire)
+            self.stats.bytes_shipped += wire_size(wire)
         self.context.overlay.direct_message(
             self.context.proxy_address,
             namespace=RESULT_NAMESPACE,

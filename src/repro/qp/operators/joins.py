@@ -33,6 +33,7 @@ class SymmetricHashJoin(PhysicalOperator):
     """
 
     op_type = "symmetric_hash_join"
+    streaming = True
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001
         super().__init__(spec, context)

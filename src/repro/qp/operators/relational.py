@@ -21,6 +21,7 @@ class Selection(PhysicalOperator):
     """
 
     op_type = "selection"
+    streaming = True
 
     def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
         predicate = self.param("predicate")
@@ -70,6 +71,7 @@ class Projection(PhysicalOperator):
     """
 
     op_type = "projection"
+    streaming = True
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001 - see base class
         super().__init__(spec, context)
@@ -140,6 +142,7 @@ class Tee(PhysicalOperator):
     """Copy the input stream to every consumer (fan-out)."""
 
     op_type = "tee"
+    streaming = True
 
     def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
         self.emit(batch, tag)
@@ -150,6 +153,7 @@ class Union(PhysicalOperator):
     """Bag union of any number of inputs (slots are not distinguished)."""
 
     op_type = "union"
+    streaming = True
 
     def on_batch(self, batch: List[Tuple], slot: int, tag: str) -> None:
         self.emit(batch, tag)
@@ -163,6 +167,7 @@ class DuplicateElimination(PhysicalOperator):
     """
 
     op_type = "dupelim"
+    streaming = True
 
     def __init__(self, spec, context) -> None:  # noqa: ANN001 - see base class
         super().__init__(spec, context)
@@ -185,6 +190,7 @@ class Rename(PhysicalOperator):
     """
 
     op_type = "rename"
+    streaming = True
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
         mapping = self.param("columns", {})

@@ -12,6 +12,7 @@ says which nodes must run it.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -274,6 +275,25 @@ class QueryPlan:
         return plan
 
 
+class DecodedGraph:
+    """An opgraph with what installing it needs, worked out once: its
+    operators in topological order, its source operators, and the
+    ``(operator_id, op_type)`` pairs a finished install record keeps its
+    counters under.  Shared, read-only, by every simulated node that
+    installs the same envelope (:meth:`QueryEnvelope.decoded`).
+    ``streams`` is whether every operator emits as it receives — None
+    until :func:`repro.qp.completion.graphs_stream` first decides it."""
+
+    __slots__ = ("graph", "order", "sources", "names", "streams", "__weakref__")
+
+    def __init__(self, graph: OpGraph) -> None:
+        self.graph = graph
+        self.order = graph.topological_order()
+        self.sources = graph.sources()
+        self.names = tuple((spec.operator_id, spec.op_type) for spec in self.order)
+        self.streams: Optional[bool] = None
+
+
 class QueryEnvelope:
     """One query's opgraphs on their way to the nodes that run them.
 
@@ -287,10 +307,23 @@ class QueryEnvelope:
     Immutable, like a :class:`~repro.qp.tuples.Tuple`, and for the same
     reason: a distribution-tree node hands one envelope to each of its
     children, so the codec memoizes its encoded size (and, for sockets,
-    its bytes) on it and sizes or encodes it once, not once per edge.
+    its bytes) on it and sizes or encodes it once, not once per edge.  The
+    decoded graphs are remembered too, but weakly: every simulated node
+    that installs the envelope while another node's graphs of it still run
+    shares them, and an envelope stored after the query ended (the tree
+    root keeps a broadcast for a while) does not keep them alive.
     """
 
-    __slots__ = ("query_id", "deadline", "proxy", "metadata", "graphs", "_wire_size", "_encoded")
+    __slots__ = (
+        "query_id",
+        "deadline",
+        "proxy",
+        "metadata",
+        "graphs",
+        "_wire_size",
+        "_encoded",
+        "_decoded",
+    )
 
     def __init__(
         self,
@@ -308,6 +341,7 @@ class QueryEnvelope:
         init(self, "graphs", graphs)
         init(self, "_wire_size", None)  # codec.encoded_size memo
         init(self, "_encoded", None)  # codec encoding memo
+        init(self, "_decoded", ())  # decoded() memo: weak references
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"QueryEnvelope is immutable: cannot set {name!r}")
@@ -316,8 +350,17 @@ class QueryEnvelope:
         """The encoded fields, in wire order."""
         return (self.query_id, self.deadline, self.proxy, self.metadata, self.graphs)
 
+    def decoded(self) -> List[DecodedGraph]:
+        """The envelope's opgraphs, decoded and ordered once for as long as
+        an install record holds them."""
+        decoded = [ref() for ref in self._decoded]
+        if not decoded or None in decoded:
+            decoded = [DecodedGraph(OpGraph.from_wire(wire)) for wire in self.graphs]
+            object.__setattr__(self, "_decoded", tuple(map(weakref.ref, decoded)))
+        return decoded
+
     def opgraphs(self) -> List[OpGraph]:
-        return [OpGraph.from_wire(wire) for wire in self.graphs]
+        return [entry.graph for entry in self.decoded()]
 
     def to_bytes(self) -> bytes:
         """The codec's encoding of this envelope, built at most once."""

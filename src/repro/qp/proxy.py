@@ -3,8 +3,10 @@
 A client opens a (TCP) connection to any PIER node, which becomes its
 *proxy*: the proxy parses the query, disseminates its opgraphs, receives
 answer tuples produced anywhere in the network, and forwards them to the
-client.  Queries terminate by timeout; the proxy then reports the collected
-result set to the client's completion callback, and forgets the query
+client.  Queries terminate by timeout — or, for a streaming one-shot plan,
+as soon as the nodes' progress reports show its data done
+(:mod:`repro.qp.completion`); the proxy then reports the collected result
+set to the client's completion callback, and forgets the query
 :data:`~repro.qp.executor.FINISHED_RETENTION` seconds later — the rows
 live on in whatever result object the client holds, not in the proxy.
 
@@ -25,9 +27,10 @@ opgraphs there so its local data rejoins continuous/windowed queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.overlay.wrapper import OverlayNode
+from repro.qp.completion import CompletionLedger, plan_streams
 from repro.qp.dissemination import QueryDisseminator
 from repro.qp.executor import FINISHED_RETENTION, QueryExecutor, pop_expired
 from repro.qp.integrity import (
@@ -59,6 +62,12 @@ class QueryHandle:
     cancelled: bool = False
     first_result_at: Optional[float] = None
     finished_at: Optional[float] = None
+    # How the query ended: "data" (its progress reports balanced),
+    # "deadline" (TIMEOUT + 1) or "cancel".
+    completed_by: Optional[str] = None
+    # The nodes' progress, for a plan whose end can come from its data
+    # (repro.qp.completion); None for every other plan.
+    ledger: Optional[CompletionLedger] = None
     # Failure-aware execution state.  ``down_nodes`` is the current belief;
     # ``confirmed_down`` the subset whose failure was reported by the
     # deployment's failure-detection layer (such a node really died, so its
@@ -200,6 +209,8 @@ class ProxyService:
             if member.identifier not in live:
                 handle.down_nodes.add(member.address)
                 handle.ever_down.add(member.address)
+        if plan_streams(plan):
+            handle.ledger = CompletionLedger(handle.participants)
         # Causal tracing: stamp the root trace context into the plan's
         # metadata exactly once (re-dissemination and renewal reuse it, so
         # a query has one trace for its whole life).  ``root_context``
@@ -324,8 +335,10 @@ class ProxyService:
         about the last FINISHED_RETENTION seconds."""
         return self._queries.get(query_id)
 
-    def _finish(self, handle: QueryHandle) -> None:
+    def _finish(self, handle: QueryHandle, completed_by: str) -> None:
         handle.finished = True
+        handle.completed_by = completed_by
+        handle.ledger = None  # nothing more is counted
         handle.finished_at = self._finished[handle.query_id] = (
             self.overlay.runtime.get_current_time()
         )
@@ -351,7 +364,7 @@ class ProxyService:
         handle = self._queries.get(query_id)
         if handle is None or handle.finished:
             return False
-        self._finish(handle)
+        self._finish(handle, "cancel")
         handle.cancelled = True
         self._trace_finish(handle)
         if handle.done_callback is not None:
@@ -373,6 +386,7 @@ class ProxyService:
             node=self.overlay.address,
             results=len(handle.results),
             cancelled=handle.cancelled,
+            completed_by=handle.completed_by,
             coverage=handle.coverage,
         )
 
@@ -383,6 +397,12 @@ class ProxyService:
 
     def _on_result_message(self, _namespace: str, key: object, value: object) -> None:
         query_id = str(key)
+        if isinstance(value, tuple):  # a node's progress report: (node, counts)
+            try:
+                self.note_progress(query_id, *value)
+            except (TypeError, ValueError):
+                pass  # malformed: best-effort, like a malformed row
+            return
         if not isinstance(value, list):
             value = [value]
         for payload in value:
@@ -401,6 +421,38 @@ class ProxyService:
         handle.results.append(tup)
         if handle.result_callback is not None:
             handle.result_callback(tup)
+        if handle.ledger is not None and not handle.ledger.waiting:
+            self._check_completion(handle)
+
+    # -- completion from the data (repro.qp.completion) -------------------------- #
+    def note_progress(self, query_id: str, node: Any, counts: Sequence[int]) -> None:
+        """Take one node's cumulative counts for a streaming query
+        (:meth:`repro.qp.completion.ProgressReporter.counts`)."""
+        handle = self._queries.get(query_id)
+        if handle is None or handle.finished or handle.ledger is None:
+            return
+        handle.ledger.note(node, counts)
+        self._check_completion(handle)
+
+    def _check_completion(self, handle: QueryHandle) -> None:
+        """Once the counts balance, end the query from a fresh event: the
+        end tears down graphs on this node too, and the balance may have
+        been noticed from inside one of them."""
+        if handle.ledger.balanced(len(handle.results)):
+            self.overlay.runtime.schedule_event(0.0, handle.query_id, self._on_data_done)
+
+    def _on_data_done(self, query_id: str) -> None:
+        handle = self._queries.get(query_id)
+        if handle is None or handle.finished or not handle.ledger.balanced(len(handle.results)):
+            return
+        self._finish(handle, "data")
+        self._trace_finish(handle)
+        if handle.done_callback is not None:
+            handle.done_callback(handle)
+        # The query's deadline is now, on every node.
+        self.disseminator.broadcast_control(
+            query_id, {"action": "renew", "deadline": handle.finished_at}
+        )
 
     # -- integrity (spot-check verification and replica reconciliation) --------- #
     def _on_integrity_message(self, _namespace: str, key: object, value: object) -> None:
@@ -457,7 +509,7 @@ class ProxyService:
         now = self.overlay.runtime.get_current_time()
         if now + 1e-9 < handle.deadline + 1.0:
             return  # lifetime was renewed; renew() armed a later timer
-        self._finish(handle)
+        self._finish(handle, "deadline")
         self._finalize_integrity(handle)
         self._trace_finish(handle)
         if handle.done_callback is not None:

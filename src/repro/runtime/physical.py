@@ -537,13 +537,13 @@ class PhysicalNodeRuntime(VirtualRuntime):
                 # A failed node neither delivers nor acks: its peers see
                 # delivery failures after retries, like a real crash.
                 continue
+            ack = codec.pack_datagram(codec.KIND_ACK, transport_id, destination_port, source_port)
+            # An ACK frame is bytes on the wire but not a message, as in
+            # the simulator's accounting of acks.
+            self._environment.stats.bytes_sent += len(ack)
+            self._environment.bytes_sent_by_node[self._address] += len(ack)
             try:
-                self._udp_socket.sendto(
-                    codec.pack_datagram(
-                        codec.KIND_ACK, transport_id, destination_port, source_port
-                    ),
-                    peer,
-                )
+                self._udp_socket.sendto(ack, peer)
             except OSError:
                 pass
             if not self._dedup[peer].check_and_add(transport_id):

@@ -265,7 +265,8 @@ class SimSanitizer:
         overlay registrations may remain.
 
         ``installed`` is a :class:`repro.qp.executor.InstalledGraph`; its
-        context records every event armed through ``ExecutionContext
+        ``armed_events`` (its context's ledger, which the record keeps past
+        finish) records every event armed through ``ExecutionContext
         .schedule`` while sanitizing.  ``overlay`` is the node's
         :class:`~repro.overlay.wrapper.OverlayNode`.
         """
@@ -275,16 +276,16 @@ class SimSanitizer:
             details = ", ".join(self._describe_timer(event) for event in leaked[:5])
             raise SanitizerError(
                 f"timer leak: query {installed.query_id!r} graph "
-                f"{installed.graph.graph_id!r} on node {node_address!r} left "
+                f"{installed.graph_id!r} on node {node_address!r} left "
                 f"{len(leaked)} timer(s) armed after stop() — operators must "
                 f"arm timers via PhysicalOperator.arm_timer (cancelled by "
                 f"stop()); leaked: {details}"
             )
-        if installed.context.armed_events:
+        if installed.armed_events:
             # Audited.  What the release ledger looks at is what gets armed
             # from here on — and the dispatched events' callbacks would tie
             # the stopped operators into a cycle with their context.
-            installed.context.armed_events.clear()
+            installed.armed_events.clear()
         for operator_id, operator in installed.operators.items():
             residual = getattr(operator, "residual_buffered", lambda: 0)()
             if residual:
@@ -311,8 +312,8 @@ class SimSanitizer:
         nothing of the query may still be reachable from the node.
 
         ``executor`` is the node's :class:`repro.qp.executor.QueryExecutor`;
-        ``released`` are the records it just dropped, whose contexts are
-        checked for timers still armed.  Reachable means: an install record
+        ``released`` are the records it just dropped, whose timer ledgers
+        are checked for timers still armed.  Reachable means: an install record
         of the query, a handler in the overlay's ``new_data`` / ``upcall``
         maps or the executor's local-table listeners that belongs to one of
         its operators or sits under one of its private namespaces, or a
@@ -354,7 +355,7 @@ class SimSanitizer:
 
     @staticmethod
     def _live_timers(installed: Any) -> List[Any]:
-        armed = getattr(installed.context, "armed_events", None) or ()
+        armed = installed.armed_events or ()
         return [event for event in armed if event._in_heap and not event.cancelled]
 
     @staticmethod

@@ -458,11 +458,13 @@ def test_hierarchical_standing_query_evicts_expired_epoch_state(live_network):
         aggregation_strategy="hierarchical",
     )
     _feed(network, until=40.0)
-    network.run(50.0)
-    assert cq.finished
+    # Looked at just before the lifetime ends: a finished install record
+    # keeps its operators' counters, not their state.
+    network.run(44.0)
+    assert not cq.finished
     evicted = 0
     for node in network.nodes:
-        for graph in node.executor.installed_graphs():
+        for graph in node.executor.running_graphs():
             if graph.query_id != cq.query_id:
                 continue
             operator = graph.operators.get("hier_agg")
@@ -476,6 +478,8 @@ def test_hierarchical_standing_query_evicts_expired_epoch_state(live_network):
                 span = max(live_epochs) - min(live_epochs)
                 assert span * operator.window_spec.slide <= operator._epoch_retention() + 2 * operator.window_spec.slide
     assert evicted > 0, "expired epoch entries were evicted somewhere"
+    network.run(6.0)
+    assert cq.finished
 
 
 @pytest.mark.parametrize("scenario", ["hierarchical", "relayed", "flat"])

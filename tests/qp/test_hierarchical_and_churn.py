@@ -5,7 +5,7 @@ import pytest
 
 from repro import PIERNetwork
 from repro.qp.opgraph import DisseminationSpec, QueryPlan
-from repro.qp.plans import broadcast_scan_plan, flat_aggregation_plan, hierarchical_aggregation_plan
+from repro.qp.plans import flat_aggregation_plan, hierarchical_aggregation_plan
 from repro.qp.tuples import Tuple
 from repro.runtime.churn import ChurnProcess
 
@@ -89,7 +89,13 @@ def test_malformed_rows_are_dropped_without_breaking_the_query():
 
 def test_continuous_query_sees_newly_published_tuples():
     network = PIERNetwork(12, seed=34)
-    plan = broadcast_scan_plan("live_table", source="dht_scan", timeout=14)
+    plan = QueryPlan(timeout=14)
+    graph = plan.new_graph()
+    graph.add_operator("scan", "dht_scan", {"namespace": "live_table"})
+    # A per-node limit holds state until the deadline, so the query runs to
+    # its timeout (a plain scan of an empty table ends with its data).
+    graph.add_operator("limit", "limit", {"count": 100}, inputs=["scan"])
+    graph.add_operator("results", "result_handler", {}, inputs=["limit"])
     handle = network.submit(plan, proxy=0)
     network.run(2.0)
     rows = [Tuple.make("live_table", seq=i) for i in range(6)]

@@ -106,3 +106,20 @@ def test_a_rejoining_node_gets_the_renewed_deadline_and_ends_with_the_query():
         for graph in net.node(victim).executor.running_graphs()
         if graph.query_id == cq.query_id
     ]
+
+
+def test_an_envelope_is_decoded_once_for_every_node_it_reaches():
+    """The simulator hands one envelope object to every node: its opgraphs
+    are decoded and ordered once, and every node's install record shares
+    the decoded graph, read-only."""
+    net = PIERNetwork(8, seed=5)
+    _local_events(net)
+    plan = flat_aggregation_plan("events", ["src"], [("count", None, "n")], timeout=6.0)
+    net.submit(plan, proxy=0)
+    net.run(2.0)
+    graphs = {
+        address: [graph.graph for graph in net.nodes[address].executor.running_graphs()]
+        for address in (2, 5)
+    }
+    assert graphs[2] and len(graphs[2]) == len(plan.opgraphs)
+    assert all(first is second for first, second in zip(graphs[2], graphs[5]))

@@ -11,6 +11,7 @@ across short reads.
 """
 
 import socket
+import time
 
 import pytest
 
@@ -95,6 +96,27 @@ def test_physical_results_match_simulated_and_avoid_pickle():
     assert physical[2] == simulated[2] == [(0, "s-a1"), (2, "s-b1")]
     # The acceptance bar: zero pickle frames on the physical wire path.
     assert codec.FALLBACKS.total() == 0
+
+
+def test_a_loopback_join_ends_when_its_data_does():
+    """On real sockets a streaming join ends at its last row plus a quiet
+    interval and a report, not at ``TIMEOUT + 1`` wall seconds."""
+    net = PIERNetwork(4, seed=11, mode="physical")
+    try:
+        net.create_table("events", partitioning=["event_id"])
+        net.publish("events", [Tuple.make("events", source=f"10.0.0.{i % 3}", event_id=i) for i in range(12)])
+        net.create_table("zones", partitioning=["zone"])
+        net.publish("zones", [Tuple.make("zones", zone=f"z{i}", address=f"10.0.0.{i}") for i in range(2)])
+        net.run(0.5)
+        timeout = 4.0
+        started = time.perf_counter()
+        result = net.query(f"SELECT event_id, zone FROM events JOIN zones ON source = address TIMEOUT {timeout:g}")
+        elapsed = time.perf_counter() - started
+        assert result.completed_by == "data"
+        assert elapsed < timeout
+        assert sorted(row["event_id"] for row in result.rows()) == [i for i in range(12) if i % 3 < 2]
+    finally:
+        net.close()
 
 
 def test_physical_network_rejects_simulation_only_knobs():

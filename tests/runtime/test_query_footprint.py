@@ -205,13 +205,16 @@ def test_records_handles_and_tombstones_are_bounded():
     """What is retained depends on the retention, not on how many queries
     ran: the same bound holds after 20 queries and after 60."""
     net = make_network(seed=9)
-    # A 4-second query: at most ceil((30 + 10) / 4) + 1 of them are within
-    # the retention plus a stabilization tick, each with one record per node.
+    # One query per 4-second slot (a scan ends with its data, well inside
+    # the slot): at most ceil((30 + 10) / 4) + 1 of them are within the
+    # retention plus a stabilization tick, each with one record per node.
     per_query = 11
     bound = {"installed": per_query * NODES, "finished": per_query * NODES, "queries": per_query}
     worst = Counter()
     for index in range(60):
+        slot_ends = net.now + 4.0
         scan(net, index % NODES)
+        net.run(slot_ends - net.now)
         census = record_census(net)
         worst |= Counter(census)
         if index in (19, 59):
@@ -284,7 +287,11 @@ def test_a_running_query_is_reinstalled_on_a_recovered_node():
     """Release does not get in the way of rejoin re-dissemination: the
     purge on recovery leaves no tombstone behind."""
     net = make_network(seed=19)
-    stream = net.stream("SELECT src FROM events TIMEOUT 30", resilience=True)
+    # A GROUP BY holds its groups until the deadline, so it is still
+    # running when the victim comes back (a plain scan ends with its data).
+    stream = net.stream(
+        "SELECT src, COUNT(*) AS n FROM events GROUP BY src TIMEOUT 30", resilience=True
+    )
     victim = 5
     net.run(2.0)
     net.fail_node(victim)
@@ -294,9 +301,9 @@ def test_a_running_query_is_reinstalled_on_a_recovered_node():
     net.run(1.0)
     assert stream.handle.redisseminations >= 1
     assert net.node(victim).executor.graphs_installed > installs
-    assert [
+    assert {
         graph.query_id for graph in net.node(victim).executor.running_graphs()
-    ] == [stream.query_id]
+    } == {stream.query_id}
     stream.cancel()
 
 
@@ -333,6 +340,7 @@ def test_a_published_row_reaches_no_finished_scan():
     net = make_network(seed=23)
     for index in range(30):
         scan(net, index % NODES)
+    net.run(1.0)  # the last scan's end is still crossing the tree
     called: List[Any] = []
     original = PhysicalOperator.receive
 
@@ -398,9 +406,9 @@ def test_explain_analyze_says_when_the_actuals_are_gone():
 # -- (g) random interleavings against a plain-Python reference ---------------------------------------------------- #
 TABLES = ("t0", "t1", "t2")
 TIMEOUT = 4.0
-# A row published this long before a scan's deadline has reached its owner
-# and, through the scan, the proxy; one published after the proxy stopped
-# listening (TIMEOUT + 1) cannot have.
+# A row published this long before a scan's proxy closed it (when its data
+# was done, or at its deadline) has reached its owner and, through the
+# scan, the proxy; one published after the proxy closed cannot have.
 SETTLED = 2.0
 
 OPERATIONS = st.lists(
@@ -448,11 +456,12 @@ def test_random_interleavings_answer_right_and_release_everything(operations):
         assert stream.finished
         answer = Counter(tup["v"] for tup in stream.results)
         assert not [v for v, copies in answer.items() if copies > 1], "a row answered twice"
-        closed = submitted_at + TIMEOUT + 1.0 if cancelled_at is None else cancelled_at
+        closed = stream.handle.finished_at
         may = {v for at, v in published[table] if at < closed}
         assert set(answer) <= may
         if cancelled_at is None:
-            must = {v for at, v in published[table] if at <= submitted_at + TIMEOUT - SETTLED}
+            settled = min(submitted_at + TIMEOUT, closed) - SETTLED
+            must = {v for at, v in published[table] if at <= settled}
             assert must <= set(answer)
     net.run(RELEASED_AFTER)
     assert handler_census(net) == baseline

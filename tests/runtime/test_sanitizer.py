@@ -221,6 +221,25 @@ def test_release_ledger_names_what_a_dropped_query_still_holds():
         sanitizer.check_released("q-running", executor)
 
 
+
+def test_a_timer_armed_after_teardown_is_reported_at_release(monkeypatch):
+    """A finished record lets go of its execution context, but not of the
+    context's timer ledger: a timer armed through the context after the
+    graph stopped is still reported when the node drops the query."""
+    monkeypatch.setenv("PIER_SANITIZE", "1")
+    deployment = build_overlay(1, seed=3)
+    overlay = deployment.node(0)
+    executor = QueryExecutor(overlay)
+    graph = OpGraph("g0")
+    graph.add_operator("clingy", "test_clingy", {"tracked": True})
+    installed = executor.install("q-late", graph, timeout=5.0, proxy_address=overlay.address)
+    context = installed.context
+    executor.finish(installed)
+    assert installed.context is None
+    context.schedule(FINISHED_RETENTION + 60.0, lambda _data: None)
+    with pytest.raises(SanitizerError, match="release leak.*q-late.*armed timer"):
+        deployment.run(FINISHED_RETENTION + 11.0)
+
 # -- determinism -------------------------------------------------------------- #
 def _seeded_run(seed: int) -> SimulationEnvironment:
     env = SimulationEnvironment(3, seed=seed, sanitize=True)

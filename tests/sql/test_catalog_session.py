@@ -293,7 +293,8 @@ def test_cancel_refuses_in_flight_opgraph_installs(events_network):
 def test_stream_cancel_stops_the_query_everywhere(events_network):
     net = events_network
     stream = net.stream("SELECT node FROM events TIMEOUT 60")
-    net.run(2.0)
+    net.run(0.3)  # mid-query: a scan's data is done about half a second in
+    assert not stream.finished
     count_at_cancel = len(stream.results)
     assert stream.cancel()
     assert stream.finished and stream.handle.cancelled
@@ -308,6 +309,32 @@ def test_stream_cancel_stops_the_query_everywhere(events_network):
     # Cancelling twice is a no-op.
     assert not stream.cancel()
 
+
+
+def test_a_query_cancelled_from_its_first_local_result_stops_cleanly():
+    """On a one-node deployment every row is the proxy's own: it reaches
+    the client while the proxy's graph is still starting, and a client
+    that cancels right there tears that graph down before its teardown
+    timer was ever armed."""
+    net = PIERNetwork(1, seed=3)
+    net.create_table("t", partitioning=["id"])
+    net.publish("t", [Tuple.make("t", id=i) for i in range(100)])
+    net.run(1.0)
+    plan = net.plan_sql("SELECT id FROM t TIMEOUT 10")
+    seen = []
+
+    def on_result(tup):
+        seen.append(tup)
+        if len(seen) == 1:
+            assert net.cancel(plan.query_id)
+
+    handle = net.submit(plan, result_callback=on_result)
+    net.run(12.0)
+    assert handle.cancelled and handle.completed_by == "cancel"
+    assert len(seen) == 1 and len(handle.results) == 1
+    executor = net.nodes[0].executor
+    assert not executor.running_graphs()
+    assert [graph.timer for graph in executor.installed_graphs()] == [None]
 
 def test_stream_iteration_terminates_when_deployment_dies(events_network):
     """If every node fails mid-query the event queue can drain without the

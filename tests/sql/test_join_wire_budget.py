@@ -33,9 +33,16 @@ MARKERS: set = set()
 # 47,020) when a query's three opgraphs began to travel the distribution
 # tree as one envelope in the plan's well-known vocabulary: 22 fewer tree
 # messages, so both queries send 288 (SELECT * 111,823 to 98,821 bytes).
+# Re-recorded (47,020 to 48,646) when a streaming query began to end when
+# its data does: the window now holds the nodes' progress reports and the
+# first hop of the end broadcast, and no longer the idle tail up to
+# TIMEOUT + 1; both queries send 310 messages (SELECT * 100,447 bytes).
+# Re-recorded (48,646 to 48,152) when a node's quiet check moved onto the
+# query's own ticks: fewer progress reports, so both queries send 303
+# messages (SELECT * 99,953 bytes).
 # If a change moves it on purpose, re-record it here and say why in
 # CHANGES.md.
-PRUNED_BYTES = 47_020
+PRUNED_BYTES = 48_152
 
 
 def _deployment(monkeypatch) -> PIERNetwork:
@@ -105,7 +112,9 @@ def test_pruned_join_ships_only_needed_columns_within_a_recorded_byte_budget(mon
 
 def test_the_plan_crosses_each_tree_edge_once(monkeypatch):
     """All three opgraphs of the join travel down the distribution tree in
-    one envelope: one message per tree edge, not one per opgraph."""
+    one envelope: one message per tree edge, not one per opgraph.  The
+    query's end — its deadline moved to the moment its data was done —
+    follows the same edges once."""
     net = _deployment(monkeypatch)
     edges = sum(len(node.tree.children()) for node in net.nodes)
     assert edges == len(net.nodes) - 1  # the tree spans the deployment
@@ -121,9 +130,18 @@ def test_the_plan_crosses_each_tree_edge_once(monkeypatch):
     net.environment.transmit = watching
     try:
         result = net.query(f"SELECT k FROM {JOINS} TIMEOUT 10")
+        net.run(2.0)  # the end crosses the tree
     finally:
         del net.environment.transmit
-    assert result.rows()
-    assert len(forwarded) == edges == 11
-    assert {envelope.query_id for envelope in forwarded} == {result.query_id}
-    assert all(len(envelope.graphs) == 3 for envelope in forwarded)
+    assert result.rows() and result.completed_by == "data"
+    envelopes = [payload for payload in forwarded if isinstance(payload, opgraph.QueryEnvelope)]
+    assert len(envelopes) == edges == 11
+    assert {envelope.query_id for envelope in envelopes} == {result.query_id}
+    assert all(len(envelope.graphs) == 3 for envelope in envelopes)
+    ends = [payload for payload in forwarded if not isinstance(payload, opgraph.QueryEnvelope)]
+    assert len(ends) == edges
+    assert all(
+        end["query_id"] == result.query_id
+        and end["control"] == {"action": "renew", "deadline": result.finished_at}
+        for end in ends
+    )
