@@ -209,6 +209,14 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
         if sent is not None:
             out[_metric_key("net.bytes_sent", labels)] = sent
 
+    # Plan dissemination: tree broadcasts by how they went (the template
+    # in full, or its header by reference), and headers a node could not
+    # resolve and asked its proxy about.
+    for counter in ("templates_full", "templates_by_reference", "template_misses"):
+        out[f"dissemination.{counter}"] = sum(
+            getattr(node.disseminator, counter) for node in network.nodes
+        )
+
     # Security: byzantine fault injection (ground truth) and the defenses'
     # accounting — spot-check verifications at the proxies and admission
     # throttling at the rate limiters.

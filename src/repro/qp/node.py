@@ -15,7 +15,7 @@ from repro.overlay.naming import random_suffix
 from repro.overlay.router import BootstrapDirectory, ChordRouter, NodeContact, Router
 from repro.overlay.wrapper import OverlayNode
 from repro.qp.completion import ProgressReporter, graphs_stream
-from repro.qp.dissemination import QueryDisseminator
+from repro.qp.dissemination import QueryDisseminator, TemplateCache
 from repro.qp.executor import QueryExecutor
 from repro.qp.opgraph import QueryEnvelope, QueryPlan
 from repro.qp.proxy import ProxyService, QueryHandle
@@ -41,8 +41,11 @@ class PIERNode:
         self.overlay = OverlayNode(runtime, directory, router_factory=router_factory)
         self.tree = DistributionTree(self.overlay)
         self.executor = QueryExecutor(self.overlay, exchange_defaults=exchange_defaults)
+        # The opgraph templates this node received down the tree, by digest.
+        self.templates = TemplateCache(runtime.get_current_time)
+        self.overlay.on_stabilize(self._sweep_templates)
         self.disseminator = QueryDisseminator(
-            self.overlay, self.tree, self._install_envelope, pht_resolver=pht_resolver
+            self.overlay, self.tree, self._install_envelope, self.templates, pht_resolver
         )
         self.proxy = ProxyService(self.overlay, self.executor, self.disseminator)
         # Shared-plan epoch fan-out (repro.cq.sharing): subscribers attached
@@ -165,9 +168,13 @@ class PIERNode:
         Every graph runs until the proxy's deadline, the same moment on
         every node however deep in the tree this one is; an envelope that
         arrives after it installs nothing.  A renew control moves that
-        deadline — to now, when the proxy saw the query's data done.  An
-        envelope that came down the distribution tree (``broadcast``) and
-        streams gets a progress reporter: its end can come from its data
+        deadline — to now, when the proxy saw the query's data done.
+
+        An envelope that came down the distribution tree (``broadcast``,
+        or a proxy's answer standing in for it) is a template this node
+        files, or a header it resolves from its templates — one it cannot
+        resolve, it asks the proxy for.  Such an envelope, if it streams,
+        gets a progress reporter: its end can come from its data
         (repro.qp.completion)."""
         if not isinstance(envelope, QueryEnvelope):
             panes = envelope.get("panes")
@@ -185,13 +192,21 @@ class PIERNode:
         remaining = envelope.deadline - self.runtime.get_current_time()
         if remaining <= 0:
             return
+        if not broadcast:
+            decoded = envelope.decoded()
+        elif envelope.by_reference:
+            decoded = self.templates.resolve(envelope.digest)
+            if decoded is None:
+                self.disseminator.request_template(envelope)
+                return
+        else:
+            decoded = self.templates.file(envelope)
         query_id = envelope.query_id
         proxy_address = envelope.proxy
         local = proxy_address == self.overlay.address
         deliver = None
         if local:
             deliver = lambda tup, qid=query_id: self.proxy.deliver_local_result(qid, tup)
-        decoded = envelope.decoded()
         progress = None
         if broadcast and graphs_stream(decoded, envelope.metadata):
             progress = ProgressReporter(
@@ -218,3 +233,11 @@ class PIERNode:
         ]
         if progress is not None and any(records):
             progress.touch()  # installed and probed: the quiet clock starts
+
+    def _sweep_templates(self) -> None:
+        """Drop the templates unused for the retention, on the
+        stabilization tick; the release ledger audits what stays."""
+        expired = self.templates.sweep()
+        sanitizer = getattr(self.runtime, "sanitizer", None)
+        if sanitizer is not None:
+            sanitizer.check_templates(self.templates, expired, self.address)

@@ -11,10 +11,11 @@ says which nodes must run it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 _query_counter = itertools.count(1)
 
@@ -241,8 +242,11 @@ class QueryPlan:
     def new_graph(
         self, graph_id: Optional[str] = None, dissemination: Optional[DisseminationSpec] = None
     ) -> OpGraph:
+        # Graph ids are query-relative: an install key already starts with
+        # the query id, and a repeat of the statement then ships the same
+        # opgraphs byte for byte (see QueryEnvelope.digest).
         graph = OpGraph(
-            graph_id=graph_id or f"{self.query_id}-g{len(self.opgraphs)}",
+            graph_id=graph_id or f"g{len(self.opgraphs)}",
             dissemination=dissemination or DisseminationSpec(),
         )
         return self.add_graph(graph)
@@ -275,14 +279,20 @@ class QueryPlan:
         return plan
 
 
+# A template's digest: BLAKE2b of its codec encoding, this many bytes.
+DIGEST_BYTES = 16
+
+
 class DecodedGraph:
     """An opgraph with what installing it needs, worked out once: its
     operators in topological order, its source operators, and the
     ``(operator_id, op_type)`` pairs a finished install record keeps its
-    counters under.  Shared, read-only, by every simulated node that
-    installs the same envelope (:meth:`QueryEnvelope.decoded`).
-    ``streams`` is whether every operator emits as it receives — None
-    until :func:`repro.qp.completion.graphs_stream` first decides it."""
+    counters under.  Graph ids are query-relative (``g0``), so it is
+    shared, read-only, by every query of the statement that a node's
+    template cache resolves to it, and by every simulated node that
+    installs the same envelope (:meth:`QueryEnvelope.decoded`).  ``streams`` is whether
+    every operator emits as it receives — None until
+    :func:`repro.qp.completion.graphs_stream` first decides it."""
 
     __slots__ = ("graph", "order", "sources", "names", "streams", "__weakref__")
 
@@ -302,16 +312,24 @@ class QueryEnvelope:
     at that moment, however late the envelope reached it.  ``metadata``
     holds the execution settings an executing node acts on (the
     ``ENVELOPE_METADATA_KEYS`` of :mod:`repro.qp.dissemination`);
-    ``graphs`` the opgraphs in :meth:`OpGraph.to_wire` form.
+    ``graphs`` is the query's *template*: the opgraphs in
+    :meth:`OpGraph.to_wire` form, with query-relative graph ids, so that
+    every query of one statement carries the same template.
+
+    A *header* (:meth:`reference`) is the same envelope with the template
+    replaced by its :attr:`digest`, ``DIGEST_BYTES`` bytes: what a query
+    sends down the distribution tree when the nodes already keep the
+    template (:class:`repro.qp.dissemination.TemplateCache`).
 
     Immutable, like a :class:`~repro.qp.tuples.Tuple`, and for the same
     reason: a distribution-tree node hands one envelope to each of its
     children, so the codec memoizes its encoded size (and, for sockets,
-    its bytes) on it and sizes or encodes it once, not once per edge.  The
-    decoded graphs are remembered too, but weakly: every simulated node
-    that installs the envelope while another node's graphs of it still run
-    shares them, and an envelope stored after the query ended (the tree
-    root keeps a broadcast for a while) does not keep them alive.
+    its bytes) on it and sizes or encodes it once, not once per edge; the
+    digest is memoized the same way.  The decoded graphs are remembered
+    too, but weakly: every simulated node that installs the envelope while
+    another node still holds them shares them, and an envelope stored
+    after the query ended (the tree root keeps a broadcast for a while)
+    does not keep them alive.
     """
 
     __slots__ = (
@@ -323,6 +341,7 @@ class QueryEnvelope:
         "_wire_size",
         "_encoded",
         "_decoded",
+        "_digest",
     )
 
     def __init__(
@@ -331,7 +350,7 @@ class QueryEnvelope:
         deadline: float,
         proxy: Any,
         metadata: Dict[str, Any],
-        graphs: Tuple[Any, ...],
+        graphs: Union[Tuple[Any, ...], bytes],
     ) -> None:
         init = object.__setattr__
         init(self, "query_id", query_id)
@@ -342,6 +361,7 @@ class QueryEnvelope:
         init(self, "_wire_size", None)  # codec.encoded_size memo
         init(self, "_encoded", None)  # codec encoding memo
         init(self, "_decoded", ())  # decoded() memo: weak references
+        init(self, "_digest", None)  # digest memo
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"QueryEnvelope is immutable: cannot set {name!r}")
@@ -350,9 +370,41 @@ class QueryEnvelope:
         """The encoded fields, in wire order."""
         return (self.query_id, self.deadline, self.proxy, self.metadata, self.graphs)
 
+    @property
+    def by_reference(self) -> bool:
+        """Whether this is a header: the template's digest, not the template."""
+        return self.graphs.__class__ is bytes
+
+    @property
+    def digest(self) -> bytes:
+        """The template's digest: BLAKE2b of its codec encoding, computed
+        from what this envelope carries (a header carries nothing else)."""
+        digest = self._digest
+        if digest is None:
+            if self.by_reference:
+                digest = self.graphs
+            else:
+                from repro.runtime import codec
+
+                digest = hashlib.blake2b(
+                    codec.encode(self.graphs), digest_size=DIGEST_BYTES
+                ).digest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
+
+    def reference(self) -> "QueryEnvelope":
+        """This envelope's header: the same query, deadline, proxy and
+        settings, and the template's digest in place of the template."""
+        return QueryEnvelope(
+            self.query_id, self.deadline, self.proxy, self.metadata, self.digest
+        )
+
     def decoded(self) -> List[DecodedGraph]:
         """The envelope's opgraphs, decoded and ordered once for as long as
-        an install record holds them."""
+        something holds them.  A header has none: its node resolves the
+        digest instead."""
+        if self.by_reference:
+            raise ValueError(f"query {self.query_id!r}: a header carries no opgraphs")
         decoded = [ref() for ref in self._decoded]
         if not decoded or None in decoded:
             decoded = [DecodedGraph(OpGraph.from_wire(wire)) for wire in self.graphs]

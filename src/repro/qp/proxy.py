@@ -141,6 +141,7 @@ class ProxyService:
         self.integrity_verifications = 0
         self.integrity_failures = 0
         self.integrity_repairs = 0
+        disseminator.template_request_handler = self._on_template_request
 
     def start(self) -> None:
         if self._started:
@@ -180,7 +181,8 @@ class ProxyService:
         client: Optional[str] = None,
     ) -> QueryHandle:
         """Parse-time validation, admission, dissemination, and result
-        registration."""
+        registration.  Raises ``ValueError`` before anything is sent if an
+        opgraph envelope of the plan cannot fit one datagram."""
         identity = client or "anonymous"
         if self.rate_limiter is not None and not self.rate_limiter.admit(identity):
             raise QueryRejected(
@@ -221,7 +223,11 @@ class ProxyService:
             if context is not None:
                 plan.metadata["trace"] = context
         self._queries[plan.query_id] = handle
-        self.disseminator.disseminate(plan, self.overlay.address, handle.deadline)
+        try:
+            self.disseminator.disseminate(plan, self.overlay.address, handle.deadline)
+        except ValueError:
+            del self._queries[plan.query_id]
+            raise
         # The proxy reports completion shortly after the query timeout so
         # that the last flush-produced results have time to arrive.
         self.overlay.runtime.schedule_event(
@@ -311,6 +317,17 @@ class ProxyService:
             handle.plan, self.overlay.address, handle.deadline, rejoined=address
         )
         return True
+
+    def _on_template_request(self, query_id: str, node: Any) -> None:
+        """A node could not resolve this query's header: send it the full
+        broadcast envelope, rebuilt from the plan, as the tree would have
+        carried it.  A finished or unknown query gets no answer."""
+        handle = self._queries.get(query_id)
+        if handle is None or handle.finished:
+            return
+        self.disseminator.disseminate(
+            handle.plan, self.overlay.address, handle.deadline, rejoined=node, resolve=True
+        )
 
     # -- lifetime renewal ------------------------------------------------------ #
     def renew(self, query_id: str) -> bool:

@@ -31,7 +31,9 @@ interned-schema tuples from the hot-path overhaul:
   query's opgraphs, in the plan's vocabulary (operator types and param
   keys are well-known strings), down the distribution tree.  An envelope
   is immutable and memoizes its encoding and its size like a tuple, so a
-  tree node sizes or encodes it once for all of its children.
+  tree node sizes or encodes it once for all of its children.  A header
+  (a repeated statement's query sent by reference) is the same form with
+  the opgraphs replaced by their digest, a bytes field.
 * **Pickle is a declared fallback**, not the wire format.  Payload
   shapes the tagged encoding does not know (exotic application objects)
   fall back to a length-prefixed pickle frame, and the module counts
@@ -502,6 +504,11 @@ KIND_ACK = 2
 
 _ENVELOPE = struct.Struct("!BBIII")
 ENVELOPE_BYTES = _ENVELOPE.size
+
+# The largest datagram the physical runtime sends (the UDP payload limit
+# over IPv4); beyond it sendto() fails with EMSGSIZE and the frame is
+# reported undeliverable to its callback.
+MAX_DATAGRAM = 65507
 
 
 def pack_datagram(

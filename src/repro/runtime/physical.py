@@ -61,10 +61,6 @@ Address = Tuple[str, int]
 # control reacts; the OS clamps to its own maximum.
 _SOCKET_BUFFER_BYTES = 1 << 21
 
-# Largest payload we attempt in one datagram; beyond this sendto() fails
-# with EMSGSIZE and the frame is reported undeliverable to its callback.
-_MAX_DATAGRAM = 65507
-
 # Select timeout cap: bounds stop_condition latency when no timer is due.
 _SELECT_SLICE = 0.05
 
@@ -476,7 +472,7 @@ class PhysicalNodeRuntime(VirtualRuntime):
             # Undeliverable at the socket layer (oversized frame, closed
             # socket): retries cannot help an EMSGSIZE, but transient
             # buffer pressure resolves, so let the retry ladder decide.
-            if len(pending.wire) > _MAX_DATAGRAM:
+            if len(pending.wire) > codec.MAX_DATAGRAM:
                 self._abandon(pending)
                 return
         pending.retry_event = self.schedule_event(

@@ -25,7 +25,10 @@ the discrete-event model depends on:
 * **Release ledger** — when a node drops the last install record of a
   query (one retention after it finished there), nothing of the query may
   still be reachable from the node: no install record, no overlay or
-  local-table registration, no armed timer.
+  local-table registration, no armed timer.  The node's opgraph template
+  cache is audited on every sweep of it: a template expired by the sweep
+  is gone, and no template left pins a query (its envelope, plan or
+  handle) or anything that ran one (an operator, a context, a record).
 * **Run-to-run determinism** — each dispatched event folds into a running
   digest; :func:`verify_determinism` runs a seeded scenario twice and
   compares digests.
@@ -38,6 +41,7 @@ attribute check per send).
 from __future__ import annotations
 
 import hashlib
+import types
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple as PyTuple
@@ -58,6 +62,46 @@ def _tuple_classes() -> PyTuple[type, type]:
 
         _TUPLE_CLASSES = (Tuple, Schema)
     return _TUPLE_CLASSES
+
+
+def _query_classes() -> PyTuple[type, ...]:
+    """What a template shared across queries must never reach."""
+    from repro.qp.executor import InstalledGraph
+    from repro.qp.opgraph import QueryEnvelope, QueryPlan
+    from repro.qp.operators.base import ExecutionContext, PhysicalOperator
+    from repro.qp.proxy import QueryHandle
+
+    return (QueryEnvelope, QueryPlan, QueryHandle, PhysicalOperator, ExecutionContext, InstalledGraph)
+
+
+_LEAVES = (str, bytes, int, float, bool, type(None), type, types.ModuleType)
+
+
+def _first_reachable(root: Any, classes: PyTuple[type, ...]) -> Any:
+    """The first object of ``classes`` reachable from ``root`` through
+    containers and instance fields, or None."""
+    seen = set()
+    stack = [root]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, _LEAVES) or id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, classes):
+            return value
+        if isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        else:
+            stack.extend(getattr(value, "__dict__", {}).values())
+            for klass in type(value).__mro__:
+                slots = klass.__dict__.get("__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if name not in ("__dict__", "__weakref__"):
+                        stack.append(getattr(value, name, None))
+    return None
 
 
 class SanitizerError(RuntimeError):
@@ -352,6 +396,28 @@ class SimSanitizer:
                 f"{query_id!r} but still holds {len(held)} thing(s) of it: "
                 + ", ".join(held[:5])
             )
+
+    def check_templates(self, templates: Any, expired: Iterable[bytes], node_address: Any) -> None:
+        """After a node swept its template cache
+        (:class:`repro.qp.dissemination.TemplateCache`): the digests the
+        sweep expired are gone, and no template still held reaches a
+        query object or an execution object."""
+        kept = [digest.hex() for digest in expired if digest in templates]
+        if kept:
+            raise SanitizerError(
+                f"release leak: node {node_address!r} expired template(s) "
+                f"{', '.join(kept[:5])} but still holds them"
+            )
+        forbidden = _query_classes()
+        for digest, decoded in templates.items():
+            pinned = _first_reachable(decoded, forbidden)
+            if pinned is not None:
+                raise SanitizerError(
+                    f"release leak: node {node_address!r} keeps template "
+                    f"{digest.hex()} that pins a {type(pinned).__name__} — a "
+                    f"template is shared by every query of its statement and "
+                    f"must hold no query or execution state"
+                )
 
     @staticmethod
     def _live_timers(installed: Any) -> List[Any]:

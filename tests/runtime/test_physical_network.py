@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.api import PIERNetwork
-from repro.qp.plans import symmetric_hash_join_plan
+from repro.qp.plans import broadcast_scan_plan, symmetric_hash_join_plan
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
 from repro.runtime.physical import PhysicalNodeRuntime
@@ -115,6 +115,56 @@ def test_a_loopback_join_ends_when_its_data_does():
         assert result.completed_by == "data"
         assert elapsed < timeout
         assert sorted(row["event_id"] for row in result.rows()) == [i for i in range(12) if i % 3 < 2]
+    finally:
+        net.close()
+
+
+def test_a_repeated_loopback_join_installs_by_reference():
+    """The second run of a join crosses the loopback tree as a header that
+    every node resolves from the template it decoded the first time, and
+    neither run takes the pickle fallback."""
+    net = PIERNetwork(4, seed=11, mode="physical")
+    try:
+        net.create_table("events", partitioning=["event_id"])
+        net.publish("events", [Tuple.make("events", source=f"10.0.0.{i % 3}", event_id=i) for i in range(12)])
+        net.create_table("zones", partitioning=["zone"])
+        net.publish("zones", [Tuple.make("zones", zone=f"z{i}", address=f"10.0.0.{i}") for i in range(2)])
+        net.run(0.5)
+        codec.FALLBACKS.reset()
+        query = "SELECT event_id, zone FROM events JOIN zones ON source = address TIMEOUT 4"
+        first = net.query(query)
+        second = net.query(query, proxy=2)
+        metrics = net.metrics()
+        assert metrics["dissemination.templates_full"] == 1
+        assert metrics["dissemination.templates_by_reference"] == 1
+        assert metrics["dissemination.template_misses"] == 0
+        assert all(
+            any(graph.query_id == second.query_id for graph in node.executor.installed_graphs())
+            for node in net.nodes
+        )
+        assert sorted(row["event_id"] for row in second.rows()) == sorted(
+            row["event_id"] for row in first.rows()
+        ) == [i for i in range(12) if i % 3 < 2]
+        assert codec.FALLBACKS.total() == 0
+    finally:
+        net.close()
+
+
+def test_a_loopback_plan_over_one_datagram_is_refused_before_anything_is_sent():
+    """The simulator refuses the same plan (tests/qp/test_plan_templates.py):
+    both runtimes answer it alike, with a ValueError at submit."""
+    net = PIERNetwork(3, seed=11, mode="physical")
+    try:
+        net.create_table("events", partitioning=["event_id"])
+        net.run(0.2)
+        plan = broadcast_scan_plan(
+            "events", "dht_scan", predicate=["eq", ["col", "source"], ["lit", "x" * codec.MAX_DATAGRAM]],
+            timeout=2.0,
+        )
+        sent = net.environment.stats.messages_sent
+        with pytest.raises(ValueError, match="datagram"):
+            net.execute(plan)
+        assert net.environment.stats.messages_sent == sent
     finally:
         net.close()
 

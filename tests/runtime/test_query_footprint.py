@@ -76,6 +76,7 @@ def record_census(net: PIERNetwork) -> Dict[str, int]:
         "installed": sum(len(node.executor._installed) for node in net.nodes),
         "finished": sum(len(node.executor._finished) for node in net.nodes),
         "queries": sum(len(node.proxy._queries) for node in net.nodes),
+        "templates": sum(len(node.templates) for node in net.nodes),
         "listeners": sum(
             len(listeners)
             for node in net.nodes
@@ -88,7 +89,7 @@ def tombstones(net: PIERNetwork) -> int:
     return sum(len(node.executor._refused) for node in net.nodes)
 
 
-EMPTY = {"installed": 0, "finished": 0, "queries": 0, "listeners": 0}
+EMPTY = {"installed": 0, "finished": 0, "queries": 0, "templates": 0, "listeners": 0}
 
 
 # -- the query shapes ---------------------------------------------------------------------- #

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import PIERNetwork
+from repro.qp.dissemination import TemplateCache
 from repro.qp.executor import FINISHED_RETENTION, QueryExecutor
 from repro.qp.opgraph import OpGraph
 from repro.qp.operators.base import PhysicalOperator, register_operator
@@ -18,6 +20,7 @@ from repro.runtime.sanitizer import (
     payload_fingerprint,
     verify_determinism,
 )
+from repro.qp.tuples import Tuple
 from repro.runtime.simulation import SimulationEnvironment
 from repro.simnet import build_overlay
 
@@ -239,6 +242,44 @@ def test_a_timer_armed_after_teardown_is_reported_at_release(monkeypatch):
     context.schedule(FINISHED_RETENTION + 60.0, lambda _data: None)
     with pytest.raises(SanitizerError, match="release leak.*q-late.*armed timer"):
         deployment.run(FINISHED_RETENTION + 11.0)
+
+
+def _scanned_deployment(monkeypatch):
+    """A sanitizing 4-node deployment that ran one scan: every node keeps
+    its template."""
+    monkeypatch.setenv("PIER_SANITIZE", "1")
+    net = PIERNetwork(4, seed=3)
+    net.create_table("t", partitioning=["v"])
+    net.publish("t", [Tuple.make("t", v=i) for i in range(6)])
+    net.run(2.0)
+    result = net.query("SELECT v FROM t TIMEOUT 3")
+    assert len(result) == 6 and all(len(node.templates) == 1 for node in net.nodes)
+    return net, result
+
+
+@pytest.mark.parametrize("pinned", ["handle", "record"])
+def test_a_template_that_pins_a_query_object_is_reported_at_release(monkeypatch, pinned):
+    """A template is shared by every query of its statement: one that
+    reaches a query's handle or install record would keep the query
+    alive for as long as the statement repeats."""
+    net, result = _scanned_deployment(monkeypatch)
+    node = net.nodes[2]
+    ((digest, decoded),) = node.templates.items()
+    if pinned == "handle":
+        culprit = net.nodes[0].proxy.query(result.query_id)
+    else:
+        culprit = node.executor.installed_graphs()[0]
+    node.templates._templates[digest] = [*decoded, {"why": [culprit]}]
+    name = type(culprit).__name__
+    with pytest.raises(SanitizerError, match=f"release leak.*template {digest.hex()} that pins a {name}"):
+        net.run(FINISHED_RETENTION + 11.0)
+
+
+def test_an_expired_template_still_held_is_reported(monkeypatch):
+    net, _result = _scanned_deployment(monkeypatch)
+    monkeypatch.setattr(TemplateCache, "sweep", lambda self: list(self._used))
+    with pytest.raises(SanitizerError, match="release leak.*expired template"):
+        net.run(FINISHED_RETENTION + 11.0)
 
 # -- determinism -------------------------------------------------------------- #
 def _seeded_run(seed: int) -> SimulationEnvironment:

@@ -40,9 +40,17 @@ MARKERS: set = set()
 # Re-recorded (48,646 to 48,152) when a node's quiet check moved onto the
 # query's own ticks: fewer progress reports, so both queries send 303
 # messages (SELECT * 99,953 bytes).
+# Re-recorded (48,152 to 47,888) when graph ids became query-relative
+# (`g0`, not `q000001-g0`): 8 bytes less per opgraph, three opgraphs on
+# each of the 11 tree edges; still 303 messages (SELECT * 99,689 bytes).
 # If a change moves it on purpose, re-record it here and say why in
 # CHANGES.md.
-PRUNED_BYTES = 48_152
+PRUNED_BYTES = 47_888
+# The same query run again on the same deployment: every node keeps the
+# first one's template, so its plan crosses the tree as a header.
+# Recorded at 39,385 bytes in 308 messages when templates began to be
+# kept by digest.
+REPEATED_BYTES = 39_385
 
 
 def _deployment(monkeypatch) -> PIERNetwork:
@@ -138,6 +146,7 @@ def test_the_plan_crosses_each_tree_edge_once(monkeypatch):
     assert len(envelopes) == edges == 11
     assert {envelope.query_id for envelope in envelopes} == {result.query_id}
     assert all(len(envelope.graphs) == 3 for envelope in envelopes)
+    assert not any(envelope.by_reference for envelope in envelopes)  # the first of its statement
     ends = [payload for payload in forwarded if not isinstance(payload, opgraph.QueryEnvelope)]
     assert len(ends) == edges
     assert all(
@@ -145,3 +154,39 @@ def test_the_plan_crosses_each_tree_edge_once(monkeypatch):
         and end["control"] == {"action": "renew", "deadline": result.finished_at}
         for end in ends
     )
+
+
+def test_a_repeated_query_crosses_the_tree_by_reference(monkeypatch):
+    """The second run of a statement sends its plan down the tree as a
+    header — the query id, deadline, proxy, settings and the template's
+    digest — on every edge, and answers the same rows for fewer bytes."""
+    net = _deployment(monkeypatch)
+    first, _ = _run(net, "k")
+    tree_namespace = f"{BROADCAST_NAMESPACE}:{DEFAULT_ROOT_KEY}"
+    forwarded = []
+    transmit = net.environment.transmit
+
+    def watching(source, source_port, destination, payload, ack):  # noqa: ANN001
+        if payload.get("kind") == "direct" and payload.get("namespace") == tree_namespace:
+            forwarded.append(payload["value"]["payload"])
+        transmit(source, source_port, destination, payload, ack)
+
+    net.environment.transmit = watching
+    try:
+        second = net.query(f"SELECT k FROM {JOINS} TIMEOUT 10")
+    finally:
+        del net.environment.transmit
+    assert first.bytes_sent == PRUNED_BYTES
+    assert second.bytes_sent == REPEATED_BYTES
+    assert sorted(row["k"] for row in second.rows()) == sorted(row["k"] for row in first.rows())
+    assert second.completed_by == "data" and second.coverage == 1.0
+    headers = [payload for payload in forwarded if isinstance(payload, opgraph.QueryEnvelope)]
+    assert len(headers) == len(net.nodes) - 1
+    assert all(
+        header.by_reference and header.query_id == second.query_id for header in headers
+    )
+    assert len({header.digest for header in headers}) == 1
+    metrics = net.metrics()
+    assert metrics["dissemination.templates_full"] == 1
+    assert metrics["dissemination.templates_by_reference"] == 1
+    assert metrics["dissemination.template_misses"] == 0

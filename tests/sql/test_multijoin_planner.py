@@ -442,7 +442,10 @@ def test_builders_without_a_select_list_build_the_plans_they_always_built():
     plans by hand keep their message and byte counts.  The digest is over
     these six plans as built at the commit before the rendezvous change,
     where all eleven builders still matched the digest recorded before
-    column pruning; the rehash builders have their own test below."""
+    column pruning; the rehash builders have their own test below.
+    Re-recorded when graph ids became query-relative (``g0``, not
+    ``<query id>-g0``): with the old ids put back, the plans hash to the
+    earlier digest, 4f80abcd…"""
     from repro.qp import plans, rewrites
 
     predicate = HAND_BUILT_PREDICATE
@@ -458,7 +461,7 @@ def test_builders_without_a_select_list_build_the_plans_they_always_built():
         assert not {"project", "prune_outer", "prune_pointers", "prune_outer_1"} & _op_ids(plan)
         for graph in plan.opgraphs:
             assert not any("keep" in spec.params for spec in graph.operators.values())
-    assert _plan_digest(built) == "4f80abcdd1b9dc5efc22da910d567990d439367b332a609795fd331174a0f1a9"
+    assert _plan_digest(built) == "0c65da8bab8662ac09cc9463d9b573a753b118aab8e41b1620e16b0276a3dbc3"
 
 
 def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_plans():
@@ -467,7 +470,10 @@ def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_pl
     key column left the rehashed row: the left stream is retagged instead
     of stamped, one two-input ``put`` keyed per slot replaces the union /
     the two puts, and the consumer is ``scan_rehash -> join`` with no
-    splits.  Still no keep list and no final projection on this path."""
+    splits.  Still no keep list and no final projection on this path.
+    Re-recorded again when graph ids became query-relative (``g0``, not
+    ``<query id>-g0``): with the old ids put back, the plans hash to the
+    earlier digest, ee07cf02…"""
     from repro.qp import plans, rewrites
 
     predicate = HAND_BUILT_PREDICATE
@@ -484,7 +490,7 @@ def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_pl
         assert not {"extend_right", "extend_inner_0", "extend_inner_2"} & _op_ids(plan)
         for graph in plan.opgraphs:
             assert not any("keep" in spec.params for spec in graph.operators.values())
-    assert _plan_digest(built) == "ee07cf02b07e3a18e207822c310b02bbe0c84ea0febd5c1eed305b8ceb24b2e9"
+    assert _plan_digest(built) == "474d2751accfadb674909bdb4e5fc4375d19c1e70755866e9869a0560410d6ff"
 
 
 # -- the rendezvous path: table tag + put key, no marker columns ------------------------ #
