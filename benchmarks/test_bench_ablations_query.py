@@ -47,8 +47,10 @@ def _join_workload(network, selective_fraction=0.1):
             )
         )
     files = [Tuple.make("bench_files", file_id=index, size_kb=index) for index in range(200)]
-    network.publish("bench_inverted", ["keyword"], postings)
-    network.publish("bench_files", ["file_id"], files)
+    network.create_table("bench_inverted", partitioning=["keyword"])
+    network.create_table("bench_files", partitioning=["file_id"])
+    network.publish("bench_inverted", postings)
+    network.publish("bench_files", files)
     network.run(4.0)
 
 
@@ -109,6 +111,7 @@ def _run_aggregation_bandwidth() -> dict:
         ("hierarchical", hierarchical_aggregation_plan),
     ):
         network = PIERNetwork(40, seed=SEED)
+        network.create_table("events", source="local")
         for address in range(40):
             network.register_local_table(
                 address, "events",
@@ -150,7 +153,8 @@ def _run_dissemination() -> dict:
     for label in ("broadcast", "equality"):
         network = PIERNetwork(36, seed=SEED)
         rows = [Tuple.make("inv", keyword="needle", file_id=i) for i in range(4)]
-        network.publish("inv", ["keyword"], rows)
+        network.create_table("inv", partitioning=["keyword"])
+        network.publish("inv", rows)
         network.run(3.0)
         if label == "broadcast":
             plan = broadcast_scan_plan(
@@ -195,6 +199,8 @@ def _run_hierarchical_join_skew() -> dict:
         # Heavily skewed workload: every tuple joins on the same hot key.
         left_rows = [[Tuple.make("left", k="hot", a=address)] for address in range(node_count)]
         right_rows = [[Tuple.make("right", k="hot", b=address)] for address in range(node_count)]
+        network.create_table("left", source="local")
+        network.create_table("right", source="local")
         network.distribute_local_table("left", left_rows)
         network.distribute_local_table("right", right_rows)
         sent_before = dict(network.environment.bytes_sent_by_node)

@@ -73,6 +73,7 @@ def _run_arm(fraction: float, integrity) -> dict:
         adversary = ByzantineProcess(
             network.environment, fraction, seed=BYZ_SEED, protected=[0]
         )
+    network.create_table("events", source="local")
     for address in range(NODES):
         network.register_local_table(
             address,

@@ -47,6 +47,7 @@ RATES = SMOKE_RATES if SMOKE else FULL_RATES
 
 def _run_one(interval, recover) -> dict:
     network = PIERNetwork(NODES, seed=SEED)
+    network.create_table("events", source="local")
     for address in range(NODES):
         network.register_local_table(
             address,

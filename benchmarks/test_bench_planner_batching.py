@@ -33,7 +33,7 @@ def _workload(network: PIERNetwork) -> None:
     # table is declared in the catalog with its real primary-key
     # partitioning — none of the join columns (k, j) — so every join edge
     # is a rehash, which is exactly where same-destination coalescing pays
-    # off.  The planner reads the same catalog; no hand-built TableInfo.
+    # off.  The planner reads the same catalog.
     network.create_table("bench_r", partitioning=["r_id"])
     network.create_table("bench_s", partitioning=["s_id"])
     network.create_table("bench_t", partitioning=["t_id"])

@@ -33,6 +33,7 @@ def main() -> None:
 
     # 4. Every node also has a local table (e.g. its own log); aggregation
     #    with ORDER BY / LIMIT comes back ready to print.
+    network.create_table("events", source="local")
     for address in range(len(network)):
         network.register_local_table(
             address, "events",

@@ -26,7 +26,6 @@ with the planner's strategy choices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -162,19 +161,6 @@ class QueryResult:
         if include_explain:
             self.explain = render_explain(plan)
         return self
-
-
-def _looks_like_rows(value: Any) -> bool:
-    """Distinguish a rows iterable from a partitioning-column list.
-
-    Legacy ``publish(ns, ["col"], rows)`` passes a list of strings second;
-    the catalog-era ``publish(ns, rows)`` passes Tuples (or an arbitrary
-    iterable).  A sequence of strings is the only ambiguous shape, and it
-    can only mean columns.
-    """
-    if isinstance(value, (list, tuple)):
-        return not all(isinstance(item, str) for item in value) or not value
-    return True
 
 
 class PIERNetwork:
@@ -389,79 +375,23 @@ class PIERNetwork:
     def publish(
         self,
         namespace: str,
-        partitioning_columns: Optional[Union[List[str], Iterable[Tuple]]] = None,
-        rows: Optional[Iterable[Tuple]] = None,
+        rows: Iterable[Tuple],
         publisher: int = 0,
         lifetime: Optional[float] = None,
         spread: bool = True,
     ) -> int:
         """Publish tuples into the DHT (the table's primary index).
 
-        The catalog-era call is ``publish(namespace, rows)``: the table's
-        partitioning columns and tuple lifetime come from the catalog
-        (declare them with :meth:`create_table`).  The legacy call
-        ``publish(namespace, partitioning_columns, rows)`` still works —
-        an undeclared table is auto-registered from it, while an explicit
-        column list for a *declared* table raises a ``DeprecationWarning``
-        (and, when it differs, overrides the declaration and updates the
-        catalog so the planner keeps targeting the real index).
+        The table's partitioning columns and tuple lifetime come from the
+        catalog: declare the table with :meth:`create_table` first.  An
+        undeclared or local table raises :class:`~repro.catalog.CatalogError`
+        before any row is sent.
 
         With ``spread=True`` rows are published round-robin from every node,
         modelling data that originates all over the network.
         """
-        if rows is None and _looks_like_rows(partitioning_columns):
-            rows, partitioning_columns = partitioning_columns, None
-        if rows is None:
-            rows = []
-        descriptor = self.catalog.describe(namespace)
-        if partitioning_columns is not None:
-            columns = list(partitioning_columns)
-            if descriptor is None or descriptor.source != "dht":
-                # ensure_table registers the table, or raises CatalogError
-                # on a source conflict (the name is already a local table).
-                descriptor = self.catalog.ensure_table(
-                    namespace,
-                    source="dht",
-                    partitioning=columns,
-                    lifetime=lifetime if lifetime is not None else 600.0,
-                )
-            else:
-                overrides = descriptor.partitioning != columns
-                if descriptor.origin == "declared":
-                    detail = (
-                        f"overrides the declared partitioning {descriptor.partitioning!r}"
-                        if overrides
-                        else "is deprecated and redundant"
-                    )
-                    warnings.warn(
-                        f"passing partitioning columns to publish() for the declared "
-                        f"table {namespace!r} {detail}; the catalog owns placement "
-                        f"metadata",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                elif overrides:
-                    warnings.warn(
-                        f"publish() changes the partitioning of table {namespace!r} "
-                        f"from {descriptor.partitioning!r} to {columns!r}; catalog "
-                        f"updated, but previously published rows keep their old keys",
-                        UserWarning,
-                        stacklevel=2,
-                    )
-                if overrides:
-                    # Explicit columns win, and the catalog follows: the
-                    # planner must target the index the publisher actually
-                    # built.  Rows published under the old partitioning stay
-                    # under their old keys.
-                    descriptor.partitioning = list(columns)
-        else:
-            descriptor = self.catalog.require(namespace)
-            if descriptor.source != "dht":
-                raise ValueError(
-                    f"table {namespace!r} is a {descriptor.source!r} table; "
-                    f"use register_local_table() for per-node rows"
-                )
-            columns = list(descriptor.partitioning)
+        descriptor = self.catalog.require(namespace, "dht")
+        columns = list(descriptor.partitioning)
         effective_lifetime = lifetime if lifetime is not None else descriptor.lifetime
         # A row is a Tuple or a mapping of column values — what a scan
         # accepts from the DHT — and a bad one fails before any is sent.
@@ -479,18 +409,29 @@ class PIERNetwork:
         return len(rows)
 
     def register_local_table(self, address: int, name: str, rows: Iterable[Tuple]) -> None:
-        """Attach node-local rows (e.g. this node's firewall log)."""
-        self.catalog.ensure_table(name, source="local")
+        """Attach node-local rows (e.g. this node's firewall log) to a table
+        declared with ``create_table(name, source="local")``, replacing
+        any rows the node held for it."""
+        self.catalog.require(name, "local")
         rows = list(rows)
+        replaced = name in self.nodes[address].executor.local_tables
         self.nodes[address].register_local_table(name, rows)
-        self.catalog.record_rows(name, (tup.as_mapping() for tup in rows))
+        if replaced:
+            # The replaced rows were counted: rebuild the table's
+            # statistics from what every node now holds.
+            self.statistics.forget(name)
+            for node in self.nodes:
+                held = node.executor.local_tables.get(name, ())
+                self.catalog.record_rows(name, (tup.as_mapping() for tup in held))
+        else:
+            self.catalog.record_rows(name, (tup.as_mapping() for tup in rows))
 
     def append_local_rows(self, address: int, name: str, rows: Iterable[Tuple]) -> int:
         """Append rows to one node's local table *live*: running queries
         that scan the table (including standing windowed queries) see them
         immediately, the local-table analogue of publishing into the DHT
         mid-query."""
-        self.catalog.ensure_table(name, source="local")
+        self.catalog.require(name, "local")
         rows = list(rows)
         self.nodes[address].append_local_rows(name, rows)
         self.catalog.record_rows(name, (tup.as_mapping() for tup in rows))
@@ -504,18 +445,12 @@ class PIERNetwork:
             self.register_local_table(address, name, rows)
 
     # -- planning --------------------------------------------------------------------#
-    def make_planner(self, tables=None, **kwargs):
-        """A SQL planner wired to this deployment's catalog and statistics.
-
-        ``tables`` defaults to the deployment catalog; passing a dict of
-        ``TableInfo`` still works (the paper-era out-of-band shim).
-        """
+    def make_planner(self, **kwargs):
+        """A SQL planner that reads this deployment's catalog and its
+        statistics."""
         from repro.sql.planner import NaivePlanner
 
-        if tables is None:
-            tables = self.catalog
-        kwargs.setdefault("statistics", self.statistics)
-        return NaivePlanner(tables, **kwargs)
+        return NaivePlanner(self.catalog, **kwargs)
 
     def plan_sql(self, sql: str, **planner_opts: Any) -> QueryPlan:
         """Compile SQL text against the deployment catalog."""

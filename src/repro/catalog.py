@@ -2,10 +2,8 @@
 
 The paper deliberately ships PIER without a catalog: placement metadata is
 "out-of-band" (Section 4.2.1) and every application re-describes its tables
-to the optimizer by hand.  That was the single largest source of
-duplication in this reproduction — callers passed partitioning columns to
-``publish()``, then rebuilt the same facts as ``TableInfo`` dicts for the
-planner, and the two could silently disagree.
+to the optimizer by hand, so the publisher and the optimizer can silently
+disagree.
 
 :class:`Catalog` closes that gap.  One catalog hangs off each
 :class:`~repro.api.PIERNetwork` and is the single source of truth for
@@ -16,13 +14,11 @@ planner, and the two could silently disagree.
 * an optional declared schema (column names), and
 * the soft-state lifetime of published tuples.
 
-The :class:`~repro.qp.stats.Statistics` catalog hangs off the same object,
-so the planner and the publishing path can never disagree about either
-placement or statistics.  Legacy call sites that pass partitioning columns
-explicitly keep working: the catalog auto-registers those tables the first
-time they are published (``origin="auto"``), while explicitly declared
-tables (``create_table``) treat a conflicting explicit override as a
-deprecation-warned escape hatch.
+A table enters it one way, :meth:`Catalog.create_table`; publishing into
+an undeclared table, or using a table against its declared source, raises
+:class:`CatalogError`.  The :class:`~repro.qp.stats.Statistics` catalog
+hangs off the same object, so the planner and the publishing path can
+never disagree about either placement or statistics.
 """
 
 from __future__ import annotations
@@ -41,20 +37,13 @@ class CatalogError(ValueError):
 
 @dataclass
 class TableDescriptor:
-    """Everything the deployment knows about one table.
-
-    ``origin`` records how the entry came to exist: ``"declared"`` for
-    tables registered through :meth:`Catalog.create_table` and ``"auto"``
-    for entries inferred from legacy ``publish(...)`` /
-    ``register_local_table(...)`` calls.
-    """
+    """Everything the deployment knows about one table."""
 
     name: str
     source: str = "dht"
     partitioning: List[str] = field(default_factory=list)
     schema: Optional[List[str]] = None
     lifetime: float = 600.0
-    origin: str = "declared"
 
     def __post_init__(self) -> None:
         if self.source not in TABLE_SOURCES:
@@ -102,37 +91,6 @@ class Catalog:
         self._tables[name] = descriptor
         return descriptor
 
-    def ensure_table(
-        self,
-        name: str,
-        source: str = "dht",
-        partitioning: Optional[Sequence[str]] = None,
-        lifetime: float = 600.0,
-    ) -> TableDescriptor:
-        """Return the existing entry or auto-register one (legacy call paths).
-
-        A source conflict (the same name used as both a DHT table and a
-        local table) is always an error — that is exactly the inconsistency
-        the catalog exists to prevent.
-        """
-        descriptor = self._tables.get(name)
-        if descriptor is not None:
-            if descriptor.source != source:
-                raise CatalogError(
-                    f"table {name!r} is registered as {descriptor.source!r}, "
-                    f"cannot use it as {source!r}"
-                )
-            return descriptor
-        descriptor = TableDescriptor(
-            name=name,
-            source=source,
-            partitioning=list(partitioning or []),
-            lifetime=lifetime,
-            origin="auto",
-        )
-        self._tables[name] = descriptor
-        return descriptor
-
     def drop_table(self, name: str) -> None:
         self._tables.pop(name, None)
         self.statistics.forget(name)
@@ -141,12 +99,19 @@ class Catalog:
     def describe(self, name: str) -> Optional[TableDescriptor]:
         return self._tables.get(name)
 
-    def require(self, name: str) -> TableDescriptor:
+    def require(self, name: str, source: str) -> TableDescriptor:
+        """The entry for ``name``, which must be declared as a ``source``
+        table."""
         descriptor = self._tables.get(name)
         if descriptor is None:
             raise CatalogError(
                 f"table {name!r} is not in the catalog; declare it with "
-                f"create_table() or publish it with explicit partitioning columns"
+                f"create_table({name!r}, source={source!r})"
+            )
+        if descriptor.source != source:
+            raise CatalogError(
+                f"table {name!r} is declared as a {descriptor.source!r} table, not "
+                f"a {source!r} one (create_table({name!r}, source={descriptor.source!r}))"
             )
         return descriptor
 
@@ -182,7 +147,6 @@ class Catalog:
                 "source": descriptor.source,
                 "partitioning": list(descriptor.partitioning),
                 "lifetime": descriptor.lifetime,
-                "origin": descriptor.origin,
                 **stats.get(name, {}),
             }
             for name, descriptor in self._tables.items()

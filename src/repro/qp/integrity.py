@@ -186,15 +186,17 @@ def apply_integrity(plan: QueryPlan, policy: IntegrityPolicy) -> None:
     already_replicated = any("~r" in graph.graph_id for graph in plan.opgraphs)
     if policy.redundancy <= 1 or already_replicated:
         return
-    for base_graph, _spec in sites:
-        payload = base_graph.to_dict()
+    for base, _spec in sites:
         for replica in range(1, policy.redundancy):
-            clone = OpGraph.from_dict(payload)
-            clone.graph_id = f"{base_graph.graph_id}~r{replica}"
-            for op_id, spec in list(clone.operators.items()):
-                if spec.op_type == HIERARCHICAL_OP_TYPE:
-                    clone.operators[op_id] = spec.with_params(replica=replica)
-            plan.add_graph(clone)
+            # OperatorSpec is frozen, so a replica shares the base's specs
+            # except the hierarchical one, which learns its replica number.
+            operators = {
+                op_id: spec.with_params(replica=replica)
+                if spec.op_type == HIERARCHICAL_OP_TYPE
+                else spec
+                for op_id, spec in base.operators.items()
+            }
+            plan.add_graph(OpGraph(f"{base.graph_id}~r{replica}", operators, base.dissemination))
 
 
 # -- proxy-side verification ---------------------------------------------------- #

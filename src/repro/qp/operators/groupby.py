@@ -9,10 +9,14 @@ aggregation tree of :mod:`repro.qp.hierarchical`.
 
 Two window mechanisms coexist:
 
-* the legacy ``window`` param (a period in seconds) re-emits periodically
-  with emit-then-reset semantics — each period reports only the tuples
-  that arrived during it, and the group table is cleared so long-running
-  aggregates neither grow without bound nor double-report;
+* the ``window`` param (a period in seconds) re-emits periodically with
+  emit-then-reset semantics — each period reports only the tuples that
+  arrived during it, and the group table is cleared so long-running
+  aggregates neither grow without bound nor double-report.  It is the
+  shipping clock of the flat one-shot GROUP BY:
+  :func:`repro.qp.plans.flat_aggregation_plan` sets it to a quarter of the
+  timeout (at least 1 s), so partials reach the merge sites before those
+  tear down;
 * the continuous-query ``window_spec`` param (see
   :mod:`repro.cq.windows`) keeps *time-indexed* group state: tuples fold
   into panes by arrival time, each closing epoch merges the panes its

@@ -145,27 +145,6 @@ class OpGraph:
         self.topological_order()
 
     # -- serialisation -------------------------------------------------------- #
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "graph_id": self.graph_id,
-            "dissemination": {
-                "strategy": self.dissemination.strategy,
-                "namespace": self.dissemination.namespace,
-                "key": self.dissemination.key,
-                "low": self.dissemination.low,
-                "high": self.dissemination.high,
-            },
-            "operators": [
-                {
-                    "id": spec.operator_id,
-                    "type": spec.op_type,
-                    "params": dict(spec.params),
-                    "inputs": list(spec.inputs),
-                }
-                for spec in self.operators.values()
-            ],
-        }
-
     def to_wire(self) -> Tuple[Any, ...]:
         """The form an opgraph travels in to the nodes that run it:
         ``(graph_id, ((operator_id, op_type, params, inputs), ...))`` with
@@ -199,25 +178,6 @@ class OpGraph:
         graph = OpGraph(graph_id)
         for operator_id, op_type, params, inputs in operators:
             graph.add_operator(operator_id, op_type, params, (ids[slot] for slot in inputs))
-        return graph
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "OpGraph":
-        dissemination = payload.get("dissemination", {})
-        graph = OpGraph(
-            graph_id=payload["graph_id"],
-            dissemination=DisseminationSpec(
-                strategy=dissemination.get("strategy", "broadcast"),
-                namespace=dissemination.get("namespace"),
-                key=dissemination.get("key"),
-                low=dissemination.get("low"),
-                high=dissemination.get("high"),
-            ),
-        )
-        for item in payload.get("operators", []):
-            graph.add_operator(
-                item["id"], item["type"], item.get("params", {}), item.get("inputs", [])
-            )
         return graph
 
 
@@ -258,25 +218,6 @@ class QueryPlan:
                 raise ValueError(f"duplicate opgraph id {graph.graph_id!r}")
             seen.add(graph.graph_id)
             graph.validate()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "query_id": self.query_id,
-            "timeout": self.timeout,
-            "metadata": dict(self.metadata),
-            "opgraphs": [graph.to_dict() for graph in self.opgraphs],
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "QueryPlan":
-        plan = QueryPlan(
-            query_id=payload["query_id"],
-            timeout=payload.get("timeout", 30.0),
-            metadata=dict(payload.get("metadata", {})),
-        )
-        for graph_payload in payload.get("opgraphs", []):
-            plan.add_graph(OpGraph.from_dict(graph_payload))
-        return plan
 
 
 # A template's digest: BLAKE2b of its codec encoding, this many bytes.

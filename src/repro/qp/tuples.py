@@ -307,7 +307,7 @@ class Tuple:
             self._hash = value
         return value
 
-    def __reduce__(self):  # pickled by the physical runtime's wire format
+    def __reduce__(self):  # for the codec's counted pickle fallback, the only pickler
         return (_restore_tuple, (self.table, self.schema.columns, self._values))
 
     def __repr__(self) -> str:

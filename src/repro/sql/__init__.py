@@ -2,18 +2,16 @@
 
 PIER's native language is UFL, but "many users far prefer the compact
 syntax of SQL", so the system grew a SQL-like language compiled by an
-optimizer.  Placement metadata preferably comes from the deployment's
-:class:`~repro.catalog.Catalog` (``PIERNetwork.query`` wires it through
-automatically); the paper-era alternative — the application supplying
-:class:`TableInfo` dicts by hand, Section 4.2.1's "bake the metadata into
-the application logic" workaround — is kept as a compatibility shim.
+optimizer.  The paper's optimizer got placement metadata out of band
+(Section 4.2.1); this one reads it, and its statistics, from the
+deployment's :class:`~repro.catalog.Catalog` (``PIERNetwork.query`` wires
+it through automatically).
 """
 
 from repro.sql.lexer import tokenize, Token
 from repro.sql.parser import parse_sql, SelectStatement
 from repro.sql.planner import (
     NaivePlanner,
-    TableInfo,
     apply_result_clauses,
     apply_result_clauses_to_tuples,
 )
@@ -25,7 +23,6 @@ __all__ = [
     "parse_sql",
     "SelectStatement",
     "NaivePlanner",
-    "TableInfo",
     "apply_result_clauses",
     "apply_result_clauses_to_tuples",
     "render_explain",

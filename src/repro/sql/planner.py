@@ -2,10 +2,12 @@
 
 The planner compiles a parsed :class:`SelectStatement` into a UFL query
 plan.  The paper's planner is intentionally naive — no cost model, no join
-reordering, no statistics (there is nowhere to keep them).  This version
-keeps the naive behaviour as its fallback, but when the application hands
-it a :class:`~repro.qp.stats.Statistics` catalog (maintained by
-``PIERNetwork.publish``) it becomes cost-aware:
+reordering, no statistics (there is nowhere to keep them).  This planner
+reads the deployment's :class:`~repro.catalog.Catalog`: placement from its
+table descriptors and cost estimates from its
+:class:`~repro.qp.stats.Statistics` (maintained by ``PIERNetwork.publish``
+and the local-table calls), so publisher and planner can never disagree.
+With statistics it is cost-aware:
 
 * multiple ``JOIN`` clauses compile into a left-deep multi-join pipeline,
   greedily ordered so cheaper (smaller estimated) joins run first;
@@ -18,18 +20,12 @@ it a :class:`~repro.qp.stats.Statistics` catalog (maintained by
   prove it only references base-table columns, and otherwise runs over the
   joined tuples (the naive planner used to drop it on the rehash path).
 
-What survives from the naive planner: an equality predicate on a table's
-partitioning key becomes an equality-dissemination lookup, and GROUP BY /
-aggregate queries become multi-phase aggregation (flat rehash by default,
-hierarchical when the application asks for it).
-
-Placement metadata comes from either of two places: the deployment-owned
-:class:`~repro.catalog.Catalog` (pass it as ``tables`` — the preferred
-path, used by ``PIERNetwork.query``), or an application-built dict of
-:class:`TableInfo` (the paper's Section 4.2.1 "out-of-band metadata"
-workaround, kept as a compatibility shim).  With a catalog the planner's
-statistics default to the catalog's own, so publisher and planner can
-never disagree.
+A table the statistics have not seen keeps the naive rules: the written
+join order and a plain rehash.  What survives from the naive planner
+regardless: an equality predicate on a table's partitioning key becomes an
+equality-dissemination lookup, and GROUP BY / aggregate queries become
+multi-phase aggregation (flat rehash by default, hierarchical when the
+application asks for it).
 
 Every compiled plan records the planner's choices — scan access method,
 per-edge join strategy with its reason, predicate placement — in
@@ -39,10 +35,10 @@ renders for ``EXPLAIN`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.catalog import Catalog
+from repro.catalog import Catalog, TableDescriptor
 from repro.cq.windows import CQ_METADATA_KEY, DEFAULT_LANDMARK_SLIDE, WindowSpec
 from repro.qp.opgraph import QueryPlan
 from repro.qp.plans import (
@@ -56,7 +52,6 @@ from repro.qp.plans import (
     symmetric_hash_join_plan,
 )
 from repro.qp.expressions import column_references
-from repro.qp.stats import Statistics
 from repro.sql.parser import JoinClause, SelectStatement, parse_sql
 
 # A Bloom round only pays off when the filter is expected to prune at least
@@ -79,80 +74,36 @@ class PlanningError(ValueError):
     """Raised when a statement cannot be compiled with the available metadata."""
 
 
-@dataclass
-class TableInfo:
-    """Application-supplied placement metadata for one table.
-
-    ``source`` is ``"dht"`` for tables published into the DHT or
-    ``"local"`` for per-node tables; ``partitioning`` names the columns the
-    DHT primary index is partitioned on (empty for local tables).
-    """
-
-    name: str
-    source: str = "dht"
-    partitioning: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.source not in {"dht", "local"}:
-            raise ValueError(f"unknown table source {self.source!r}")
-
-
 class NaivePlanner:
-    """Compile SQL text (or parsed statements) into UFL query plans.
-
-    Pass ``statistics`` (see :mod:`repro.qp.stats`) to enable cost-aware
-    join ordering, per-edge strategy selection, and predicate pushdown;
-    without it the planner keeps the paper's naive single-strategy rules.
-    """
+    """Compile SQL text (or parsed statements) into UFL query plans against
+    a :class:`~repro.catalog.Catalog`, using its statistics for join
+    ordering, per-edge strategy selection, and predicate pushdown."""
 
     def __init__(
         self,
-        tables: Optional[Any] = None,
+        catalog: Catalog,
         default_timeout: float = 20.0,
         aggregation_strategy: str = "flat",
-        statistics: Optional[Statistics] = None,
     ) -> None:
-        self.catalog: Optional[Catalog] = None
-        if isinstance(tables, Catalog):
-            self.catalog = tables
-            if statistics is None:
-                statistics = tables.statistics
-            tables = None
-        self.tables: Dict[str, TableInfo] = dict(tables or {})
+        self.catalog = catalog
+        self.statistics = catalog.statistics
         self.default_timeout = default_timeout
         if aggregation_strategy not in {"flat", "hierarchical"}:
             raise ValueError("aggregation_strategy must be 'flat' or 'hierarchical'")
         self.aggregation_strategy = aggregation_strategy
-        self.statistics = statistics
 
     # -- metadata ---------------------------------------------------------- #
-    def register_table(self, info: TableInfo) -> None:
-        self.tables[info.name] = info
-
-    def _info(self, table: str) -> TableInfo:
-        if self.catalog is not None:
-            descriptor = self.catalog.describe(table)
-            if descriptor is not None:
-                return TableInfo(
-                    name=descriptor.name,
-                    source=descriptor.source,
-                    partitioning=list(descriptor.partitioning),
-                )
-            if table not in self.tables:
-                # With a catalog, an unknown name is almost certainly a typo;
-                # a silent local broadcast scan would return an empty result
-                # that looks like success.
-                raise PlanningError(
-                    f"unknown table {table!r}: not in the deployment catalog "
-                    f"(declare it with create_table(), publish it, or register "
-                    f"local rows first)"
-                )
-        info = self.tables.get(table)
-        if info is None:
-            # No catalog at all: default to a broadcast-scanned local table,
-            # the safest assumption without metadata.
-            info = TableInfo(name=table, source="local")
-        return info
+    def _info(self, table: str) -> TableDescriptor:
+        descriptor = self.catalog.describe(table)
+        if descriptor is None:
+            # An unknown name is almost certainly a typo; a silent local
+            # broadcast scan would return an empty result that looks like
+            # success.
+            raise PlanningError(
+                f"unknown table {table!r}: not in the deployment catalog "
+                f"(declare it with create_table())"
+            )
+        return descriptor
 
     # -- entry points --------------------------------------------------------- #
     def plan_sql(self, text: str) -> QueryPlan:
@@ -186,7 +137,6 @@ class NaivePlanner:
             {
                 "base_table": statement.table,
                 "timeout": timeout,
-                "statistics": self.statistics is not None,
             }
         )
         return plan
@@ -328,7 +278,7 @@ class NaivePlanner:
         outer_info = self._info(statement.table)
         base_source = "local_table" if outer_info.source == "local" else "dht_scan"
 
-        edges: List[Tuple[JoinClause, TableInfo, str, str]] = []
+        edges: List[Tuple[JoinClause, TableDescriptor, str, str]] = []
         for index, join in enumerate(joins):
             inner_info = self._info(join.table)
             strategy, reason = self._edge_strategy(
@@ -390,8 +340,8 @@ class NaivePlanner:
     def _plan_single_join(
         self,
         outer_table: str,
-        outer_info: TableInfo,
-        edge: Tuple[JoinClause, TableInfo, str, str],
+        outer_info: TableDescriptor,
+        edge: Tuple[JoinClause, TableDescriptor, str, str],
         timeout: float,
         columns: Optional[List[str]],
     ) -> Optional[QueryPlan]:
@@ -425,10 +375,10 @@ class NaivePlanner:
         A join clause is eligible once its left column is known (from the
         statistics catalog) to exist among the columns accumulated so far —
         reordering it any earlier could turn it into a cross product.
-        Without statistics, or for tables the catalog has never seen, the
-        written order is preserved.
+        For tables the statistics have never seen, the written order is
+        preserved.
         """
-        if self.statistics is None or len(joins) < 2:
+        if len(joins) < 2:
             return list(joins)
         available = self.statistics.columns(base_table)
         if available is None:
@@ -477,8 +427,6 @@ class NaivePlanner:
         next to each edge's actual row count.  ``None`` per edge when the
         catalog has no statistics to estimate from.
         """
-        if self.statistics is None:
-            return [None] * len(joins)
         column_distinct: Dict[str, int] = {}
         for column in self.statistics.columns(base_table) or ():
             distinct = self.statistics.distinct(base_table, column)
@@ -503,7 +451,6 @@ class NaivePlanner:
 
     def _edge_cost(self, left_rows: Optional[int], join: JoinClause) -> Tuple[int, int]:
         """Estimated tuples moved for one rehash edge (the dominant cost)."""
-        assert self.statistics is not None
         inner_rows = self.statistics.cardinality(join.table)
         if inner_rows is None:
             # Unknown tables sort last among eligible candidates.
@@ -514,7 +461,7 @@ class NaivePlanner:
         self,
         left_table: str,
         join: JoinClause,
-        inner_info: TableInfo,
+        inner_info: TableDescriptor,
         first_edge: bool,
     ) -> Tuple[str, str]:
         """Pick the data-movement strategy for one join edge, with a reason."""
@@ -526,7 +473,7 @@ class NaivePlanner:
                 f"{join.table!r} primary index is partitioned on the join key "
                 f"{join.right_column!r}; only outer probes travel",
             )
-        if first_edge and self.statistics is not None:
+        if first_edge:
             left_distinct = self.statistics.distinct(left_table, join.left_column)
             inner_distinct = self.statistics.distinct(join.table, join.right_column)
             if (
@@ -546,7 +493,7 @@ class NaivePlanner:
 
     def _can_push_down(self, base_table: str, predicate: Any) -> bool:
         """True when the catalog proves ``predicate`` only touches base columns."""
-        if predicate is None or self.statistics is None:
+        if predicate is None:
             return False
         known = self.statistics.columns(base_table)
         if not known:
@@ -592,8 +539,6 @@ class NaivePlanner:
         depend on hash order).  A column a later table repeats comes out
         of the join a second time, qualified, when the two values differ
         (``Tuple.join``), so that name is listed too."""
-        if self.statistics is None:
-            return None
         expanded: List[str] = []
         for table in [base_table, *[join.table for join in joins]]:
             known = self.statistics.columns(table)
@@ -615,7 +560,7 @@ class NaivePlanner:
             operators["project"] = replace(operators["project"], params=projection)
         return plan
 
-    def _partitioning_equality(self, predicate: Any, info: TableInfo) -> Optional[Any]:
+    def _partitioning_equality(self, predicate: Any, info: TableDescriptor) -> Optional[Any]:
         """The literal an equality predicate binds the partitioning key to."""
         if predicate is None or len(info.partitioning) != 1:
             return None
@@ -646,11 +591,6 @@ class NaivePlanner:
             return None
 
         return find(predicate)
-
-
-# The statistics-aware behaviour lives in the same class; this alias names
-# what the planner has become for callers that opt in with a catalog.
-CostAwarePlanner = NaivePlanner
 
 
 def _order_and_limit(plan_metadata: Dict[str, Any], items: Sequence[Any], get: Any) -> List[Any]:

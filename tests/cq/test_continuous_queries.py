@@ -12,7 +12,7 @@ import pytest
 # The operator harness lives next to the operator unit tests.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "qp"))
 
-from repro import PIERNetwork
+from repro import Catalog, PIERNetwork
 from repro.cq.windows import EPOCH_COLUMN, WindowSpec
 from repro.qp.tuples import Tuple
 from repro.sql.lexer import SQLSyntaxError
@@ -50,7 +50,9 @@ def test_parser_rejects_bad_window_clauses():
 
 
 def test_planner_records_cq_metadata_and_lifetime_timeout():
-    planner = NaivePlanner({"flows": __import__("repro.sql.planner", fromlist=["TableInfo"]).TableInfo("flows", "local")})
+    catalog = Catalog()
+    catalog.create_table("flows", source="local")
+    planner = NaivePlanner(catalog)
     plan = planner.plan_sql(
         "SELECT src, COUNT(*) AS n FROM flows WINDOW 30 SLIDE 10 LIFETIME 300 GROUP BY src"
     )
@@ -61,7 +63,7 @@ def test_planner_records_cq_metadata_and_lifetime_timeout():
 
 
 def test_planner_rejects_windowed_non_aggregates_and_joins():
-    planner = NaivePlanner()
+    planner = NaivePlanner(Catalog())
     with pytest.raises(PlanningError, match="requires aggregation"):
         planner.plan_sql("SELECT src FROM flows WINDOW 10")
     with pytest.raises(PlanningError, match="join"):
@@ -75,7 +77,7 @@ def test_window_must_be_a_multiple_of_the_slide():
     silently merge up to one extra slide of data before the window start."""
     with pytest.raises(ValueError, match="multiple"):
         WindowSpec(window=25.0, slide=10.0, lifetime=60.0)
-    planner = NaivePlanner()
+    planner = NaivePlanner(Catalog())
     with pytest.raises(ValueError, match="multiple"):
         planner.plan_sql("SELECT COUNT(*) FROM flows WINDOW 25 SLIDE 10 GROUP BY src")
 
@@ -178,6 +180,7 @@ def _epoch_counts(epoch):
 @pytest.fixture
 def live_network():
     network = PIERNetwork(8, seed=42)
+    network.create_table("events", source="local")
     for address in range(8):
         network.register_local_table(address, "events", [])
     return network
@@ -308,6 +311,7 @@ def test_per_epoch_order_by_and_limit(live_network):
 
 def test_unbounded_ordered_stream_raises_value_error():
     network = PIERNetwork(4, seed=5)
+    network.create_table("events", source="local")
     for address in range(4):
         network.register_local_table(address, "events", [Tuple.make("events", src="a")])
     stream = network.stream("SELECT src FROM events ORDER BY src TIMEOUT 5")
@@ -500,6 +504,7 @@ def test_standing_query_remembers_a_retention_not_its_lifetime(scenario):
         ByzantineProcess(
             network.environment, 0.8, attacks=["inflate_partials"], seed=1, protected=[0]
         )
+    network.create_table("events", source="local")
     for address in range(12):
         network.register_local_table(address, "events", [])
     options = (
@@ -575,6 +580,7 @@ def test_first_result_latency_reported_in_both_subscription_modes():
     stream's first result tuple; shared mode (no private stream) reports
     the close of the first delivered epoch."""
     network = PIERNetwork(8, seed=19)
+    network.create_table("events", source="local")
     for address in range(8):
         network.register_local_table(
             address, "events", [Tuple.make("events", src=f"s{address % 2}")]

@@ -15,6 +15,7 @@ from repro.qp.tuples import Tuple
 
 def _network(nodes: int = 8, seed: int = 42) -> PIERNetwork:
     network = PIERNetwork(nodes, seed=seed)
+    network.create_table("events", source="local")
     for address in range(nodes):
         network.register_local_table(address, "events", [])
     return network

@@ -46,6 +46,7 @@ def test_shared_plan_survives_root_failure_and_rejoin_for_both_slides():
     the shared pane stream survives the aggregation-tree root dying and
     a participant rejoining, with exact epochs for both subscribers."""
     network = PIERNetwork(16, seed=52)
+    network.create_table("events", source="local")
     for address in range(16):
         network.register_local_table(address, "events", [])
     policy = ResiliencePolicy.enabled(liveness_interval=1.0, root_monitor_interval=0.5)

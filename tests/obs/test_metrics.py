@@ -78,6 +78,7 @@ def test_deployment_sweep_collects_every_subsystem(tmp_path):
 def test_sweep_includes_trace_and_pane_lag_series_when_active():
     network = PIERNetwork(8, seed=22)
     network.enable_tracing()
+    network.create_table("events", source="local")
     for address in range(8):
         network.register_local_table(
             address, "events", [Tuple.make("events", src="a")]
@@ -118,6 +119,7 @@ def test_sweep_reports_hierarchical_aggregation_and_its_repairs():
 
     network = PIERNetwork(12, seed=52)
     assert not [key for key in network.metrics() if key.startswith("agg.")]
+    network.create_table("events", source="local")
     for address in range(12):
         network.register_local_table(address, "events", [])
     cq = network.subscribe(

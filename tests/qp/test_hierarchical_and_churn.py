@@ -11,6 +11,7 @@ from repro.runtime.churn import ChurnProcess
 
 
 def _load_events(network, rows_per_node=3, groups=4):
+    network.create_table("events", source="local")
     for address in range(len(network)):
         network.register_local_table(
             address,
@@ -23,6 +24,8 @@ def test_hierarchical_join_produces_each_result_once():
     network = PIERNetwork(16, seed=31)
     left = [Tuple.make("left", k=i % 4, a=i) for i in range(12)]
     right = [Tuple.make("right", k=i % 4, b=i) for i in range(8)]
+    network.create_table("left", source="local")
+    network.create_table("right", source="local")
     for index, tup in enumerate(left):
         network.register_local_table(index % 16, "left", [])
     # Place tuples as node-local tables spread over the network.
@@ -57,7 +60,8 @@ def test_hierarchical_join_produces_each_result_once():
 def test_equality_dissemination_installs_on_few_nodes():
     network = PIERNetwork(16, seed=32)
     rows = [Tuple.make("inverted", keyword="solo", file_id=i) for i in range(3)]
-    network.publish("inverted", ["keyword"], rows)
+    network.create_table("inverted", partitioning=["keyword"])
+    network.publish("inverted", rows)
     network.run(3.0)
     from repro.qp.plans import equality_lookup_plan
 
@@ -99,7 +103,8 @@ def test_continuous_query_sees_newly_published_tuples():
     handle = network.submit(plan, proxy=0)
     network.run(2.0)
     rows = [Tuple.make("live_table", seq=i) for i in range(6)]
-    network.publish("live_table", ["seq"], rows)
+    network.create_table("live_table", partitioning=["seq"])
+    network.publish("live_table", rows)
     network.run(16.0)
     assert {row["seq"] for row in (t.as_mapping() for t in handle.results)} == set(range(6))
 

@@ -1,9 +1,8 @@
-"""Tests for opgraph/plan structures and the UFL text format."""
+"""Tests for opgraph/plan structures."""
 
 import pytest
 
 from repro.qp.opgraph import DisseminationSpec, OpGraph, OperatorSpec, QueryPlan
-from repro.qp.ufl import UFLParseError, parse_ufl, to_ufl
 
 
 def _simple_plan():
@@ -56,16 +55,6 @@ def test_dissemination_spec_validation():
     assert spec.key == "k"
 
 
-def test_plan_dict_roundtrip():
-    plan = _simple_plan()
-    plan.opgraphs[0].dissemination = DisseminationSpec(strategy="equality", namespace="t", key=1)
-    rebuilt = QueryPlan.from_dict(plan.to_dict())
-    assert rebuilt.query_id == plan.query_id
-    assert rebuilt.timeout == plan.timeout
-    assert rebuilt.opgraphs[0].dissemination.strategy == "equality"
-    assert set(rebuilt.opgraphs[0].operators) == set(plan.opgraphs[0].operators)
-
-
 def test_query_ids_are_unique():
     assert QueryPlan().query_id != QueryPlan().query_id
 
@@ -75,36 +64,3 @@ def test_operator_spec_with_params_is_nonmutating():
     updated = spec.with_params(limit=3)
     assert "limit" not in spec.params and updated.params["limit"] == 3
 
-
-# -- UFL text ------------------------------------------------------------------- #
-
-def test_ufl_roundtrip():
-    plan = _simple_plan()
-    text = to_ufl(plan)
-    parsed = parse_ufl(text)
-    assert parsed.query_id == plan.query_id
-    assert [g.graph_id for g in parsed.opgraphs] == [g.graph_id for g in plan.opgraphs]
-
-
-def test_ufl_rejects_unknown_operator_types():
-    text = to_ufl(_simple_plan()).replace("local_table", "teleport_scan")
-    with pytest.raises(UFLParseError):
-        parse_ufl(text)
-
-
-def test_ufl_rejects_invalid_json_and_empty_documents():
-    with pytest.raises(UFLParseError):
-        parse_ufl("SELECT * FROM not_json")
-    with pytest.raises(UFLParseError):
-        parse_ufl("{}")
-
-
-def test_ufl_rejects_cyclic_graphs():
-    document = """
-    {"query_id": "q1", "timeout": 5,
-     "opgraphs": [{"graph_id": "g", "operators": [
-        {"id": "a", "type": "tee", "inputs": ["b"]},
-        {"id": "b", "type": "tee", "inputs": ["a"]}]}]}
-    """
-    with pytest.raises(UFLParseError):
-        parse_ufl(document)

@@ -34,6 +34,7 @@ def test_a_512_node_scan_returns_every_row():
 
 
 def _local_events(net: PIERNetwork) -> None:
+    net.create_table("events", source="local")
     for address in range(len(net.nodes)):
         net.register_local_table(
             address, "events", [Tuple.make("events", src=f"s{address % 3}")]
@@ -74,6 +75,7 @@ def test_a_rejoining_node_gets_the_renewed_deadline_and_ends_with_the_query():
     deadline — the envelope is built from the plan when it is sent — and
     the re-installed graph tears down when the query does."""
     net = PIERNetwork(12, seed=53)
+    net.create_table("events", source="local")
     for address in range(12):
         net.register_local_table(address, "events", [])
     cq = net.subscribe(

@@ -22,6 +22,7 @@ def network():
     """One shared 20-node deployment for the execution tests (queries are
     independent; each uses its own query-scoped namespaces)."""
     net = PIERNetwork(20, seed=11)
+    net.create_table("events", source="local")
     for address in range(len(net)):
         net.register_local_table(
             address,
@@ -36,8 +37,10 @@ def network():
         for i in range(30)
     ]
     files = [Tuple.make("files", file_id=i, size_kb=i * 7) for i in range(30)]
-    net.publish("inverted", ["keyword"], inverted)
-    net.publish("files", ["file_id"], files)
+    net.create_table("inverted", partitioning=["keyword"])
+    net.create_table("files", partitioning=["file_id"])
+    net.publish("inverted", inverted)
+    net.publish("files", files)
     net.run(4.0)
     return net
 
@@ -136,6 +139,7 @@ def test_semi_join_over_secondary_index(network):
     # Outer tuples lack size_kb, so instead drive the semi-join from a small
     # local probe table containing the sizes we are interested in.
     probe_rows = [Tuple.make("probe", size_kb=size) for size in (7, 14)]
+    network.create_table("probe", source="local")
     network.register_local_table(0, "probe", probe_rows)
     plan = semi_join_plan(
         outer_table="probe",
@@ -210,3 +214,15 @@ def test_envelope_ships_the_execution_settings_and_nothing_else(network):
         if graph.query_id == result.query_id
     ]
     assert {key: installed.context.extras[key] for key in settings} == settings
+
+
+def test_submit_refuses_an_unknown_operator_type_before_sending(network):
+    plan = QueryPlan(timeout=5.0)
+    graph = plan.new_graph()
+    graph.add_operator("scan", "teleport_scan", {"table": "events"})
+    graph.add_operator("results", "result_handler", {}, inputs=["scan"])
+    messages = network.environment.stats.messages_sent
+    with pytest.raises(ValueError, match="teleport_scan"):
+        network.submit(plan, proxy=2)
+    assert network.environment.stats.messages_sent == messages
+    assert network.nodes[2].proxy.query(plan.query_id) is None

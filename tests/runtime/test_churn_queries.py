@@ -42,6 +42,7 @@ def test_publisher_failure_drops_coverage_but_query_completes():
         "events", ["src"], [("count", None, "n")], timeout=12, local_wait=1.0, hold=0.5
     )
     owner = _root_owner(network, plan)
+    network.create_table("events", source="local")
     for address in range(16):
         network.register_local_table(
             address, "events", [Tuple.make("events", src="a"), Tuple.make("events", src="b")]
@@ -74,6 +75,7 @@ def test_root_failure_hands_off_and_recovers_exact_totals():
     owner = _root_owner(network, plan)
     # Every surviving node contributes identically; the root owner holds no
     # data, so the churn-free totals are exactly (N-1) per group.
+    network.create_table("events", source="local")
     for address in range(20):
         rows = [] if address == owner else [
             Tuple.make("events", src="a"), Tuple.make("events", src="b")
@@ -104,6 +106,7 @@ def test_churn_process_killing_the_root_still_yields_correct_totals():
         "events", ["src"], [("count", None, "n")], timeout=16, local_wait=1.0, hold=0.5
     )
     owner = _root_owner(network, plan)
+    network.create_table("events", source="local")
     for address in range(16):
         rows = [] if address == owner else [
             Tuple.make("events", src="a"), Tuple.make("events", src="b")
@@ -135,6 +138,7 @@ def test_churn_process_killing_the_root_still_yields_correct_totals():
 
 def test_recovered_node_rejoins_continuous_query_via_redissemination():
     network = PIERNetwork(12, seed=53)
+    network.create_table("events", source="local")
     for address in range(12):
         network.register_local_table(
             address, "events", [Tuple.make("events", src=f"s{address % 3}")]
@@ -208,6 +212,7 @@ def test_stream_resilience_opt_out_overrides_deployment_default():
     network = PIERNetwork(6, seed=57)
     churn = ChurnProcess(network.environment, interval=100.0)
     network.attach_churn(churn)  # default_resilience now fully enabled
+    network.create_table("events", source="local")
     for address in range(6):
         network.register_local_table(address, "events", [Tuple.make("events", src="a")])
     plan = flat_aggregation_plan("events", ["src"], [("count", None, "n")], timeout=6)
@@ -223,6 +228,7 @@ def test_standing_windowed_aggregate_survives_root_failure_with_exact_epochs():
     re-ship their epoch-stamped cumulative contributions and the new root
     emits each window at its watermark."""
     network = PIERNetwork(16, seed=52)
+    network.create_table("events", source="local")
     for address in range(16):
         network.register_local_table(address, "events", [])
     policy = ResiliencePolicy.enabled(liveness_interval=1.0, root_monitor_interval=0.5)
@@ -276,6 +282,7 @@ def test_rejoining_node_reinstalls_standing_query_with_remaining_lifetime():
     its *remaining* lifetime (not the original), and the recovered node's
     data rejoins subsequent window epochs."""
     network = PIERNetwork(12, seed=53)
+    network.create_table("events", source="local")
     for address in range(12):
         network.register_local_table(address, "events", [])
     # shared=False: this test inspects the private handle's
@@ -355,6 +362,7 @@ def test_byzantine_attacker_killed_and_rejoined_does_not_double_count():
 
     network = PIERNetwork(20, seed=52)
     adversary = ByzantineProcess(network.environment, 0.2, seed=3, protected=[0])
+    network.create_table("events", source="local")
     for address in range(20):
         network.register_local_table(
             address, "events", [Tuple.make("events", src="a"), Tuple.make("events", src="b")]
@@ -426,6 +434,7 @@ def test_trace_survives_root_handoff_without_orphan_spans():
         "events", ["src"], [("count", None, "n")], timeout=16, local_wait=1.0, hold=0.5
     )
     owner = _root_owner(network, plan)
+    network.create_table("events", source="local")
     for address in range(20):
         rows = [] if address == owner else [
             Tuple.make("events", src="a"), Tuple.make("events", src="b")
@@ -460,6 +469,7 @@ def test_rejoin_redissemination_extends_the_same_trace():
     duplicated spans."""
     network = PIERNetwork(12, seed=53)
     network.enable_tracing()
+    network.create_table("events", source="local")
     for address in range(12):
         network.register_local_table(
             address, "events", [Tuple.make("events", src=f"s{address % 3}")]
@@ -499,6 +509,7 @@ def test_confirmed_failure_without_redissemination_stays_uncovered():
     """Regression: a recovered node whose opgraphs were purged but never
     re-installed must not snap coverage back to 1.0."""
     network = PIERNetwork(8, seed=58)
+    network.create_table("events", source="local")
     for address in range(8):
         network.register_local_table(address, "events", [Tuple.make("events", src="a")])
     plan = flat_aggregation_plan("events", ["src"], [("count", None, "n")], timeout=12)

@@ -56,6 +56,7 @@ def _network(attack_fraction: float = 0.0, seed: int = 11, byz_seed: int = 3):
         adversary = ByzantineProcess(
             network.environment, attack_fraction, seed=byz_seed, protected=[0]
         )
+    network.create_table("events", source="local")
     for address in range(NODES):
         network.register_local_table(
             address,

@@ -1,5 +1,5 @@
 """Tests for the deployment catalog and the query-session API:
-catalog round-trips, deprecation shims, the one-call ``query()`` path,
+catalog round-trips, the one way into the catalog, the one-call ``query()`` path,
 ``StreamingQuery`` iteration/cancel, ``explain()``, and the early-stop
 ``execute()`` loop."""
 
@@ -8,7 +8,7 @@ import pytest
 from repro import Catalog, CatalogError, PIERNetwork
 from repro.qp.tuples import Tuple
 from repro.sql.explain import render_explain
-from repro.sql.planner import NaivePlanner, TableInfo
+from repro.sql.planner import NaivePlanner
 
 
 # -- catalog round-trips -------------------------------------------------------- #
@@ -55,25 +55,44 @@ def test_publish_accepts_mapping_rows_and_rejects_other_shapes():
     assert net.environment.stats.messages_sent == messages
 
 
-def test_legacy_publish_auto_registers_table():
-    net = PIERNetwork(4, seed=5)
-    net.publish("legacy", ["k"], [Tuple.make("legacy", k=1, v=2)])
-    descriptor = net.catalog.describe("legacy")
-    assert descriptor is not None
-    assert descriptor.source == "dht"
-    assert descriptor.partitioning == ["k"]
-    assert descriptor.origin == "auto"
-    # Statistics flowed through the catalog too.
-    assert net.statistics.cardinality("legacy") == 1
-
-
-def test_local_table_auto_registers_and_source_conflicts_raise():
+@pytest.mark.parametrize("call", ["publish", "register_local_table", "append_local_rows"])
+def test_a_table_used_the_wrong_way_raises_catalog_error_before_sending(call):
+    """Each way in names the declaration it needs, and refuses an
+    undeclared table or one of the other source before it stores a row or
+    sends a message."""
     net = PIERNetwork(4, seed=6)
-    net.register_local_table(0, "logs", [Tuple.make("logs", src="a")])
-    assert net.catalog.describe("logs").source == "local"
-    # The same name cannot be used as a DHT table afterwards.
-    with pytest.raises(CatalogError):
-        net.publish("logs", ["src"], [Tuple.make("logs", src="b")])
+    net.create_table("inv", partitioning=["k"])
+    net.create_table("logs", source="local")
+    rows = [Tuple.make("t", k=1)]
+    calls = {
+        "publish": lambda table: net.publish(table, rows),
+        "register_local_table": lambda table: net.register_local_table(0, table, rows),
+        "append_local_rows": lambda table: net.append_local_rows(0, table, rows),
+    }
+    wrong_source = "logs" if call == "publish" else "inv"
+    messages = net.environment.stats.messages_sent
+    with pytest.raises(CatalogError, match=r"create_table\('ghost', source="):
+        calls[call]("ghost")
+    with pytest.raises(CatalogError, match=rf"create_table\('{wrong_source}', source="):
+        calls[call](wrong_source)
+    assert net.environment.stats.messages_sent == messages
+    assert all(not node.executor.local_tables for node in net.nodes)
+    assert all(net.statistics.cardinality(table) is None for table in ("ghost", "inv", "logs"))
+
+
+def test_replacing_a_local_table_keeps_statistics_to_the_rows_held():
+    net = PIERNetwork(4, seed=6)
+    net.create_table("logs", source="local")
+    rows = [Tuple.make("logs", src=f"s{i}") for i in range(10)]
+    net.register_local_table(0, "logs", rows)
+    net.register_local_table(1, "logs", rows[:3])
+    net.append_local_rows(1, "logs", rows[:2])
+    net.register_local_table(0, "logs", rows)  # replaces node 0's rows
+    held = sum(len(node.executor.local_tables.get("logs", ())) for node in net.nodes)
+    assert held == 15
+    assert net.statistics.cardinality("logs") == held
+    net.register_local_table(1, "logs", [])
+    assert net.statistics.cardinality("logs") == 10
 
 
 def test_catalog_validates_descriptors():
@@ -91,47 +110,6 @@ def test_catalog_validates_descriptors():
     assert "t" not in catalog
 
 
-# -- deprecation shims ------------------------------------------------------------ #
-
-def test_explicit_partitioning_over_declared_table_warns():
-    net = PIERNetwork(4, seed=7)
-    net.create_table("declared", partitioning=["k"])
-    with pytest.warns(DeprecationWarning):
-        net.publish("declared", ["k"], [Tuple.make("declared", k=1)])
-
-
-def test_explicit_override_keeps_catalog_and_planner_in_sync():
-    """An overriding publish() updates the catalog, so equality lookups
-    target the index the publisher actually built."""
-    net = PIERNetwork(8, seed=9)
-    net.create_table("m", partitioning=["k"])
-    with pytest.warns(DeprecationWarning):
-        net.publish("m", ["other"], [Tuple.make("m", k=i, other=i * 2) for i in range(6)])
-    net.run(2.0)
-    assert net.catalog.describe("m").partitioning == ["other"]
-    result = net.query("SELECT k FROM m WHERE other = 4 TIMEOUT 8")
-    assert result.column("k") == [2]
-
-
-def test_auto_registered_repartition_warns_and_updates_catalog():
-    net = PIERNetwork(4, seed=10)
-    net.publish("t", ["a"], [Tuple.make("t", a=1, b=2)])
-    with pytest.warns(UserWarning, match="changes the partitioning"):
-        net.publish("t", ["b"], [Tuple.make("t", a=3, b=4)])
-    assert net.catalog.describe("t").partitioning == ["b"]
-
-
-def test_make_planner_with_tableinfo_dict_still_works():
-    net = PIERNetwork(4, seed=8)
-    shim = net.make_planner({"inv": TableInfo("inv", "dht", ["keyword"])})
-    plan = shim.plan_sql("SELECT file_id FROM inv WHERE keyword = 'x'")
-    assert plan.opgraphs[0].dissemination.strategy == "equality"
-    # The catalog-backed planner produces the same strategy from the same facts.
-    net.create_table("inv", partitioning=["keyword"])
-    plan = net.plan_sql("SELECT file_id FROM inv WHERE keyword = 'x'")
-    assert plan.opgraphs[0].dissemination.strategy == "equality"
-
-
 # -- the one-call query path -------------------------------------------------------- #
 
 @pytest.fixture(scope="module")
@@ -146,7 +124,7 @@ def machines_network():
 
 
 def test_query_group_order_limit_one_call(machines_network):
-    """The acceptance-criteria query: ordered, limited rows, no TableInfo."""
+    """The acceptance-criteria query: ordered, limited rows, one call."""
     sql = (
         "SELECT site, COUNT(*) AS n FROM machines GROUP BY site "
         "ORDER BY n DESC LIMIT 3 TIMEOUT 8"
@@ -221,6 +199,7 @@ def test_explain_renders_plans_without_planner_metadata():
 @pytest.fixture
 def events_network():
     net = PIERNetwork(12, seed=15)
+    net.create_table("events", source="local")
     for address in range(len(net)):
         net.register_local_table(
             address, "events", [Tuple.make("events", node=address, level="info")] * 2

@@ -7,11 +7,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wire_watch import is_internal_column
 
-from repro import PIERNetwork
+from repro import Catalog, PIERNetwork
 from repro.qp.stats import DistinctSketch, Statistics
 from repro.qp.tuples import Tuple
 from repro.sql.parser import parse_sql
-from repro.sql.planner import NaivePlanner, TableInfo, apply_result_clauses
+from repro.sql.planner import NaivePlanner, apply_result_clauses
+
+
+def _catalog(*tables, partitioning=None, statistics=None):
+    """A catalog declaring ``tables`` as DHT tables; ``partitioning`` maps
+    a table to its primary index's columns (none by default)."""
+    catalog = Catalog(statistics)
+    for table in tables:
+        catalog.create_table(table, partitioning=(partitioning or {}).get(table))
+    return catalog
 
 
 def _op_types(plan):
@@ -75,11 +84,11 @@ def test_statistics_records_cardinality_columns_and_distinct():
 
 def test_network_publish_maintains_statistics():
     net = PIERNetwork(4, seed=9)
-    net.publish(
-        "files", ["file_id"], [Tuple.make("files", file_id=i, size_kb=i * 7) for i in range(12)]
-    )
+    net.create_table("files", partitioning=["file_id"])
+    net.publish("files", [Tuple.make("files", file_id=i, size_kb=i * 7) for i in range(12)])
     assert net.statistics.cardinality("files") == 12
     assert net.statistics.distinct("files", "file_id") == 12
+    net.create_table("logs", source="local")
     net.register_local_table(0, "logs", [Tuple.make("logs", src="a")])
     assert net.statistics.cardinality("logs") == 1
 
@@ -99,24 +108,21 @@ def stats_catalog():
 
 
 def test_planner_reorders_joins_cheapest_first(stats_catalog):
-    planner = NaivePlanner(
-        {name: TableInfo(name, "dht", []) for name in ("big", "tiny", "mid")},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("big", "tiny", "mid", statistics=stats_catalog))
     statement = parse_sql("SELECT x FROM big JOIN mid ON z = z JOIN tiny ON x = x")
     ordered = planner._order_joins("big", statement.joins)
     assert [join.table for join in ordered] == ["tiny", "mid"]
 
 
 def test_planner_keeps_order_without_statistics():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b", "c")})
+    planner = NaivePlanner(_catalog("a", "b", "c"))
     statement = parse_sql("SELECT x FROM a JOIN b ON x = y JOIN c ON z = w")
     ordered = planner._order_joins("a", statement.joins)
     assert [join.table for join in ordered] == ["b", "c"]
 
 
 def test_planner_compiles_three_way_rehash_pipeline():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b", "c")})
+    planner = NaivePlanner(_catalog("a", "b", "c"))
     plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y JOIN c ON z = w")
     # Two rehash edges: producer graph + two join consumer graphs.
     assert len(plan.opgraphs) == 3
@@ -126,11 +132,12 @@ def test_planner_compiles_three_way_rehash_pipeline():
 
 def test_planner_chooses_fetch_matches_per_edge():
     planner = NaivePlanner(
-        {
-            "orders": TableInfo("orders", "dht", ["order_id"]),
-            "users": TableInfo("users", "dht", ["user_id"]),
-            "items": TableInfo("items", "dht", []),
-        }
+        _catalog(
+            "orders",
+            "users",
+            "items",
+            partitioning={"orders": ["order_id"], "users": ["user_id"]},
+        )
     )
     plan = planner.plan_sql(
         "SELECT a FROM orders JOIN users ON user_id = user_id JOIN items ON item_id = item_id"
@@ -143,10 +150,7 @@ def test_planner_chooses_fetch_matches_per_edge():
 
 
 def test_planner_picks_bloom_rewrite_when_left_keys_are_selective(stats_catalog):
-    planner = NaivePlanner(
-        {"tiny": TableInfo("tiny", "dht", []), "big": TableInfo("big", "dht", [])},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("tiny", "big", statistics=stats_catalog))
     # tiny.x has ~10 distinct keys, big.x has ~400: the filter prunes most
     # of big, so the planner should pick the Bloom rewrite.
     plan = planner.plan_sql("SELECT x FROM tiny JOIN big ON x = x")
@@ -155,17 +159,14 @@ def test_planner_picks_bloom_rewrite_when_left_keys_are_selective(stats_catalog)
 
 
 def test_planner_threads_where_through_rehash_path():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b")})
+    planner = NaivePlanner(_catalog("a", "b"))
     plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y WHERE x = 1")
     ids = _op_ids(plan)
     assert "filter_where" in ids, "WHERE must survive on the symmetric-hash path"
 
 
 def test_planner_pushes_predicate_below_join_with_statistics(stats_catalog):
-    planner = NaivePlanner(
-        {"big": TableInfo("big", "dht", []), "mid": TableInfo("mid", "dht", [])},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("big", "mid", statistics=stats_catalog))
     plan = planner.plan_sql("SELECT x FROM big JOIN mid ON z = z WHERE x = 1")
     ids = _op_ids(plan)
     assert "filter_base" in ids and "filter_where" not in ids
@@ -176,7 +177,7 @@ def test_planner_pushes_predicate_below_join_with_statistics(stats_catalog):
 
 
 def test_partitioning_equality_survives_malformed_col_node():
-    planner = NaivePlanner({"t": TableInfo("t", "dht", ["k"])})
+    planner = NaivePlanner(_catalog("t", partitioning={"t": ["k"]}))
     # A one-element ["col"] node used to raise IndexError inside find().
     malformed = ["eq", ["col"], ["lit", 5]]
     assert planner._partitioning_equality(malformed, planner._info("t")) is None
@@ -204,21 +205,27 @@ def shop_network():
     orders = [
         Tuple.make("orders", order_id=o, user_id=o % 6, item_id=o % 4) for o in range(12)
     ]
-    net.publish("users", ["user_id"], users)
-    net.publish("items", ["item_id"], items)
-    net.publish("orders", ["order_id"], orders)
+    for table, key, rows in (
+        ("users", "user_id", users),
+        ("items", "item_id", items),
+        ("orders", "order_id", orders),
+    ):
+        net.create_table(table, partitioning=[key])
+        net.publish(table, rows)
     net.run(2.0)
     return net
 
 
 def test_three_way_join_sql_end_to_end(shop_network):
     net = shop_network
-    planner = net.make_planner(
-        {
-            "orders": TableInfo("orders", "dht", ["order_id"]),
-            "users": TableInfo("users", "dht", []),
-            "items": TableInfo("items", "dht", []),
-        }
+    planner = NaivePlanner(
+        _catalog(
+            "orders",
+            "users",
+            "items",
+            partitioning={"orders": ["order_id"]},
+            statistics=net.statistics,
+        )
     )
     plan = planner.plan_sql(
         "SELECT name, user_id, price, item_id FROM orders "
@@ -235,12 +242,14 @@ def test_three_way_join_sql_end_to_end(shop_network):
 
 def test_three_way_join_with_fetch_edges_and_where(shop_network):
     net = shop_network
-    planner = net.make_planner(
-        {
-            "orders": TableInfo("orders", "dht", ["order_id"]),
-            "users": TableInfo("users", "dht", ["user_id"]),
-            "items": TableInfo("items", "dht", ["item_id"]),
-        }
+    planner = NaivePlanner(
+        _catalog(
+            "orders",
+            "users",
+            "items",
+            partitioning={"orders": ["order_id"], "users": ["user_id"], "items": ["item_id"]},
+            statistics=net.statistics,
+        )
     )
     plan = planner.plan_sql(
         "SELECT name, price FROM orders "
@@ -258,19 +267,16 @@ def test_three_way_join_with_fetch_edges_and_where(shop_network):
 
 def test_where_filters_on_rehash_join_end_to_end():
     net = PIERNetwork(16, seed=21)
+    net.create_table("inverted", partitioning=["keyword"])
+    net.create_table("files", partitioning=["file_id"])
     net.publish(
-        "inverted", ["keyword"],
-        [Tuple.make("inverted", keyword=f"kw{i % 3}", file_id=i) for i in range(9)],
+        "inverted", [Tuple.make("inverted", keyword=f"kw{i % 3}", file_id=i) for i in range(9)]
     )
-    net.publish(
-        "files", ["file_id"],
-        [Tuple.make("files", file_id=i, size_kb=i * 7) for i in range(9)],
-    )
+    net.publish("files", [Tuple.make("files", file_id=i, size_kb=i * 7) for i in range(9)])
     net.run(2.0)
-    # files is declared unpartitioned, forcing the rehash path.
-    planner = NaivePlanner(
-        {"inverted": TableInfo("inverted", "dht", []), "files": TableInfo("files", "dht", [])}
-    )
+    # The planner's catalog declares files unpartitioned, forcing the
+    # rehash path.
+    planner = NaivePlanner(_catalog("inverted", "files"))
     plan = planner.plan_sql(
         "SELECT file_id, keyword FROM inverted JOIN files ON file_id = file_id "
         "WHERE keyword = 'kw1' TIMEOUT 12"
@@ -301,7 +307,7 @@ def _inputs(plan, operator_id):
 
 
 def test_needed_columns_shrink_along_a_three_way_rehash_chain():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b", "c")})
+    planner = NaivePlanner(_catalog("a", "b", "c"))
     plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y JOIN c ON z = w")
     # Stage 0 still owes both edges their keys (left and right names
     # differ, and nothing says which side has which); stage 1 only its own.
@@ -317,10 +323,7 @@ def test_needed_columns_shrink_along_a_three_way_rehash_chain():
 
 
 def test_needed_columns_on_a_bloom_first_edge(stats_catalog):
-    planner = NaivePlanner(
-        {"tiny": TableInfo("tiny", "dht", []), "big": TableInfo("big", "dht", [])},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("tiny", "big", statistics=stats_catalog))
     plan = planner.plan_sql("SELECT k FROM tiny JOIN big ON x = x")
     assert "bloom_build" in _op_types(plan)
     assert _params(plan, "extend_left_0")["keep"] == ["k", "x"]
@@ -331,11 +334,12 @@ def test_needed_columns_on_a_bloom_first_edge(stats_catalog):
 
 def test_needed_columns_around_a_fetch_edge():
     planner = NaivePlanner(
-        {
-            "orders": TableInfo("orders", "dht", ["order_id"]),
-            "users": TableInfo("users", "dht", ["user_id"]),
-            "items": TableInfo("items", "dht", []),
-        }
+        _catalog(
+            "orders",
+            "users",
+            "items",
+            partitioning={"orders": ["order_id"], "users": ["user_id"]},
+        )
     )
     plan = planner.plan_sql(
         "SELECT a FROM orders JOIN users ON user_id = user_id JOIN items ON item_id = item_id"
@@ -353,10 +357,7 @@ def test_needed_columns_around_a_fetch_edge():
 
 
 def test_only_a_residual_where_keeps_its_columns(stats_catalog):
-    planner = NaivePlanner(
-        {"big": TableInfo("big", "dht", []), "mid": TableInfo("mid", "dht", [])},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("big", "mid", statistics=stats_catalog))
     pushed = planner.plan_sql("SELECT k FROM big JOIN mid ON z = z WHERE x = 1")
     assert "filter_base" in _op_ids(pushed)  # x is read below the join ...
     assert _params(pushed, "extend_left_0")["keep"] == ["k", "z"]  # ... so it need not travel
@@ -367,7 +368,7 @@ def test_only_a_residual_where_keeps_its_columns(stats_catalog):
 
 
 def test_order_by_column_is_carried_to_the_proxy():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b")})
+    planner = NaivePlanner(_catalog("a", "b"))
     plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y ORDER BY q")
     assert _params(plan, "extend_left")["keep"] == ["x", "q", "y"]
     # Strict on the select list, lenient on the sort column (NULLS LAST).
@@ -383,7 +384,7 @@ def test_order_by_column_is_carried_to_the_proxy():
 
 
 def test_aliases_rename_in_the_final_projection():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b")})
+    planner = NaivePlanner(_catalog("a", "b"))
     plan = planner.plan_sql("SELECT x AS ex, v FROM a JOIN b ON x = y")
     assert _params(plan, "extend_left")["keep"] == ["x", "v", "y"]
     assert _params(plan, "project") == {"computed": {"ex": ["col", "x"], "v": ["col", "v"]}}
@@ -393,10 +394,7 @@ def test_aliases_rename_in_the_final_projection():
 
 
 def test_select_star_expands_when_the_catalog_knows_every_table(stats_catalog):
-    planner = NaivePlanner(
-        {name: TableInfo(name, "dht", []) for name in ("big", "mid", "ghost")},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("big", "mid", "ghost", statistics=stats_catalog))
     plan = planner.plan_sql("SELECT * FROM big JOIN mid ON z = z")
     # Base table first, then join order, sorted within a table; a repeated
     # name also under the qualifier Tuple.join gives a differing value.
@@ -410,12 +408,40 @@ def test_select_star_expands_when_the_catalog_knows_every_table(stats_catalog):
     assert "project" not in _op_ids(unknown)
 
 
+def _plan_form(plan):
+    """Every public field of a plan, as plain data."""
+    return {
+        "query_id": plan.query_id,
+        "timeout": plan.timeout,
+        "metadata": dict(plan.metadata),
+        "opgraphs": [
+            {
+                "graph_id": graph.graph_id,
+                "dissemination": {
+                    field: getattr(graph.dissemination, field)
+                    for field in ("strategy", "namespace", "key", "low", "high")
+                },
+                "operators": [
+                    {
+                        "id": spec.operator_id,
+                        "type": spec.op_type,
+                        "params": dict(spec.params),
+                        "inputs": list(spec.inputs),
+                    }
+                    for spec in graph.operators.values()
+                ],
+            }
+            for graph in plan.opgraphs
+        ],
+    }
+
+
 def _plan_digest(built):
     import hashlib
     import json
 
     text = json.dumps(
-        [json.loads(json.dumps(plan.to_dict()).replace(plan.query_id, "Q")) for plan in built],
+        [json.loads(json.dumps(_plan_form(plan)).replace(plan.query_id, "Q")) for plan in built],
         sort_keys=True,
     )
     return hashlib.sha256(text.encode()).hexdigest()
@@ -436,7 +462,7 @@ def _hand_built_steps():
 
 def test_builders_without_a_select_list_build_the_plans_they_always_built():
     """``columns=None`` is the hand-built path (and ``SELECT *`` without a
-    catalog): the ``to_dict()`` of every public builder that plans no
+    catalog): the public fields of every public builder that plans no
     rehash — lookup, scan, both aggregations, fetch-matches, semi-join —
     must stay what it was before column pruning, so benchmarks that build
     plans by hand keep their message and byte counts.  The digest is over
@@ -526,13 +552,13 @@ def _assert_rehash_edge(plan, suffix, left, right, left_key, right_key, keep, ou
 
 
 def _assert_no_markers(plan):
-    text = str(plan.to_dict())
+    text = str(_plan_form(plan))
     assert "__join_key__" not in text and "__source_table__" not in text
     assert not [i for i in _op_ids(plan) if i.startswith(("split_", "union_", "rehash_left", "rehash_inner"))]
 
 
 def test_rehash_edges_tag_the_left_stream_and_key_the_put_on_a_three_way_join():
-    planner = NaivePlanner({name: TableInfo(name, "dht", []) for name in ("a", "b", "c")})
+    planner = NaivePlanner(_catalog("a", "b", "c"))
     plan = planner.plan_sql("SELECT x FROM a JOIN b ON x = y JOIN c ON z = w")
     # ON x = y, ON z = w: each side is keyed on its own column name.
     _assert_rehash_edge(
@@ -544,10 +570,7 @@ def test_rehash_edges_tag_the_left_stream_and_key_the_put_on_a_three_way_join():
 
 
 def test_rehash_edge_behind_a_bloom_filter(stats_catalog):
-    planner = NaivePlanner(
-        {"tiny": TableInfo("tiny", "dht", []), "big": TableInfo("big", "dht", [])},
-        statistics=stats_catalog,
-    )
+    planner = NaivePlanner(_catalog("tiny", "big", statistics=stats_catalog))
     plan = planner.plan_sql("SELECT k FROM tiny JOIN big ON x = x")
     assert "bloom_build" in _op_types(plan)
     # The inner rows are pruned after the filter, then share the put.

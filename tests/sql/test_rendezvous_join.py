@@ -44,7 +44,8 @@ def _dropped(net, result, operator_id):
 @pytest.mark.parametrize("builder", sorted(REHASH_BUILDERS))
 def test_self_join_returns_each_pair_once(builder):
     net = PIERNetwork(8, seed=3)
-    net.publish("s", ["id"], [Tuple.make("s", id=i, k=i % 2, v=i) for i in range(4)])
+    net.create_table("s", partitioning=["id"])
+    net.publish("s", [Tuple.make("s", id=i, k=i % 2, v=i) for i in range(4)])
     net.run(2.0)
     result = net.execute(REHASH_BUILDERS[builder]("s", "s", ["k"], ["k"]))
     # Two rows per key value on each side: 2 keys x 2 x 2 pairs.  (Both
@@ -77,8 +78,10 @@ def _composite_tables():
 def test_composite_join_keys_compare_as_tuples_not_as_glued_strings():
     net = PIERNetwork(8, seed=3)
     left, right = _composite_tables()
-    net.publish("l", ["id"], left)
-    net.publish("r", ["rid"], right)
+    net.create_table("l", partitioning=["id"])
+    net.create_table("r", partitioning=["rid"])
+    net.publish("l", left)
+    net.publish("r", right)
     net.run(2.0)
     result = net.execute(symmetric_hash_join_plan("l", "r", ["a", "c"], ["b", "d"], timeout=6.0))
     assert result.rows() == [{"id": 2, "a": 7, "c": "y", "rid": 2, "b": 7, "d": "y"}]
@@ -191,6 +194,7 @@ def test_distributed_rehash_join_equals_a_nested_loop(property_network, data, wi
         right = data.draw(_rows(right_table, right_columns))
     for table, rows in {left_table: left, right_table: right}.items():
         # Node-local tables: the rows need no partitioning key of their own.
+        net.create_table(table, source="local")
         for address in range(len(net.nodes)):
             net.register_local_table(address, table, rows[address :: len(net.nodes)])
     plan = symmetric_hash_join_plan(

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import Catalog
+
 from repro.sql.lexer import SQLSyntaxError, tokenize
 from repro.sql.parser import parse_sql
-from repro.sql.planner import NaivePlanner, PlanningError, TableInfo, apply_result_clauses
+from repro.sql.planner import NaivePlanner, PlanningError, apply_result_clauses
 
 
 def test_tokenize_classifies_tokens():
@@ -77,13 +79,11 @@ def test_parse_rejects_malformed_queries(bad):
 
 @pytest.fixture
 def planner():
-    return NaivePlanner(
-        {
-            "inverted": TableInfo("inverted", "dht", ["keyword"]),
-            "files": TableInfo("files", "dht", ["file_id"]),
-            "firewall_events": TableInfo("firewall_events", "local"),
-        }
-    )
+    catalog = Catalog()
+    catalog.create_table("inverted", partitioning=["keyword"])
+    catalog.create_table("files", partitioning=["file_id"])
+    catalog.create_table("firewall_events", source="local")
+    return NaivePlanner(catalog)
 
 
 def test_planner_uses_equality_index_on_partitioning_key(planner):
@@ -107,7 +107,7 @@ def test_planner_aggregation_flat_and_hierarchical(planner):
     sql = "SELECT source_ip, COUNT(*) AS events FROM firewall_events GROUP BY source_ip"
     flat = planner.plan_sql(sql)
     assert len(flat.opgraphs) == 2
-    hierarchical = NaivePlanner(planner.tables, aggregation_strategy="hierarchical").plan_sql(sql)
+    hierarchical = NaivePlanner(planner.catalog, aggregation_strategy="hierarchical").plan_sql(sql)
     types = {spec.op_type for g in hierarchical.opgraphs for spec in g.operators.values()}
     assert "hierarchical_aggregate" in types
 
@@ -133,9 +133,9 @@ def test_planner_join_falls_back_to_rehash_join(planner):
     assert "symmetric_hash_join" in types
 
 
-def test_planner_unknown_table_defaults_to_local_broadcast(planner):
-    plan = planner.plan_sql("SELECT a FROM mystery_table")
-    assert plan.opgraphs[0].dissemination.strategy == "broadcast"
+def test_planner_unknown_table_is_a_planning_error(planner):
+    with pytest.raises(PlanningError, match="create_table"):
+        planner.plan_sql("SELECT a FROM mystery_table")
 
 
 def test_apply_result_clauses_orders_and_limits():
@@ -149,12 +149,13 @@ def test_sql_end_to_end_over_network(small_network):
     from repro.qp.tuples import Tuple
 
     net = small_network
+    net.create_table("firewall_events", source="local")
     for address in range(len(net)):
         net.register_local_table(
             address, "firewall_events",
             [Tuple.make("firewall_events", source_ip=f"1.2.3.{address % 3}", protocol="tcp")] * 2,
         )
-    planner = NaivePlanner({"firewall_events": TableInfo("firewall_events", "local")})
+    planner = NaivePlanner(net.catalog)
     plan = planner.plan_sql(
         "SELECT source_ip, COUNT(*) AS events FROM firewall_events GROUP BY source_ip TIMEOUT 12"
     )
