@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.overlay.identifiers import IdentifierSpace
-from repro.overlay.naming import ObjectName
+from repro.overlay.naming import ObjectName, random_suffix
 from repro.overlay.object_manager import ObjectManager, StoredObject
 from repro.overlay.router import (
     BootstrapDirectory,
@@ -320,36 +320,40 @@ class OverlayNode:
         self,
         namespace: str,
         key: object,
-        entries: List[Tuple[str, object]],
+        values: List[object],
         lifetime: float,
         callback: Optional[AckCallback] = None,
     ) -> None:
         """Batched put: ship several objects for one partitioning key with a
         single owner resolution and a single direct message.
 
-        All objects in ``entries`` (``(suffix, value)`` pairs) share the
-        same (namespace, key), so they route to the same owner; coalescing
-        them turns N per-tuple messages into one.  This is what the query
-        processor's batching exchange uses.
+        All of ``values`` share the same (namespace, key), so they route to
+        the same owner; coalescing them turns N per-tuple messages into
+        one.  This is what the query processor's batching exchange uses.
+        The message carries one random base suffix, not one per object:
+        the owner stores ``values[i]`` under the suffix ``f"{base}.{i}"``,
+        so a batch delivered twice (a retry after a lost ack) overwrites
+        the same objects.  A list of rows of one schema travels
+        schema-once (see :mod:`repro.runtime.codec`).
         """
-        if not entries:
+        if not values:
             if callback is not None:
                 callback(True)
             return
         self.stats.puts += 1
         self.stats.batch_puts += 1
-        self.stats.batched_objects += len(entries)
-        # The entry pairs are shipped as-is (zero-copy): values are
-        # immutable wire objects whose sizes the simulator memoizes, so
-        # the batch message costs one envelope walk plus the sum of the
-        # elements' cached sizes.
+        self.stats.batched_objects += len(values)
+        # The values are shipped as-is (zero-copy): they are immutable wire
+        # objects whose sizes the simulator memoizes, so the batch message
+        # costs one envelope walk plus the sum of the elements' cached sizes.
         self._two_phase(
-            ObjectName(namespace, key, entries[0][0]).routing_identifier(),
+            ObjectName(namespace, key, "").routing_identifier(),
             {
                 "kind": "put_batch",
                 "namespace": namespace,
                 "key": key,
-                "entries": entries,
+                "suffix": random_suffix(),
+                "values": values,
                 "lifetime": lifetime,
                 "request_id": None,
                 "origin": self.address,
@@ -796,7 +800,9 @@ class OverlayNode:
         kind = payload["kind"]
         namespace, key = payload["namespace"], payload["key"]
         if kind == "put_batch":
-            self._store_batch_locally(namespace, key, payload["entries"], payload["lifetime"])
+            self._store_batch_locally(
+                namespace, key, payload["suffix"], payload["values"], payload["lifetime"]
+            )
             return True
         if kind == "get_request":
             return [stored.value for stored in self.object_manager.get(namespace, key)]
@@ -830,12 +836,14 @@ class OverlayNode:
         return stored
 
     def _store_batch_locally(
-        self, namespace: str, key: object, entries: List[Tuple[str, object]], lifetime: float
+        self, namespace: str, key: object, base: str, values: List[object], lifetime: float
     ) -> None:
-        """Store the objects of one ``put_batch`` and announce them together."""
-        for suffix, value in entries:
-            self.object_manager.put(ObjectName(namespace, key, suffix), value, lifetime)
-        self._notify_new_data(namespace, key, [value for _suffix, value in entries])
+        """Store the objects of one ``put_batch``, the ``i``-th under the
+        suffix ``f"{base}.{i}"``, and announce them together."""
+        put = self.object_manager.put
+        for index, value in enumerate(values):
+            put(ObjectName(namespace, key, f"{base}.{index}"), value, lifetime)
+        self._notify_new_data(namespace, key, values)
 
     def _notify_new_data(self, namespace: str, key: object, values: List[object]) -> None:
         for handler in self._new_data_handlers.get(namespace, ()):

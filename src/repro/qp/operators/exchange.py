@@ -16,7 +16,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple as PyTuple
 from repro.overlay.naming import random_suffix
 from repro.qp.operators.base import DEFAULT_PROBE_TAG, PhysicalOperator, register_operator
 from repro.qp.tuples import Tuple
-from repro.runtime.sizing import wire_size
+from repro.runtime.sizing import datagram_runs, wire_size
 
 RESULT_NAMESPACE = "__results__"
 
@@ -76,6 +76,8 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
     message per tuple.  A partition flushes when it reaches ``batch_size``
     tuples and a periodic timer flushes stragglers every
     ``flush_interval`` seconds; query teardown flushes whatever remains.
+    A flush whose rows would not fit one datagram ships as several
+    batches (:func:`~repro.runtime.sizing.datagram_runs`).
 
     Params: ``namespace`` (rendezvous, query-scoped by default),
     ``key_columns`` (one list of column names for every input, or a list
@@ -168,16 +170,12 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
         values = self._buffers.pop(partition_key, None)
         if not values:
             return
-        self.batches_published += 1
-        self.stats.messages_shipped += 1
-        if self._obs is not None:
-            self.stats.bytes_shipped += wire_size(values)
-        self.context.overlay.put_batch(
-            self.namespace,
-            partition_key,
-            [(random_suffix(), value) for value in values],
-            self.lifetime,
-        )
+        for run in datagram_runs(values):
+            self.batches_published += 1
+            self.stats.messages_shipped += 1
+            if self._obs is not None:
+                self.stats.bytes_shipped += wire_size(run)
+            self.context.overlay.put_batch(self.namespace, partition_key, run, self.lifetime)
 
     def flush(self) -> None:
         if self._stopped:
@@ -265,7 +263,8 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
 
     When this node *is* the proxy, results are delivered through the
     context's ``deliver_result`` hook; otherwise they are sent directly to
-    the proxy's address, tagged with the query id, optionally in batches.
+    the proxy's address, tagged with the query id, optionally in batches
+    (a batch that would not fit one datagram is sent as several).
     Params: optional ``batch`` (default 1), ``table`` (rename of results),
     ``flush_interval`` (seconds; default from the execution context's
     ``result_flush_interval`` extra, 0 disables).  A flush interval ships
@@ -319,13 +318,13 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
             for tup in batch:
                 self.context.deliver_result(tup)
             return
-        wire = [tup.to_wire() for tup in batch]
-        self.stats.messages_shipped += 1
-        if self._obs is not None:
-            self.stats.bytes_shipped += wire_size(wire)
-        self.context.overlay.direct_message(
-            self.context.proxy_address,
-            namespace=RESULT_NAMESPACE,
-            key=self.context.query_id,
-            value=wire,
-        )
+        for run in datagram_runs([tup.to_wire() for tup in batch]):
+            self.stats.messages_shipped += 1
+            if self._obs is not None:
+                self.stats.bytes_shipped += wire_size(run)
+            self.context.overlay.direct_message(
+                self.context.proxy_address,
+                namespace=RESULT_NAMESPACE,
+                key=self.context.query_id,
+                value=run,
+            )

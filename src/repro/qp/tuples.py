@@ -13,7 +13,7 @@ order, and an O(1) column->index map), and a :class:`Tuple` is just a
 schema reference plus a value tuple.  The tuple itself is the wire object
 — senders ship it as-is and receivers use it as-is (``to_wire`` /
 ``from_wire``).  Tuples are immutable once created, which is what lets
-the codec memoize a tuple's encoding and its encoded size (see
+the codec memoize a tuple's packed values and its encoded size (see
 :mod:`repro.runtime.sizing`) and lets the simulator pass tuples between
 virtual nodes by reference.
 """
@@ -114,14 +114,14 @@ def _restore_tuple(table: str, columns: PyTuple[str, ...], values: PyTuple[Any, 
 class Tuple:
     """An immutable, self-describing relational tuple: schema + values."""
 
-    __slots__ = ("schema", "_values", "_wire_size", "_hash", "_encoded")
+    __slots__ = ("schema", "_values", "_wire_size", "_hash", "_packed")
 
     def __init__(self, table: str, values: Mapping[str, Any]) -> None:
         self.schema = Schema.intern(table, values.keys())
         self._values: PyTuple[Any, ...] = tuple(values.values())
         self._wire_size: Optional[int] = None  # codec.encoded_size memo
         self._hash: Optional[int] = None
-        self._encoded: Optional[bytes] = None
+        self._packed: Optional[bytes] = None  # packed_values memo
 
     @classmethod
     def _from_parts(cls, schema: Schema, values: PyTuple[Any, ...]) -> "Tuple":
@@ -131,7 +131,7 @@ class Tuple:
         tup._values = values
         tup._wire_size = None
         tup._hash = None
-        tup._encoded = None
+        tup._packed = None
         return tup
 
     # -- construction ------------------------------------------------------ #
@@ -257,27 +257,33 @@ class Tuple:
             ) from exc
 
     # -- binary wire form --------------------------------------------------- #
-    def to_bytes(self) -> bytes:
-        """The codec's binary encoding of this tuple, memoized.
+    def packed_values(self) -> bytes:
+        """The codec encoding of this tuple's values, in column order,
+        memoized.
 
-        The schema header (table + columns) comes from the interned
-        schema's cached blob; only the values are packed per tuple.
-        Tuples are immutable once created, so the encoding is computed
-        at most once no matter how many messages carry the tuple.
+        This is the per-tuple part of both wire forms: a lone tuple is
+        its schema's cached header plus these bytes, and a list of rows
+        of one schema is the header once plus each row's packed values.
+        Tuples are immutable once created, so the values are packed at
+        most once no matter how many messages carry the tuple.
         """
-        encoded = self._encoded
-        if encoded is None:
+        packed = self._packed
+        if packed is None:
             from repro.runtime import codec
 
-            parts: List[bytes] = [
-                bytes((codec.TAG_WIRE_TUPLE,)),
-                self.schema.packed_header,
-            ]
+            parts: List[bytes] = []
             for value in self._values:
                 codec._encode_value(value, parts)
-            encoded = b"".join(parts)
-            self._encoded = encoded
-        return encoded
+            packed = b"".join(parts)
+            self._packed = packed
+        return packed
+
+    def to_bytes(self) -> bytes:
+        """The codec's binary encoding of this tuple alone: tag byte, the
+        interned schema's cached header, then :meth:`packed_values`."""
+        from repro.runtime import codec
+
+        return codec.encode(self)
 
     @staticmethod
     def from_bytes(data: bytes) -> "Tuple":

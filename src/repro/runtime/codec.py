@@ -23,10 +23,17 @@ interned-schema tuples from the hot-path overhaul:
 * **PIER tuples** are encoded *by their schema*: the interned
   :class:`~repro.qp.tuples.Schema` contributes one cached header blob
   (table + column names) and the tuple contributes only its packed
-  values, in column order.  ``Tuple.to_bytes`` memoizes the full
+  values, in column order.  ``Tuple.packed_values`` memoizes the values'
   encoding on the (immutable) tuple, and :func:`encoded_size` memoizes
-  its length, so a tuple that crosses many hops or rides in many batches
-  is packed, or sized, once.
+  the tuple's size, so a tuple that crosses many hops or rides in many
+  batches is packed, or sized, once.
+* **Rows travel schema-once**: a ``list`` of two or more exact ``Tuple``
+  objects that share one interned schema — a result batch, a
+  ``put_batch`` body, a ``get_response`` reply — is one tag, a u32
+  count, the schema's header once, then each row's packed values.  It
+  decodes to the same list of tuples, the schema interned once.  Any
+  other list (mixed schemas, a ``Tuple`` subclass, fewer than two rows)
+  keeps the plain list form.
 * **Query envelopes** (:class:`~repro.qp.opgraph.QueryEnvelope`) carry a
   query's opgraphs, in the plan's vocabulary (operator types and param
   keys are well-known strings), down the distribution tree.  An envelope
@@ -80,6 +87,9 @@ TAG_WIRE_TUPLE = 0x10
 TAG_WELLKNOWN = 0x11
 TAG_PICKLE = 0x12
 TAG_QUERY_ENVELOPE = 0x13
+TAG_ROWS = 0x14
+
+_TUPLE_TAG = bytes((TAG_WIRE_TUPLE,))
 
 _INT8 = struct.Struct("!b")
 _INT32 = struct.Struct("!i")
@@ -139,6 +149,8 @@ WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     # batches and the column-wise blocks, also the pane fan-out's
     "partials", "batches", "keys", "states", "inc", "inc_ts", "cumulative",
     "relays", "contributors",
+    # the hierarchical join's routed envelopes (qp/hierarchical.py)
+    "envelope_id", "side", "path",
 )
 
 _WELLKNOWN_INDEX: Dict[str, int] = {
@@ -203,7 +215,15 @@ def _encode_value(value: Any, parts: List[bytes]) -> None:
         parts.append(value)
         return
     if kind is Tuple:
-        parts.append(value.to_bytes())
+        parts.append(_TUPLE_TAG)
+        parts.append(value.schema.packed_header)
+        parts.append(value.packed_values())
+        return
+    if kind is list and len(value) > 1 and _one_schema(value):
+        parts.append(_U8.pack(TAG_ROWS) + _U32.pack(len(value)))
+        parts.append(value[0].schema.packed_header)
+        for row in value:
+            parts.append(row.packed_values())
         return
     if kind is list or kind is tuple:
         parts.append(
@@ -233,9 +253,24 @@ def _encode_value(value: Any, parts: List[bytes]) -> None:
         parts.append(value.to_bytes())
         return
     if isinstance(value, Tuple):  # Tuple subclass
-        parts.append(value.to_bytes())
+        parts.append(_TUPLE_TAG)
+        parts.append(value.schema.packed_header)
+        parts.append(value.packed_values())
         return
     _encode_fallback(value, parts)
+
+
+def _one_schema(rows: List[Any]) -> bool:
+    """Whether every element of ``rows`` is an exact ``Tuple`` of the
+    first one's interned schema: the lists the schema-once form carries."""
+    first = rows[0]
+    if first.__class__ is not Tuple:
+        return False
+    schema = first.schema
+    for row in rows:
+        if row.__class__ is not Tuple or row.schema is not schema:
+            return False
+    return True
 
 
 def _encode_int(value: int, parts: List[bytes]) -> None:
@@ -298,6 +333,10 @@ def encoded_size(value: Any) -> int:
                 total += encoded_size(key) + encoded_size(item)
         return total
     if kind is list or kind is tuple:
+        if kind is list and len(value) > 1:
+            size = _rows_size(value)
+            if size is not None:
+                return size
         total = 5
         for item in value:
             total += encoded_size(item)
@@ -336,6 +375,26 @@ def _tuple_size(tup: Tuple) -> int:
             size += encoded_size(value)
         tup._wire_size = size
     return size
+
+
+def _rows_size(rows: List[Any]) -> Optional[int]:
+    """The size of ``rows`` in the schema-once form — tag and count, the
+    shared header once, then each row's memoized size less the tag and
+    header it does not repeat — or None when the list does not take that
+    form (the check of :func:`_one_schema`, made in the same pass)."""
+    first = rows[0]
+    if first.__class__ is not Tuple:
+        return None
+    schema = first.schema
+    header = len(schema.packed_header)
+    repeated = 1 + header
+    total = 5 + header
+    for row in rows:
+        if row.__class__ is not Tuple or row.schema is not schema:
+            return None
+        size = row._wire_size
+        total += (_tuple_size(row) if size is None else size) - repeated
+    return total
 
 
 def _envelope_size(envelope: QueryEnvelope) -> int:
@@ -443,7 +502,16 @@ def _decode_value(view: memoryview, offset: int) -> PyTuple[Any, int]:
             members.append(member)
         return (set(members) if tag == TAG_SET else frozenset(members)), offset
     if tag == TAG_WIRE_TUPLE:
-        return _decode_wire_tuple(view, offset)
+        schema, offset = _decode_schema(view, offset)
+        return _decode_values(view, offset, schema)
+    if tag == TAG_ROWS:
+        count = _U32.unpack_from(view, offset)[0]
+        schema, offset = _decode_schema(view, offset + 4)
+        rows: List[Tuple] = []
+        for _ in range(count):
+            row, offset = _decode_values(view, offset, schema)
+            rows.append(row)
+        return rows, offset
     if tag == TAG_QUERY_ENVELOPE:
         return _decode_envelope(view, offset)
     if tag == TAG_PICKLE:
@@ -457,7 +525,8 @@ def _decode_value(view: memoryview, offset: int) -> PyTuple[Any, int]:
     raise CodecError(f"unknown tag byte 0x{tag:02x}")
 
 
-def _decode_wire_tuple(view: memoryview, offset: int) -> PyTuple[Tuple, int]:
+def _decode_schema(view: memoryview, offset: int) -> PyTuple[Schema, int]:
+    """A packed schema header, interned in this process."""
     table_len = _U16.unpack_from(view, offset)[0]
     offset += 2
     table = str(view[offset:offset + table_len], "utf-8")
@@ -470,11 +539,15 @@ def _decode_wire_tuple(view: memoryview, offset: int) -> PyTuple[Tuple, int]:
         offset += 2
         columns.append(str(view[offset:offset + length], "utf-8"))
         offset += length
+    return Schema.intern(table, tuple(columns)), offset
+
+
+def _decode_values(view: memoryview, offset: int, schema: Schema) -> PyTuple[Tuple, int]:
+    """One row of ``schema``: its values in column order."""
     values: List[Any] = []
-    for _ in range(column_count):
+    for _ in range(len(schema.columns)):
         value, offset = _decode_value(view, offset)
         values.append(value)
-    schema = Schema.intern(table, tuple(columns))
     return Tuple._from_parts(schema, tuple(values)), offset
 
 

@@ -328,13 +328,15 @@ def test_put_batch_after_cached_owner_died_loses_no_row(small_overlay):
     sender = deployment.node(0)
     key, heir = _fail_cached_owner(deployment, sender)
     acks = []
-    sender.put_batch(
-        NAMESPACE, key, [(f"s{n}", n) for n in range(5)], lifetime=300, callback=acks.append
-    )
+    sender.put_batch(NAMESPACE, key, list(range(5)), lifetime=300, callback=acks.append)
     deployment.run(4.0)
     assert sender.stats.direct_retries == 1
     assert acks == [True]
     assert sorted(_stored_values(heir, key)) == [0, 1, 2, 3, 4]
+    # One base suffix per batch: row i is stored as "<base>.i".
+    suffixes = sorted(stored.name.suffix for stored in heir.object_manager.get(NAMESPACE, key))
+    base = suffixes[0].rsplit(".", 1)[0]
+    assert suffixes == [f"{base}.{n}" for n in range(5)]
 
 
 @pytest.mark.parametrize("operation", ["get", "renew"])

@@ -53,8 +53,7 @@ def test_bloom_probe_drops_non_matching_after_dht_round_trip():
 def test_put_batch_stores_all_objects_with_one_put_message():
     harness = OperatorHarness(node_count=4, seed=3)
     overlay = harness.context.overlay
-    entries = [(f"sfx{i}", {"n": i}) for i in range(5)]
-    overlay.put_batch("batched_ns", "shared-key", entries, lifetime=60.0)
+    overlay.put_batch("batched_ns", "shared-key", [{"n": i} for i in range(5)], lifetime=60.0)
     harness.run(3.0)
 
     fetched = {}

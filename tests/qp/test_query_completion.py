@@ -162,11 +162,11 @@ def test_a_batch_lost_in_flight_leaves_the_query_to_its_deadline(monkeypatch):
             and isinstance(payload, dict)
             and payload.get("kind") == "put_batch"
             and str(payload.get("namespace", "")).endswith("join_rehash_0")
-            and payload["entries"]
+            and payload["values"]
         ):
             # The message arrives without its tuples.
-            lost.append(len(payload["entries"]))
-            payload = {**payload, "entries": []}
+            lost.append(len(payload["values"]))
+            payload = {**payload, "values": []}
         transmit(source, source_port, destination, payload, ack)
 
     net.environment.transmit = losing

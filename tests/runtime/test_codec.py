@@ -189,9 +189,15 @@ def test_wire_tuple_roundtrip_reinterns_schema():
 
 
 def test_tuple_to_bytes_is_memoized():
+    """What is memoized is the values' packing, shared by the lone-tuple
+    form and the schema-once list form; the lone form is the tag and the
+    schema's cached header in front of it."""
     row = Tuple.make("inv", keyword="kw1", file_id=9)
+    packed = row.packed_values()
     first = row.to_bytes()
-    assert row.to_bytes() is first
+    assert row.packed_values() is packed
+    assert first == bytes((codec.TAG_WIRE_TUPLE,)) + row.schema.packed_header + packed
+    assert row.to_bytes() == first
     assert Tuple.from_bytes(first) == row
 
 
@@ -209,10 +215,10 @@ def test_tuple_from_bytes_rejects_non_tuple_frames():
 
 def test_tuples_nested_in_envelopes_roundtrip():
     rows = [Tuple.make("t", k=i, v=f"val{i}") for i in range(5)]
-    envelope = {"kind": "put_batch", "namespace": "t", "entries": rows}
+    envelope = {"kind": "put_batch", "namespace": "t", "suffix": "00a1b2c3d4e5", "values": rows}
     decoded = roundtrip(envelope)
     assert decoded == envelope
-    assert all(isinstance(row, Tuple) for row in decoded["entries"])
+    assert all(isinstance(row, Tuple) for row in decoded["values"])
     assert codec.FALLBACKS.total() == 0
 
 

@@ -20,7 +20,7 @@ from repro.runtime import codec
 from repro.runtime.codec import ENVELOPE_BYTES
 from repro.runtime.physical import PhysicalEnvironment
 from repro.runtime.simulation import SimulationEnvironment
-from repro.runtime.sizing import wire_size
+from repro.runtime.sizing import ROW_BATCH_BYTES, datagram_runs, wire_size
 
 
 @pytest.fixture(autouse=True)
@@ -126,7 +126,7 @@ def test_tuple_wire_size_is_memoized():
     tup = Tuple.make("t", a=1, b="xyz", c=[1, 2])
     assert tup._wire_size is None
     first = wire_size(tup)
-    assert tup._encoded is None  # sizing built no bytes
+    assert tup._packed is None  # sizing built no bytes
     assert first == ENVELOPE_BYTES + len(tup.to_bytes())
     tup._wire_size = 1000
     assert wire_size(tup) == ENVELOPE_BYTES + 1000  # the memo, not a re-walk
@@ -158,23 +158,51 @@ def test_query_envelope_is_sized_once_without_building_bytes():
 def test_put_batch_size_is_envelope_plus_cached_elements():
     tuples = [Tuple.make("t", k=i, v=f"val-{i}") for i in range(5)]
 
-    def batch_message(entries):
+    def batch_message(values):
         return {
             "kind": "put_batch",
             "namespace": "t",
             "key": 1,
-            "entries": entries,
+            "suffix": "00a1b2c3d4e5",
+            "values": values,
             "lifetime": 600.0,
             "request_id": None,
             "origin": 0,
         }
 
-    size = wire_size(batch_message([(f"{i:012x}", tup) for i, tup in enumerate(tuples)]))
-    assert all(tup._encoded is None for tup in tuples)  # nothing was packed
-    # Each entry: a 2-tuple header, a 12-character suffix, the tuple's memo.
-    per_entry = [5 + (2 + 12) + tup._wire_size for tup in tuples]
-    assert size == wire_size(batch_message([])) + sum(per_entry)
+    size = wire_size(batch_message(tuples))
+    assert all(tup._packed is None for tup in tuples)  # nothing was packed
+    # The rows' schema header once, then each row's values: the tuple's
+    # memo less the tag byte and the header it does not repeat.
+    header = len(tuples[0].schema.packed_header)
+    per_row = [tup._wire_size - 1 - header for tup in tuples]
+    assert size == wire_size(batch_message([])) + header + sum(per_row)
+    assert size == datagram_length(batch_message(tuples))
     assert [tup._wire_size for tup in tuples] == [len(tup.to_bytes()) for tup in tuples]
+
+
+# One 8-row put_batch of three-column rows, as the exchange ships it.
+# 221 bytes in the schema-once form with one base suffix; 540 when every
+# row carried its own header and a (suffix, row) pair.
+PUT_BATCH_BYTES = 221
+
+
+def test_an_eight_row_put_batch_is_pinned():
+    message = MESSAGES["put_batch"]
+    assert len(message["values"]) == 8
+    assert wire_size(message) == PUT_BATCH_BYTES == datagram_length(message)
+
+
+def test_a_batch_over_one_datagram_is_cut_into_runs_that_fit():
+    rows = [Tuple.make("blobs", seq=i, body="x" * 5000) for i in range(16)]
+    runs = datagram_runs(rows)
+    assert [row for run in runs for row in run] == rows
+    assert [len(run) for run in runs] == [12, 4]
+    assert all(codec.encoded_size(run) <= ROW_BATCH_BYTES for run in runs)
+    assert datagram_runs(rows[:12]) == [rows[:12]]
+    # A row larger than a datagram is a run of its own (a known limit).
+    huge = Tuple.make("blobs", seq=99, body="x" * codec.MAX_DATAGRAM)
+    assert datagram_runs([rows[0], huge, rows[1]]) == [[rows[0]], [huge], [rows[1]]]
 
 
 # -- objects the codec does not know: their counted pickle frame --------------------- #
@@ -249,9 +277,8 @@ MESSAGES = {
         "value": ROWS[0], "lifetime": 600.0, "request_id": 17, "origin": 3,
     },
     "put_batch": {
-        "kind": "put_batch", "namespace": "q1:rehash_0", "key": 4,
-        "entries": [(f"{i:012x}", row) for i, row in enumerate(ROWS)],
-        "lifetime": 600.0, "request_id": 18, "origin": 3,
+        "kind": "put_batch", "namespace": "q1:rehash_0", "key": 4, "suffix": "00a1b2c3d4e5",
+        "values": list(ROWS), "lifetime": 600.0, "request_id": 18, "origin": 3,
     },
     "lookup": {
         "kind": "lookup", "target": 2 ** 159 + 12345, "request_id": 19,

@@ -150,6 +150,32 @@ def test_a_repeated_loopback_join_installs_by_reference():
         net.close()
 
 
+def test_a_loopback_result_batch_over_one_datagram_arrives_complete():
+    """Sixteen rows of about 5 KB each fill one result batch of about
+    80 KB, more than a datagram holds: the result handler cuts it into
+    runs that fit, so every row reaches the proxy and the query ends
+    when its data does instead of waiting out its deadline."""
+    net = PIERNetwork(4, seed=11, mode="physical")
+    try:
+        net.create_table("blobs", partitioning=["bucket"])
+        rows = [Tuple.make("blobs", bucket=0, seq=i, body=f"{i:02d}" + "x" * 5000) for i in range(16)]
+        net.publish("blobs", rows)
+        net.run(0.5)
+        # Every row sits at the bucket's owner; ask from another node.
+        owner = next(
+            index for index, node in enumerate(net.nodes)
+            if any(True for _ in node.overlay.object_manager.local_scan("blobs"))
+        )
+        dropped = net.environment.stats.messages_dropped
+        result = net.query("SELECT seq, body FROM blobs TIMEOUT 4", proxy=(owner + 1) % len(net.nodes))
+        assert result.completed_by == "data"
+        assert sorted(row["seq"] for row in result.rows()) == list(range(16))
+        assert {row["body"] for row in result.rows()} == {row["body"] for row in rows}
+        assert net.environment.stats.messages_dropped == dropped
+    finally:
+        net.close()
+
+
 def test_a_loopback_plan_over_one_datagram_is_refused_before_anything_is_sent():
     """The simulator refuses the same plan (tests/qp/test_plan_templates.py):
     both runtimes answer it alike, with a ValueError at submit."""

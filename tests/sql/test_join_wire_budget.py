@@ -43,14 +43,20 @@ MARKERS: set = set()
 # Re-recorded (48,152 to 47,888) when graph ids became query-relative
 # (`g0`, not `q000001-g0`): 8 bytes less per opgraph, three opgraphs on
 # each of the 11 tree edges; still 303 messages (SELECT * 99,689 bytes).
+# Re-recorded (47,888 to 42,070) when rows began to travel schema-once: a
+# list of same-schema rows carries its table and column names once, and a
+# put_batch one base suffix instead of a (suffix, row) pair per row; still
+# 303 messages (SELECT * 99,689 to 81,573 bytes).  With the list form
+# disabled and the pair body restored the old counts come back exactly.
 # If a change moves it on purpose, re-record it here and say why in
 # CHANGES.md.
-PRUNED_BYTES = 47_888
+PRUNED_BYTES = 42_070
 # The same query run again on the same deployment: every node keeps the
 # first one's template, so its plan crosses the tree as a header.
 # Recorded at 39,385 bytes in 308 messages when templates began to be
-# kept by digest.
-REPEATED_BYTES = 39_385
+# kept by digest; re-recorded (39,385 to 33,880, still 308 messages) when
+# rows began to travel schema-once, as above.
+REPEATED_BYTES = 33_880
 
 
 def _deployment(monkeypatch) -> PIERNetwork:

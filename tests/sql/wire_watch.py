@@ -39,7 +39,7 @@ def watch_put_batches(net: PIERNetwork, run: Callable[[], Any]) -> PyTuple[Any, 
 
     def watching(source, source_port, destination, payload, ack):  # noqa: ANN001
         for message in put_batches(payload):
-            shipped.extend(value for _suffix, value in message["entries"] if isinstance(value, Tuple))
+            shipped.extend(value for value in message["values"] if isinstance(value, Tuple))
         transmit(source, source_port, destination, payload, ack)
 
     net.environment.transmit = watching
