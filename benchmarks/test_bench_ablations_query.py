@@ -17,14 +17,15 @@ from conftest import print_table
 from repro import PIERNetwork
 from repro.qp.opgraph import DisseminationSpec, QueryPlan
 from repro.qp.plans import (
+    JoinStep,
     equality_lookup_plan,
     broadcast_scan_plan,
     fetch_matches_join_plan,
     flat_aggregation_plan,
     hierarchical_aggregation_plan,
+    multi_join_plan,
     symmetric_hash_join_plan,
 )
-from repro.qp.rewrites import bloom_join_plan
 from repro.qp.tuples import Tuple
 
 SEED = 303
@@ -65,8 +66,10 @@ def _run_join_strategies() -> dict:
             "bench_inverted", "bench_files", ["file_id"],
             outer_predicate=predicate, timeout=12,
         ),
-        "bloom_join": lambda: bloom_join_plan(
-            "bench_inverted", "bench_files", ["file_id"], ["file_id"], timeout=18
+        "bloom_join": lambda: multi_join_plan(
+            "bench_inverted",
+            [JoinStep("bench_files", "file_id", "file_id", strategy="bloom")],
+            timeout=18,
         ),
     }
     for label, plan_factory in plans.items():

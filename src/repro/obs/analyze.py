@@ -101,10 +101,3 @@ def render_explain_analyze(
     from repro.sql.explain import render_explain
 
     return render_explain(plan, actuals=actuals)
-
-
-def format_actual_line(entry: Dict[str, Any]) -> str:
-    """One operator's actuals, compactly: what ran, what it cost."""
-    from repro.sql.explain import format_actual
-
-    return format_actual(entry)

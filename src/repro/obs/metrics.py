@@ -171,7 +171,7 @@ def collect_deployment_metrics(network: Any) -> Dict[str, Any]:
         if peak is not None:
             out["scheduler.peak_live_events"] = peak
 
-    # Transport reliability (physical runtime / UdpCC ladders).
+    # Transport reliability (the physical runtime's ack/retransmit ladder).
     for attr, name in (
         ("retransmits", "transport.retransmits"),
         ("duplicates_dropped", "transport.duplicates_dropped"),

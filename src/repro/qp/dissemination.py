@@ -1,14 +1,12 @@
 """Query dissemination and distributed indexing (paper Section 3.3.3).
 
-An opgraph is shipped only to the nodes that must run it.  Three
+An opgraph is shipped only to the nodes that must run it.  Two
 "distributed indexes" drive that decision:
 
 * the *true-predicate index* — the distribution tree — broadcasts the
   opgraph to every node;
 * the *equality-predicate index* routes an opgraph to the node(s)
-  responsible for a specific partitioning-key value in the DHT;
-* the *range-predicate index* (the Prefix Hash Tree) resolves the DHT keys
-  covering a value range, and the opgraph is sent to each covering node.
+  responsible for a specific partitioning-key value in the DHT.
 
 Opgraphs travel in a :class:`~repro.qp.opgraph.QueryEnvelope`: all of a
 query's broadcast opgraphs in one envelope down the tree, a targeted one
@@ -178,13 +176,11 @@ class QueryDisseminator:
         tree: DistributionTree,
         install_handler: InstallHandler,
         templates: TemplateCache,
-        pht_resolver: Optional[Callable[[str, Any, Any], List[Any]]] = None,
     ) -> None:
         self.overlay = overlay
         self.tree = tree
         self.install_handler = install_handler
         self.templates = templates
-        self.pht_resolver = pht_resolver
         # The proxy's answer to a template request (ProxyService).
         self.template_request_handler: Optional[TemplateRequestHandler] = None
         self.graphs_broadcast = 0
@@ -267,10 +263,6 @@ class QueryDisseminator:
             if strategy == "equality":
                 self.graphs_targeted += 1
                 self._send_to_key(graph.dissemination.namespace, graph.dissemination.key, single)
-            elif strategy == "range":
-                for key in self._resolve_range(graph):
-                    self.graphs_targeted += 1
-                    self._send_to_key(graph.dissemination.namespace, key, single)
             else:  # local: only the proxy runs it
                 self.install_handler(single, False)
         if envelope is None:
@@ -307,7 +299,7 @@ class QueryDisseminator:
         """Route the opgraph to the node responsible for (namespace, key).
         The stored copy lives as long as the query has left to run."""
         if namespace is None:
-            raise ValueError("equality/range dissemination requires a namespace")
+            raise ValueError("equality dissemination requires a namespace")
         target = object_identifier(namespace, key)
         self.overlay.send(
             DISSEMINATION_NAMESPACE,
@@ -317,12 +309,6 @@ class QueryDisseminator:
             lifetime=envelope.deadline - self.overlay.runtime.get_current_time(),
             target=target,
         )
-
-    def _resolve_range(self, graph: OpGraph) -> List[Any]:
-        spec = graph.dissemination
-        if self.pht_resolver is None:
-            raise ValueError("range dissemination requires a PHT resolver")
-        return self.pht_resolver(spec.namespace, spec.low, spec.high)
 
     def broadcast_control(self, query_id: str, payload: Dict[str, Any]) -> None:
         """Ship a query-control message (e.g. lifetime renewal) to every

@@ -34,7 +34,6 @@ class PIERNode:
         runtime: VirtualRuntime,
         directory: BootstrapDirectory,
         router_factory: Callable[[NodeContact], Router] = ChordRouter,
-        pht_resolver: Optional[Callable[[str, Any, Any], List[Any]]] = None,
         exchange_defaults: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.runtime = runtime
@@ -45,7 +44,7 @@ class PIERNode:
         self.templates = TemplateCache(runtime.get_current_time)
         self.overlay.on_stabilize(self._sweep_templates)
         self.disseminator = QueryDisseminator(
-            self.overlay, self.tree, self._install_envelope, self.templates, pht_resolver
+            self.overlay, self.tree, self._install_envelope, self.templates
         )
         self.proxy = ProxyService(self.overlay, self.executor, self.disseminator)
         # Shared-plan epoch fan-out (repro.cq.sharing): subscribers attached

@@ -386,15 +386,6 @@ class _BaseGroupBy(PhysicalOperator):
             rows.append(self._group_tuple(key, payload))
         return rows
 
-    @property
-    def group_count(self) -> int:
-        if self.window_spec is not None:
-            keys = set(self._landmark_cum)
-            for pane in self._panes.values():
-                keys.update(pane)
-            return len(keys)
-        return len(self._groups)
-
 
 @register_operator
 class HashGroupBy(_BaseGroupBy):

@@ -5,7 +5,7 @@ hashed as they arrive, so results stream out without blocking — and the
 Fetch Matches join, a distributed index join that issues a DHT ``get`` for
 each outer tuple against a published (primary or secondary) index.
 Bloom-join and semi-join rewrites are composed from these plus the bloom
-operators (see :mod:`repro.qp.rewrites`).
+operators (see :mod:`repro.qp.plans`).
 """
 
 from __future__ import annotations

@@ -51,8 +51,6 @@ class DisseminationSpec:
       index).
     * ``equality`` — only the node(s) responsible for ``namespace``/``key``
       in the DHT (equality-predicate index).
-    * ``range``    — the nodes covering ``(low, high)`` of a PHT-indexed
-      attribute (range-predicate index).
     * ``local``    — only the proxy node itself (e.g. final result
       assembly).
     """
@@ -60,11 +58,9 @@ class DisseminationSpec:
     strategy: str = "broadcast"
     namespace: Optional[str] = None
     key: Any = None
-    low: Any = None
-    high: Any = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in {"broadcast", "equality", "range", "local"}:
+        if self.strategy not in {"broadcast", "equality", "local"}:
             raise ValueError(f"unknown dissemination strategy {self.strategy!r}")
 
 

@@ -5,8 +5,12 @@ equality-index lookups (filesharing keyword search), broadcast
 selection/projection scans, flat (rehash) and hierarchical distributed
 aggregation, and the distributed join strategies compared in the join
 ablation (symmetric hash rehash join, Fetch Matches index join, Bloom join,
-and semi-join).  Applications and examples can of course build opgraphs by
-hand; these builders just capture the recurring patterns.
+and semi-join).  The Bloom join and the semi-join are the paper's rewrites
+(Section 3.3.4), plan shapes built from existing operators: the Bloom join
+is a ``"bloom"`` :class:`JoinStep` of :func:`multi_join_plan`, and the
+semi-join (:func:`semi_join_plan`) joins through a secondary index.
+Applications and examples can of course build opgraphs by hand; these
+builders just capture the recurring patterns.
 """
 
 from __future__ import annotations
@@ -250,66 +254,17 @@ def symmetric_hash_join_plan(
     what ``predicate`` reads are rehashed, and result rows carry exactly
     ``columns``.  Without it every column of both inputs travels.
     """
-    return _rehash_join_plan(
-        left_table,
-        right_table,
-        left_columns,
-        right_columns,
-        source,
-        timeout,
-        output_table,
-        rendezvous,
-        predicate=predicate,
-        columns=columns,
-    )
-
-
-def _rehash_join_plan(
-    left_table: str,
-    right_table: str,
-    left_columns: List[str],
-    right_columns: List[str],
-    source: str,
-    timeout: float,
-    output_table: Optional[str],
-    rendezvous: str,
-    predicate: Optional[Any] = None,
-    bloom: Optional[Dict[str, Any]] = None,
-    columns: Optional[Sequence[str]] = None,
-) -> QueryPlan:
-    """The rehash-join plan shape, plain or behind a Bloom filter.
-
-    ``bloom`` (the filters' ``filter_namespace`` and ``size_bits``) adds
-    the Bloom-join round: an opgraph ahead of the others publishes a filter
-    of each site's left join keys, and the right relation is rehashed only
-    where the filter says a match is possible.
-    """
     plan = QueryPlan(timeout=timeout)
-    if bloom is not None:
-        build = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-        _add_scan(build, "scan_left", left_table, source)
-        build.add_operator(
-            "bloom", "bloom_build", {"columns": left_columns, **bloom}, inputs=["scan_left"]
-        )
-    # The left relation always travels; the right one may be filtered first.
     producer = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
     _add_scan(producer, "scan_left", left_table, source)
-    right = _add_scan(producer, "scan_right", right_table, source)
-    if bloom is not None:
-        producer.add_operator(
-            "probe_right",
-            "bloom_probe",
-            {"columns": right_columns, "filter_namespace": bloom["filter_namespace"]},
-            inputs=[right],
-        )
-        right = "probe_right"
+    _add_scan(producer, "scan_right", right_table, source)
     keep = _keep_list(columns, predicate, [*left_columns, *right_columns])
     consumer = _add_rehash_join(
         plan,
         producer,
         "",
         rendezvous,
-        ("scan_left", right),
+        ("scan_left", "scan_right"),
         (left_columns, right_columns),
         keep,
         output_table or f"{left_table}*{right_table}",
@@ -425,6 +380,62 @@ def fetch_matches_join_plan(
         inputs=[upstream],
     )
     _add_results(graph, "fetch_join", columns)
+    return plan
+
+
+def semi_join_plan(
+    outer_table: str,
+    index_namespace: str,
+    inner_namespace: str,
+    outer_columns: List[str],
+    source: str = "dht_scan",
+    outer_predicate: Optional[Any] = None,
+    timeout: float = 25.0,
+    output_table: Optional[str] = None,
+    columns: Optional[Sequence[str]] = None,
+) -> QueryPlan:
+    """Semi-join through a secondary index (paper Section 3.3.3).
+
+    The secondary index (``index_namespace``) maps index keys to the base
+    table's partitioning keys.  The outer relation is first Fetch-Matches
+    joined against the index (shipping only keys), and the surviving
+    pointers are dereferenced against ``inner_namespace`` with a second
+    Fetch Matches join — "a distributed index join over a secondary index".
+    ``columns`` (the select list) narrows the rows ahead of each probe
+    and the result rows, as in
+    :func:`~repro.qp.plans.fetch_matches_join_plan`.
+    """
+    plan = QueryPlan(timeout=timeout)
+    graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
+    upstream = _add_scan(graph, "scan_outer", outer_table, source)
+    if outer_predicate is not None:
+        graph.add_operator(
+            "select_outer", "selection", {"predicate": outer_predicate}, inputs=[upstream]
+        )
+        upstream = "select_outer"
+    upstream = _add_prune(
+        graph, "prune_outer", _keep_list(columns, None, [*outer_columns, "base_key"]), upstream
+    )
+    graph.add_operator(
+        "index_probe",
+        "fetch_matches_join",
+        {"outer_columns": outer_columns, "inner_namespace": index_namespace},
+        inputs=[upstream],
+    )
+    upstream = _add_prune(
+        graph, "prune_pointers", _keep_list(columns, None, ["base_key"]), "index_probe"
+    )
+    graph.add_operator(
+        "dereference",
+        "fetch_matches_join",
+        {
+            "outer_columns": ["base_key"],
+            "inner_namespace": inner_namespace,
+            "output_table": output_table,
+        },
+        inputs=[upstream],
+    )
+    _add_results(graph, "dereference", columns)
     return plan
 
 

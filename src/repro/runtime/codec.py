@@ -117,7 +117,8 @@ WELLKNOWN_STRINGS: PyTuple[str, ...] = (
     # continuous-query pane/epoch traffic
     "epoch", "pane", "watermark", "seq", "rows", "results", "status",
     "coverage", "count", "group", "window", "slide", "payload",
-    # transport framing (runtime/udpcc.py)
+    # no message uses these three; they keep their slots so that every
+    # later index, and so the wire format, stays the same
     "udpcc", "udpcc_id", "data",
     # causal tracing (repro/obs): the trace context rides in envelopes
     "trace", "trace_id", "span",

@@ -162,9 +162,7 @@ class PhysicalEnvironment(NetworkEndpoint):
         return [self._runtimes[address] for address in self._order]
 
     def add_node(self, udp_port: int = 0) -> "PhysicalNodeRuntime":
-        return PhysicalNodeRuntime(
-            host=self.host, udp_port=udp_port, environment=self
-        )
+        return PhysicalNodeRuntime(self, udp_port)
 
     def _register(self, runtime: "PhysicalNodeRuntime") -> None:
         self._runtimes[runtime.address] = runtime
@@ -280,24 +278,12 @@ class PhysicalNodeRuntime(VirtualRuntime):
     selector, with 4-byte length-prefixed framing reassembled from a
     per-connection byte buffer (short reads cannot corrupt framing).
 
-    Constructed bare — ``PhysicalNodeRuntime()`` — the node creates and
-    owns a private single-node :class:`PhysicalEnvironment`, so the
-    historical standalone surface (``start``/``stop``/``run``) keeps
-    working; under ``PIERNetwork(mode="physical")`` the environment
-    constructs the nodes and owns the loop.
+    Nodes are made by their :class:`PhysicalEnvironment` (``node_count``
+    or :meth:`~PhysicalEnvironment.add_node`), which owns the loop and
+    closes every node's sockets.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        udp_port: int = 0,
-        environment: Optional[PhysicalEnvironment] = None,
-    ) -> None:
-        if environment is None:
-            environment = PhysicalEnvironment(node_count=0, host=host)
-            self._owns_environment = True
-        else:
-            self._owns_environment = False
+    def __init__(self, environment: PhysicalEnvironment, udp_port: int = 0) -> None:
         self._environment = environment
         self.scheduler = environment.scheduler
         self._ports = PortRegistry()
@@ -310,7 +296,7 @@ class PhysicalNodeRuntime(VirtualRuntime):
                 )
             except OSError:
                 pass
-        self._udp_socket.bind((host, udp_port))
+        self._udp_socket.bind((environment.host, udp_port))
         self._udp_socket.setblocking(False)
         self._address: Address = self._udp_socket.getsockname()
         self._transport_ids = 0
@@ -329,16 +315,6 @@ class PhysicalNodeRuntime(VirtualRuntime):
         environment._register(self)
 
     # -- lifecycle --------------------------------------------------------- #
-    def start(self) -> None:
-        """Kept for compatibility: the selector loop needs no warm-up."""
-
-    def stop(self) -> None:
-        """Close this node's sockets (and a privately owned environment)."""
-        if self._owns_environment:
-            self._environment.close()
-        else:
-            self._close_sockets()
-
     def _close_sockets(self) -> None:
         if self._closed:
             return
@@ -703,15 +679,3 @@ class PhysicalNodeRuntime(VirtualRuntime):
             entry.connection.mark_closed()
             if notify:
                 entry.listener.handle_tcp_error(entry.connection)
-
-    # -- event pump ----------------------------------------------------------------#
-    def run(
-        self,
-        duration: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_condition: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Drive the owning environment's loop (standalone compatibility)."""
-        return self._environment.run(
-            duration, max_events=max_events, stop_condition=stop_condition
-        )

@@ -2,9 +2,9 @@
 
 These builders wire a :class:`~repro.runtime.simulation.SimulationEnvironment`
 to a set of joined :class:`~repro.overlay.wrapper.OverlayNode` instances
-(and, optionally, their distribution trees).  They are used by the
-high-level :class:`repro.api.PIERNetwork`, by tests, and by the benchmark
-harness.
+(and, optionally, their distribution trees), an overlay without the query
+processor above it.  Tests and benchmarks use them; nothing in the package
+does (:class:`repro.api.PIERNetwork` builds its own nodes).
 """
 
 from __future__ import annotations

@@ -230,8 +230,6 @@ def _render_graph(
     target = ""
     if spec.strategy == "equality":
         target = f" {spec.namespace}={spec.key!r}"
-    elif spec.strategy == "range":
-        target = f" {spec.namespace} in [{spec.low!r}, {spec.high!r}]"
     lines = [f"opgraph {graph.graph_id} [dissemination={spec.strategy}{target}]"]
     rendered: set = set()
     for sink in graph.sinks():

@@ -109,18 +109,6 @@ class FilesharingWorkload:
                     )
         return rows
 
-    def file_tuples(self) -> List[Tuple]:
-        """(file_id, filename, size) tuples: the base ``files`` table."""
-        return [
-            Tuple.make(
-                "files",
-                file_id=descriptor.file_id,
-                filename=descriptor.filename,
-                size_kb=descriptor.size_kb,
-            )
-            for descriptor in self.files
-        ]
-
     def replicas_by_node(self) -> List[List[FileDescriptor]]:
         """Which files each node hosts (the Gnutella baseline's local state)."""
         holdings: List[List[FileDescriptor]] = [[] for _ in range(self.node_count)]

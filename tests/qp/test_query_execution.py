@@ -6,14 +6,16 @@ import pytest
 from repro import PIERNetwork
 from repro.qp.opgraph import DisseminationSpec, QueryPlan
 from repro.qp.plans import (
+    JoinStep,
     broadcast_scan_plan,
     equality_lookup_plan,
     fetch_matches_join_plan,
     flat_aggregation_plan,
     hierarchical_aggregation_plan,
+    multi_join_plan,
+    semi_join_plan,
     symmetric_hash_join_plan,
 )
-from repro.qp.rewrites import bloom_join_plan, semi_join_plan
 from repro.qp.tuples import Tuple
 
 
@@ -112,7 +114,9 @@ def test_symmetric_hash_join_matches_reference(network):
 
 
 def test_bloom_join_produces_same_rows_as_plain_join(network):
-    plan = bloom_join_plan("inverted", "files", ["file_id"], ["file_id"], timeout=18)
+    plan = multi_join_plan(
+        "inverted", [JoinStep("files", "file_id", "file_id", strategy="bloom")], timeout=18
+    )
     result = network.execute(plan, proxy=7)
     assert len(result) == 30
 

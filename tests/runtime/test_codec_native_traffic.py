@@ -15,7 +15,6 @@ from repro.qp.plans import (
     hierarchical_aggregation_plan,
     multi_join_plan,
 )
-from repro.qp.rewrites import bloom_join_plan
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
 
@@ -49,7 +48,8 @@ def test_no_simulated_message_takes_the_pickle_fallback():
         "fact", [JoinStep("dim_k", "k", "k"), JoinStep("dim_j", "j", "j")], timeout=5.0
     )
     assert len(net.execute(three_way)) == 12
-    assert len(net.execute(bloom_join_plan("fact", "dim_k", ["k"], ["k"], timeout=6.0))) == 12
+    bloom = multi_join_plan("fact", [JoinStep("dim_k", "k", "k", strategy="bloom")], timeout=6.0)
+    assert len(net.execute(bloom)) == 12
     assert len(net.execute(fetch_matches_join_plan("fact", "dim_k", ["k"], timeout=4.0))) == 12
 
     handoff = net.query(

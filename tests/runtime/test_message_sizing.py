@@ -265,11 +265,6 @@ def test_unset_slots_are_skipped():
 # -- both runtimes charge one send the same bytes ---------------------------------------- #
 
 
-def _frame(message):
-    """The UdpCC data frame the overlay's transport wraps a message in."""
-    return {"udpcc": "data", "id": 41, "port": 5000, "payload": message}
-
-
 ROWS = [Tuple.make("hp_fact", f_id=i, k=i % 9, src=f"10.0.0.{i}") for i in range(8)]
 MESSAGES = {
     "put": {
@@ -289,7 +284,7 @@ MESSAGES = {
 
 @pytest.mark.parametrize("kind", sorted(MESSAGES))
 def test_both_runtimes_charge_a_send_the_same_bytes(kind):
-    payload = _frame(MESSAGES[kind])
+    payload = MESSAGES[kind]  # the overlay sends the bare message
     simulated = SimulationEnvironment(2, seed=1)
     before = simulated.stats.bytes_sent
     simulated.runtime(0).send(5000, (1, 5000), payload)

@@ -7,7 +7,7 @@ small and time-bounded so the suite stays fast.
 
 import pytest
 
-from repro.runtime.physical import PhysicalNodeRuntime
+from repro.runtime.physical import PhysicalEnvironment
 
 
 class _Listener:
@@ -24,13 +24,9 @@ class _Listener:
 
 @pytest.fixture
 def two_nodes():
-    a = PhysicalNodeRuntime()
-    b = PhysicalNodeRuntime()
-    a.start()
-    b.start()
-    yield a, b
-    a.stop()
-    b.stop()
+    environment = PhysicalEnvironment(2)
+    yield environment.runtime(0), environment.runtime(1)
+    environment.close()
 
 
 def test_physical_udp_roundtrip(two_nodes):
@@ -40,8 +36,7 @@ def test_physical_udp_roundtrip(two_nodes):
     sender = _Listener()
     a.send(4000, (b.address, 4000), {"greeting": "hello"}, "m1", sender)
     for _ in range(40):
-        a.run(0.05)
-        b.run(0.05)
+        a.environment.run(0.05)
         if listener.messages and sender.acks:
             break
     assert listener.messages == [{"greeting": "hello"}]
@@ -53,12 +48,12 @@ def test_physical_timers_fire_in_order(two_nodes):
     fired = []
     a.schedule_event(0.05, "second", fired.append)
     a.schedule_event(0.01, "first", fired.append)
-    a.run(0.3)
+    a.environment.run(0.3)
     assert fired == ["first", "second"]
 
 
 def test_physical_clock_is_monotonic(two_nodes):
     a, _b = two_nodes
     t0 = a.get_current_time()
-    a.run(0.05)
+    a.environment.run(0.05)
     assert a.get_current_time() >= t0

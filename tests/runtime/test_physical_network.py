@@ -6,7 +6,8 @@ discrete-event simulator or to real UDP sockets.  These tests run a full
 workload under both bindings and compare results row for row, assert the
 physical wire path never takes the codec's pickle fallback, and exercise
 the socket-level behaviours the simulator cannot: datagram dedup + acks
-observed from a raw socket, and TCP length-prefix framing reassembled
+observed from a raw socket, retransmission after a lost ACK, abandonment
+of a send to a failed node, and TCP length-prefix framing reassembled
 across short reads.
 """
 
@@ -19,7 +20,7 @@ from repro.api import PIERNetwork
 from repro.qp.plans import broadcast_scan_plan, symmetric_hash_join_plan
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
-from repro.runtime.physical import PhysicalNodeRuntime
+from repro.runtime.physical import PhysicalEnvironment
 
 QUERY = (
     "SELECT source, COUNT(*) AS hits FROM events GROUP BY source TIMEOUT 2"
@@ -205,43 +206,122 @@ def test_physical_network_rejects_simulation_only_knobs():
 class _Listener:
     def __init__(self):
         self.payloads = []
+        self.acks = []
 
     def handle_udp(self, source, payload):
         self.payloads.append(payload)
 
     def handle_udp_ack(self, callback_data, success):
-        pass
+        self.acks.append((callback_data, success))
 
 
-def test_duplicate_datagrams_are_acked_but_delivered_once():
-    node = PhysicalNodeRuntime()
+@pytest.fixture
+def environment():
+    environment = PhysicalEnvironment(1)
+    yield environment
+    environment.close()
+
+
+def _raw_peer():
+    """A plain UDP socket on loopback that speaks the datagram envelope by
+    hand: it acks only what the test tells it to."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    return peer
+
+
+def test_duplicate_datagrams_are_acked_but_delivered_once(environment):
+    node = environment.runtime(0)
+    listener = _Listener()
+    node.listen(4100, listener)
+    wire = codec.pack_datagram(
+        codec.KIND_DATA, 77, 9000, 4100, {"n": 1}
+    )
+    probe = _raw_peer()
     try:
-        listener = _Listener()
-        node.listen(4100, listener)
-        wire = codec.pack_datagram(
-            codec.KIND_DATA, 77, 9000, 4100, {"n": 1}
-        )
-        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        probe.bind(("127.0.0.1", 0))
-        probe.settimeout(2.0)
-        try:
-            probe.sendto(wire, node.address)
-            probe.sendto(wire, node.address)
-            for _ in range(40):
-                node.run(0.05)
-                if node.environment.duplicates_dropped:
-                    break
-            assert listener.payloads == [{"n": 1}]
-            assert node.environment.duplicates_dropped == 1
-            # Both copies were acked — the retransmitter's view stays honest.
-            for _ in range(2):
-                ack, _peer = probe.recvfrom(65536)
-                kind, transport_id, _sp, _dp, payload = codec.unpack_datagram(ack)
-                assert (kind, transport_id, payload) == (codec.KIND_ACK, 77, None)
-        finally:
-            probe.close()
+        probe.sendto(wire, node.address)
+        probe.sendto(wire, node.address)
+        for _ in range(40):
+            environment.run(0.05)
+            if environment.duplicates_dropped:
+                break
+        assert listener.payloads == [{"n": 1}]
+        assert environment.duplicates_dropped == 1
+        # Both copies were acked — the retransmitter's view stays honest.
+        for _ in range(2):
+            ack, _peer = probe.recvfrom(65536)
+            kind, transport_id, _sp, _dp, payload = codec.unpack_datagram(ack)
+            assert (kind, transport_id, payload) == (codec.KIND_ACK, 77, None)
     finally:
-        node.stop()
+        probe.close()
+
+
+def test_a_frame_whose_ack_is_lost_is_sent_again_and_acked_once(environment):
+    """The receiver ignores the first DATA frame, as if its ACK were lost:
+    the sender's retry ladder sends the same transport id again, and the
+    ACK for it completes the send exactly once."""
+    environment.RETRY_TIMEOUT = 0.2
+    node = environment.runtime(0)
+    sender = _Listener()
+    peer = _raw_peer()
+    try:
+        node.send(9000, (peer.getsockname(), 4100), {"n": 1}, "m1", sender)
+        first, _ = peer.recvfrom(65536)  # ignored: no ACK goes back
+        _kind, first_id, _sp, _dp, _payload = codec.unpack_datagram(first)
+        peer.setblocking(False)
+        again = None
+        for _ in range(40):
+            environment.run(0.05)
+            try:
+                again, _ = peer.recvfrom(65536)
+                break
+            except BlockingIOError:
+                continue
+        assert again is not None
+        kind, transport_id, source_port, destination_port, payload = codec.unpack_datagram(again)
+        assert (kind, transport_id, payload) == (codec.KIND_DATA, first_id, {"n": 1})
+        assert environment.retransmits == 1
+        ack = codec.pack_datagram(codec.KIND_ACK, transport_id, destination_port, source_port)
+        peer.sendto(ack, node.address)
+        for _ in range(40):
+            environment.run(0.05)
+            if sender.acks:
+                break
+        environment.run(0.5)  # past the next rung: nothing more is sent
+        assert sender.acks == [("m1", True)]
+        assert environment.retransmits == 1
+    finally:
+        peer.close()
+
+
+def test_a_send_to_a_failed_node_is_abandoned_after_max_attempts():
+    environment = PhysicalEnvironment(2)
+    try:
+        environment.RETRY_TIMEOUT = 0.01
+        source, destination = environment.runtime(0), environment.runtime(1)
+        receiver, sender = _Listener(), _Listener()
+        destination.listen(4100, receiver)
+        environment.fail_node(1)
+        source.send(9000, (destination.address, 4100), {"n": 1}, "m2", sender)
+        for _ in range(40):
+            environment.run(0.05)
+            if sender.acks:
+                break
+        assert sender.acks == [("m2", False)]
+        assert environment.retransmits == environment.MAX_ATTEMPTS - 1
+        assert receiver.payloads == []
+    finally:
+        environment.close()
+
+
+def test_retry_delay_doubles_per_attempt_within_its_jitter(environment):
+    node = environment.runtime(0)
+    base = environment.RETRY_TIMEOUT
+    for attempts in (1, 2, 3, 4):
+        envelope = base * 2.0 ** (attempts - 1)
+        for _ in range(20):
+            assert envelope * 0.75 <= node._retry_delay(attempts) < envelope * 1.25
 
 
 class _TcpSink:
@@ -259,43 +339,40 @@ class _TcpSink:
         self.errors += 1
 
 
-def test_tcp_framing_reassembles_across_short_reads():
-    node = PhysicalNodeRuntime()
+def test_tcp_framing_reassembles_across_short_reads(environment):
+    node = environment.runtime(0)
+    sink = _TcpSink()
+    node.tcp_listen(0, sink)
+    port = node._tcp_servers[0].getsockname()[1]
+    client = socket.create_connection((node.address[0], port))
     try:
-        sink = _TcpSink()
-        node.tcp_listen(0, sink)
-        port = node._tcp_servers[0].getsockname()[1]
-        client = socket.create_connection((node.address[0], port))
-        try:
-            body = b"x" * 300
-            frame = len(body).to_bytes(4, "big") + body
-            # Dribble the frame: split header, then the body in two pieces.
-            pieces = (frame[:2], frame[2:6], frame[6:150], frame[150:])
-            for index, piece in enumerate(pieces):
-                client.sendall(piece)
-                node.run(0.05)
-                if index < len(pieces) - 1:
-                    assert sink.frames == []  # nothing until the frame completes
-            for _ in range(20):
-                if sink.frames:
-                    break
-                node.run(0.05)
-            assert sink.frames == [body]
-            # Two frames in one segment parse as two deliveries.
-            client.sendall(frame + frame)
-            for _ in range(20):
-                node.run(0.05)
-                if len(sink.frames) == 3:
-                    break
-            assert sink.frames == [body, body, body]
-        finally:
-            client.close()
-        # Peer close reaps the connection and notifies the owner.
+        body = b"x" * 300
+        frame = len(body).to_bytes(4, "big") + body
+        # Dribble the frame: split header, then the body in two pieces.
+        pieces = (frame[:2], frame[2:6], frame[6:150], frame[150:])
+        for index, piece in enumerate(pieces):
+            client.sendall(piece)
+            environment.run(0.05)
+            if index < len(pieces) - 1:
+                assert sink.frames == []  # nothing until the frame completes
         for _ in range(20):
-            node.run(0.05)
-            if sink.errors:
+            if sink.frames:
                 break
-        assert sink.errors == 1
-        assert node._tcp_connections == {}
+            environment.run(0.05)
+        assert sink.frames == [body]
+        # Two frames in one segment parse as two deliveries.
+        client.sendall(frame + frame)
+        for _ in range(20):
+            environment.run(0.05)
+            if len(sink.frames) == 3:
+                break
+        assert sink.frames == [body, body, body]
     finally:
-        node.stop()
+        client.close()
+    # Peer close reaps the connection and notifies the owner.
+    for _ in range(20):
+        environment.run(0.05)
+        if sink.errors:
+            break
+    assert sink.errors == 1
+    assert node._tcp_connections == {}

@@ -28,7 +28,6 @@ from repro.qp.plans import (
     fetch_matches_join_plan,
     multi_join_plan,
 )
-from repro.qp.rewrites import bloom_join_plan
 from repro.qp.tuples import Tuple
 
 NODES = 8
@@ -105,7 +104,7 @@ def rehash_join(net: PIERNetwork, proxy: int) -> None:
 
 
 def bloom_join(net: PIERNetwork, proxy: int) -> None:
-    plan = bloom_join_plan("fact", "dim_k", ["k"], ["k"], timeout=6.0)
+    plan = multi_join_plan("fact", [JoinStep("dim_k", "k", "k", strategy="bloom")], timeout=6.0)
     assert len(net.execute(plan, proxy=proxy)) == 12
 
 

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from repro.runtime.physical import PhysicalNodeRuntime
+from repro.runtime.physical import PhysicalEnvironment, PhysicalNodeRuntime
 from repro.runtime.simulation import SimulatedNodeRuntime, SimulationEnvironment
 from repro.runtime.vri import VirtualRuntime
 
@@ -43,12 +43,13 @@ def test_simulated_runtime_is_a_virtual_runtime():
 
 
 def test_physical_runtime_is_a_virtual_runtime():
-    runtime = PhysicalNodeRuntime()
+    environment = PhysicalEnvironment(1)
     try:
+        runtime = environment.runtime(0)
         assert isinstance(runtime, VirtualRuntime)
         assert runtime.address[0] == "127.0.0.1"
     finally:
-        runtime.stop()
+        environment.close()
 
 
 def test_schedule_event_signature_matches_paper_shape():

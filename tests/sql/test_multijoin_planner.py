@@ -417,8 +417,11 @@ def _plan_form(plan):
         "opgraphs": [
             {
                 "graph_id": graph.graph_id,
+                # "low" and "high" are the range strategy's bounds, which
+                # no spec has any more: they hash as the None they always
+                # were, so the digests below did not move.
                 "dissemination": {
-                    field: getattr(graph.dissemination, field)
+                    field: getattr(graph.dissemination, field, None)
                     for field in ("strategy", "namespace", "key", "low", "high")
                 },
                 "operators": [
@@ -472,7 +475,7 @@ def test_builders_without_a_select_list_build_the_plans_they_always_built():
     Re-recorded when graph ids became query-relative (``g0``, not
     ``<query id>-g0``): with the old ids put back, the plans hash to the
     earlier digest, 4f80abcd…"""
-    from repro.qp import plans, rewrites
+    from repro.qp import plans
 
     predicate = HAND_BUILT_PREDICATE
     built = [
@@ -481,7 +484,7 @@ def test_builders_without_a_select_list_build_the_plans_they_always_built():
         plans.flat_aggregation_plan("t", ["g"], [("count", None, "n")], predicate=predicate),
         plans.hierarchical_aggregation_plan("t", ["g"], [("count", None, "n")]),
         plans.fetch_matches_join_plan("o", "i", ["a"], outer_predicate=predicate, output_table="x"),
-        rewrites.semi_join_plan("o", "idx", "inner", ["a"], outer_predicate=predicate),
+        plans.semi_join_plan("o", "idx", "inner", ["a"], outer_predicate=predicate),
     ]
     for plan in built[4:]:
         assert not {"project", "prune_outer", "prune_pointers", "prune_outer_1"} & _op_ids(plan)
@@ -491,7 +494,7 @@ def test_builders_without_a_select_list_build_the_plans_they_always_built():
 
 
 def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_plans():
-    """The rehash, bloom and multi-join builders with ``columns=None``.
+    """The rehash and multi-join builders with ``columns=None``.
     Their digest was re-recorded on purpose when the side marker and the
     key column left the rehashed row: the left stream is retagged instead
     of stamped, one two-input ``put`` keyed per slot replaces the union /
@@ -499,8 +502,10 @@ def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_pl
     splits.  Still no keep list and no final projection on this path.
     Re-recorded again when graph ids became query-relative (``g0``, not
     ``<query id>-g0``): with the old ids put back, the plans hash to the
-    earlier digest, ee07cf02…"""
-    from repro.qp import plans, rewrites
+    earlier digest, ee07cf02…  Re-recorded when the separate Bloom-join
+    builder went (its plan is a ``"bloom"`` step of ``multi_join_plan``):
+    the four remaining plans hashed to this digest before it went too."""
+    from repro.qp import plans
 
     predicate = HAND_BUILT_PREDICATE
     steps = _hand_built_steps()
@@ -509,14 +514,13 @@ def test_rehash_builders_without_a_select_list_build_the_recorded_tag_and_key_pl
         plans.symmetric_hash_join_plan("l", "r", ["a", "c"], ["b", "d"], source="local_table"),
         plans.multi_join_plan("b", steps, predicate=predicate, output_table="o"),
         plans.multi_join_plan("b", steps, predicate=predicate, predicate_pushdown=True),
-        rewrites.bloom_join_plan("l", "r", ["a"], ["b"], output_table="o"),
     ]
     for plan in built:
         assert not {"project", "prune_outer", "prune_pointers", "prune_outer_1"} & _op_ids(plan)
         assert not {"extend_right", "extend_inner_0", "extend_inner_2"} & _op_ids(plan)
         for graph in plan.opgraphs:
             assert not any("keep" in spec.params for spec in graph.operators.values())
-    assert _plan_digest(built) == "474d2751accfadb674909bdb4e5fc4375d19c1e70755866e9869a0560410d6ff"
+    assert _plan_digest(built) == "fc004e65e809828bb6aa0afdf90690b76bf5026e27cf76ec7a3e0eaebf8637ff"
 
 
 # -- the rendezvous path: table tag + put key, no marker columns ------------------------ #
@@ -609,14 +613,13 @@ def test_rehash_edges_before_and_after_a_fetch_edge():
 
 def test_rehash_edge_without_a_select_list_retags_whole_rows():
     from repro.qp.plans import JoinStep, multi_join_plan, symmetric_hash_join_plan
-    from repro.qp.rewrites import bloom_join_plan
 
     single = symmetric_hash_join_plan("l", "r", ["a"], ["b"])
     _assert_rehash_edge(single, "", "scan_left", "scan_right", "a", "b", None, "l*r")
     named = symmetric_hash_join_plan("l", "r", ["a"], ["b"], output_table="o")
     assert _params(named, "join")["output_table"] == "o"
-    bloom = bloom_join_plan("l", "r", ["a"], ["b"])
-    _assert_rehash_edge(bloom, "", "scan_left", "probe_right", "a", "b", None, "l*r")
+    bloom = multi_join_plan("l", [JoinStep("r", "a", "b", strategy="bloom")])
+    _assert_rehash_edge(bloom, "_0", "scan_base", "probe_inner_0", "a", "b", None, "l*r")
     multi = multi_join_plan("l", [JoinStep("r", "a", "b")])
     _assert_rehash_edge(multi, "_0", "scan_base", "scan_inner_0", "a", "b", None, "l*r")
     for plan in (single, named, bloom, multi):

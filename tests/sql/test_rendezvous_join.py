@@ -14,7 +14,6 @@ from wire_watch import is_internal_column, watch_put_batches
 
 from repro import PIERNetwork
 from repro.qp.plans import JoinStep, multi_join_plan, symmetric_hash_join_plan
-from repro.qp.rewrites import bloom_join_plan
 from repro.qp.tuples import Tuple
 
 REHASH_BUILDERS = {
@@ -24,8 +23,8 @@ REHASH_BUILDERS = {
     "multi": lambda left, right, lk, rk, **opts: multi_join_plan(
         left, [JoinStep(right, lk[0], rk[0])], timeout=6.0, **opts
     ),
-    "bloom": lambda left, right, lk, rk, **opts: bloom_join_plan(
-        left, right, lk, rk, timeout=8.0, **opts
+    "bloom": lambda left, right, lk, rk, **opts: multi_join_plan(
+        left, [JoinStep(right, lk[0], rk[0], strategy="bloom")], timeout=8.0, **opts
     ),
 }
 
