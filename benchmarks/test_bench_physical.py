@@ -20,6 +20,12 @@ fallback.  After the measured query each binding runs the statement
 once more, unmeasured, and must install it by reference: every node
 resolves the header from the template it kept.
 
+The physical query is a streaming plan, so it must end when its data
+does (``completed_by == "data"``), and within three exchange flush
+intervals of its submit: its sources punctuate their snapshots, so no
+straggler timer stands between the last row and the end.  Its
+``done − submit`` is recorded as ``done_s``.
+
 The acceptance gate: the physical binding's dispatch throughput must
 stay within 10x of the simulator's events/sec at equal node count.
 The simulator never sleeps — it compresses virtual time and its wall
@@ -45,6 +51,7 @@ from pathlib import Path
 from conftest import print_table
 
 from repro import PIERNetwork
+from repro.qp.operators.exchange import STRAGGLER_FLUSH_INTERVAL
 from repro.qp.tuples import Tuple
 from repro.runtime import codec
 
@@ -57,6 +64,9 @@ K_KEYS = 8
 TIMEOUT = 2 if SMOKE else 3
 SETTLE = 0.75
 RATIO_LIMIT = 10.0
+# The physical query's submit-to-done bound: three of the 0.25-s clocks
+# the streaming path used to wait on.
+DONE_LIMIT_S = 3 * STRAGGLER_FLUSH_INTERVAL
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = REPO_ROOT / "BENCH_physical.json"
@@ -118,6 +128,8 @@ def _run_binding(mode: str) -> dict:
             "mode": mode,
             "nodes": NODES,
             "rows": len(result),
+            "completed_by": result.completed_by,
+            "done_s": result.finished_at - result.submitted_at,
             "wall_seconds": wall,
             "busy_seconds": busy,
             "events_per_sec": events / max(busy, 1e-9),
@@ -170,6 +182,7 @@ def test_physical_binding_within_10x_of_simulator(benchmark):
             ["wall seconds", f"{simulated['wall_seconds']:.2f}", f"{physical['wall_seconds']:.2f}"],
             ["busy seconds", f"{simulated['busy_seconds']:.2f}", f"{physical['busy_seconds']:.2f}"],
             ["join rows", simulated["rows"], physical["rows"]],
+            ["submit to done (s)", f"{simulated['done_s']:.3f}", f"{physical['done_s']:.3f}"],
             ["messages sent", f"{simulated['messages_sent']:,}", f"{physical['messages_sent']:,}"],
             ["bytes sent (codec datagrams)", f"{simulated['bytes_sent']:,}", f"{physical['bytes_sent']:,}"],
         ],
@@ -191,6 +204,12 @@ def test_physical_binding_within_10x_of_simulator(benchmark):
         assert binding["repeat_rows"] == FACT_ROWS
         assert binding["templates_by_reference"] == 1
         assert binding["template_misses"] == 0
+    # A streaming plan on sockets ends when its data does, not on timers.
+    assert physical["completed_by"] == "data"
+    assert physical["done_s"] < DONE_LIMIT_S, (
+        f"physical query took {physical['done_s']:.3f} s from submit to done "
+        f"(limit {DONE_LIMIT_S:g} s)"
+    )
     # The physical wire path must never fall back to pickle.
     assert entry["physical_pickle_fallbacks"] == 0
     # The acceptance envelope: within 10x of the simulator.

@@ -54,6 +54,7 @@ from repro.qp.integrity import (
     resolve_integrity,
 )
 from repro.qp.operators.access import coerce_tuple
+from repro.qp.operators.exchange import STRAGGLER_FLUSH_INTERVAL
 from repro.qp.opgraph import QueryPlan
 from repro.qp.proxy import QueryHandle
 from repro.qp.resilience import ResiliencePolicy, resolve_resilience
@@ -214,7 +215,7 @@ class PIERNetwork:
         settle_time: Optional[float] = None,
         auto_start: bool = True,
         exchange_batch_size: int = 1,
-        exchange_flush_interval: float = 0.25,
+        exchange_flush_interval: float = STRAGGLER_FLUSH_INTERVAL,
         catalog: Optional[Catalog] = None,
         mode: str = "simulated",
         host: str = "127.0.0.1",

@@ -11,8 +11,10 @@ processed, so for such a plan the proxy can tell when it is done:
   the result rows its result handler shipped.  Counting sends nothing.
 * Once the node has been *quiet* for one ``exchange_flush_interval`` — its
   graphs installed and probed, and no operator holding a tuple — it sends
-  its cumulative counts to the proxy at the query's next tick
-  (:class:`ProgressReporter`).
+  its cumulative counts to the proxy (:class:`ProgressReporter`).  A
+  source's snapshot is punctuated (``PhysicalOperator.drained``), so the
+  batches it fed have shipped by then and the quiet clock starts when the
+  data was handed over, not when a straggler timer fired.
 * The proxy keeps the element-wise maximum of every node's counts
   (:class:`CompletionLedger`) and completes the query when every
   participant has reported, every namespace balances (Σ received ==
@@ -90,15 +92,12 @@ class ProgressReporter:
     has been quiet for ``interval`` seconds.
 
     Activity (a scan taking objects in, the install itself) pushes the
-    quiet moment out; one lazy timer per query and node checks it.  The
-    timer fires on the query's own clock — at its *ticks*, ``deadline``
-    minus whole intervals, the same instants on every node — at the first
-    tick at least one interval after the last activity.  So a query's
-    nodes report together, and the proxy's decision falls on a tick
-    however a busy node interleaved the query's work with other queries'.
-    When the timer fires on a quiet node, pending result and exchange
-    batches are shipped — they are all a streaming graph can hold — and
-    the counts are sent if they changed since the last report.  ``report``
+    quiet moment out; one lazy timer per query and node checks it, and
+    fires one interval after the last activity.  When it fires on a quiet
+    node, pending result and exchange batches are shipped — they are all
+    a streaming graph can hold, and what a punctuated source fed has
+    shipped already — and the counts are sent if they changed since the
+    last report.  ``report``
     delivers them in-process on the proxy's own node; elsewhere
     (``report`` None) they travel to the proxy as ``(node, counts)`` in a
     ``direct_message`` in the results namespace.
@@ -110,14 +109,12 @@ class ProgressReporter:
         query_id: str,
         proxy_address: Any,
         interval: float,
-        deadline: float,
         report: Optional[Callable[[str, Any, Counts], None]],
     ) -> None:
         self.overlay = overlay
         self.query_id = query_id
         self.proxy_address = proxy_address
         self.interval = interval
-        self.deadline = deadline
         self.report = report
         self._clock = overlay.runtime.get_current_time
         # The query's rendezvous namespaces, in the order the graphs name
@@ -154,12 +151,8 @@ class ProgressReporter:
             self._arm()
 
     def _arm(self) -> None:
-        """Arm the timer for the first tick one interval after the last activity."""
-        quiet_at = self._last_activity + self.interval
-        to_tick = (self.deadline - quiet_at) % self.interval
-        if to_tick > self.interval - 1e-9:
-            to_tick = 0.0  # quiet_at is a tick, up to rounding
-        delay = max(quiet_at + to_tick - self._clock(), 0.0)
+        """Arm the timer for one interval after the last activity."""
+        delay = max(self._last_activity + self.interval - self._clock(), 0.0)
         self._event = self.overlay.runtime.schedule_event(delay, None, self._on_timer)
 
     def close(self) -> None:

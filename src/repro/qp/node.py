@@ -17,6 +17,7 @@ from repro.overlay.wrapper import OverlayNode
 from repro.qp.completion import ProgressReporter, graphs_stream
 from repro.qp.dissemination import QueryDisseminator, TemplateCache
 from repro.qp.executor import QueryExecutor
+from repro.qp.operators.exchange import STRAGGLER_FLUSH_INTERVAL
 from repro.qp.opgraph import QueryEnvelope, QueryPlan
 from repro.qp.proxy import ProxyService, QueryHandle
 from repro.qp.tuples import Tuple
@@ -214,8 +215,8 @@ class PIERNode:
                 proxy_address,
                 # The exchanges' straggler interval: a quiet node has
                 # shipped what its batches held.
-                self.executor.setting(envelope.metadata, "exchange_flush_interval") or 0.25,
-                envelope.deadline,
+                self.executor.setting(envelope.metadata, "exchange_flush_interval")
+                or STRAGGLER_FLUSH_INTERVAL,
                 self.proxy.note_progress if local else None,
             )
         records = [

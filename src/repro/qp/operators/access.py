@@ -34,7 +34,11 @@ def coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
 
 class _AccessMethod(PhysicalOperator):
     """A source operator: no inputs; whatever the data source hands over in
-    one go enters the dataflow as one batch."""
+    one go enters the dataflow as one batch.  A source whose hand-over is
+    all it has — a base table's snapshot, a ``get`` reply — follows it with
+    :meth:`~PhysicalOperator.drained`; rows that may still arrive (a
+    rendezvous namespace, ``newData``, appended rows, stream ticks) are
+    not punctuated and leave buffering operators on their timers."""
 
     table: str  # what a bare mapping from the source is a row of
     # Objects the source handed over, before coercion dropped any: what a
@@ -67,7 +71,9 @@ class DHTScanAccess(_AccessMethod):
 
     Params: ``namespace`` (table name), optional ``scoped`` (default False:
     the namespace is a base table; True: it is a query-private rendezvous
-    namespace such as the output of a ``put`` operator).
+    namespace such as the output of a ``put`` operator).  A base table's
+    ``localScan`` is its snapshot, punctuated; a rendezvous namespace may
+    still be filling, so its scan is not.
     """
 
     op_type = "dht_scan"
@@ -76,7 +82,8 @@ class DHTScanAccess(_AccessMethod):
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         super().__init__(spec, context)
         self.namespace = self.require_param("namespace")
-        if self.param("scoped", False):
+        self.scoped = bool(self.param("scoped", False))
+        if self.scoped:
             self.namespace = context.scoped_namespace(self.namespace)
         self.table = self.param("table", self.require_param("namespace"))
 
@@ -89,6 +96,8 @@ class DHTScanAccess(_AccessMethod):
             self.namespace, lambda _ns, _key, value: stored.append(value)
         )
         self._inject(stored, tag)
+        if not self.scoped:
+            self.drained()
 
     def _on_new_data(self, _namespace: str, _key: object, values: List[object]) -> None:
         self._inject(values, DEFAULT_PROBE_TAG)
@@ -115,6 +124,7 @@ class DHTGetAccess(_AccessMethod):
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         def on_get(_namespace: str, _key: object, objects: List[object]) -> None:
             self._inject(objects, tag)
+            self.drained()
 
         self.context.overlay.get(self.namespace, self.key, on_get)
 
@@ -153,6 +163,7 @@ class LocalTableAccess(_AccessMethod):
 
     def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
         self._inject(self._rows(), tag)
+        self.drained()
 
     def _on_rows_appended(self, rows: List[Tuple]) -> None:
         if not self._stopped:

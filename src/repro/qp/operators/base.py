@@ -15,6 +15,13 @@ it and may keep it, but do not mutate it.  What is bookkeeping — the
 stopped check, the counters, the trace scope — happens once per batch;
 what is policy — dropping a tuple that does not fit the query — stays per
 row (docs/PERFORMANCE.md, "Batch data channel").
+
+Beside the batches runs one punctuation (Tucker et al., TKDE 2003): a
+source that has handed over its whole snapshot says so with
+:meth:`PhysicalOperator.drained`.  A streaming operator passes it on once
+every one of its inputs has said it; an operator that buffers for the
+network ships what it holds first; a blocking operator keeps it
+(docs/PERFORMANCE.md, "Sources punctuate their snapshots").
 """
 
 from __future__ import annotations
@@ -178,8 +185,11 @@ class PhysicalOperator:
     op_type = "abstract"
     # Whether the operator emits as it receives (True) or holds state until
     # the deadline flush (False): only plans made of streaming operators
-    # can end when their data does (repro.qp.completion).
+    # can end when their data does (repro.qp.completion), and only they
+    # pass a drained input's punctuation on (on_drained).
     streaming = False
+    # Input slots whose producers said they have handed everything over.
+    _drained_slots: frozenset = frozenset()
 
     def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
         self.spec = spec
@@ -366,6 +376,30 @@ class PhysicalOperator:
         self.stats.tuples_out += len(batch)
         for parent, slot in self._parents:
             parent.receive(batch, slot, tag)
+
+    def drained(self) -> None:
+        """Tell every downstream consumer that this operator has emitted
+        all it has for now: nothing is gained by holding rows for more.
+        Sources call it after handing over a snapshot; an operator that
+        buffers overrides it to ship what it holds first."""
+        if self._stopped:
+            return
+        for parent, slot in self._parents:
+            parent.on_drained(slot)
+
+    def on_drained(self, slot: int) -> None:
+        """The producer feeding ``slot`` has drained.  A streaming operator
+        has then emitted everything that input caused, and is drained
+        itself once all its inputs are; a blocking one keeps the
+        punctuation (its state waits for the deadline flush)."""
+        if not self.streaming or self._stopped:
+            return
+        inputs = len(self.spec.inputs)
+        if inputs > 1:
+            self._drained_slots = drained = self._drained_slots | {slot}
+            if len(drained) < inputs:
+                return
+        self.drained()
 
 
 _OPERATOR_REGISTRY: Dict[str, Type[PhysicalOperator]] = {}

@@ -20,6 +20,12 @@ from repro.runtime.sizing import datagram_runs, wire_size
 
 RESULT_NAMESPACE = "__results__"
 
+# Seconds a buffering operator holds a partly filled batch of input that
+# was not punctuated before it ships it anyway: the default of the
+# deployment's ``exchange_flush_interval`` and the floor of a stream's
+# result flush.
+STRAGGLER_FLUSH_INTERVAL = 0.25
+
 
 class _StragglerFlushTimer:
     """Shared straggler-timer behaviour for buffering operators.
@@ -27,7 +33,9 @@ class _StragglerFlushTimer:
     Keeps at most one pending flush callback: :meth:`_arm_flush_timer`
     schedules it, and when it fires the operator's ``flush()`` ships
     whatever is buffered (or, after teardown, :meth:`_discard_buffered`
-    drops it).  Mixed into operators that also derive from
+    drops it).  A punctuation (:meth:`drained`) ships at once what the
+    timer would have: the rows of a drained source gain nothing by
+    waiting.  Mixed into operators that also derive from
     :class:`PhysicalOperator` (which supplies ``context``, ``flush`` and
     ``_stopped``).
     """
@@ -46,6 +54,18 @@ class _StragglerFlushTimer:
             self._discard_buffered()
             return
         self.flush()
+
+    def drained(self) -> None:
+        """Every input drained: ship what is held, then pass it on."""
+        if self._stopped:
+            return
+        self.flush()
+        if self._flush_timer_scheduled:
+            # Nothing is left for the straggler timer to ship, and it is
+            # the only timer these operators arm.
+            self.disarm_timers()
+            self._flush_timer_scheduled = False
+        super().drained()
 
     def stop(self) -> None:
         """Discard buffered tuples and disarm the straggler timer.
@@ -74,8 +94,10 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
     are coalesced and shipped in one ``put_batch`` message per flush — one
     DHT lookup and one direct message carry a whole batch instead of one
     message per tuple.  A partition flushes when it reaches ``batch_size``
-    tuples and a periodic timer flushes stragglers every
-    ``flush_interval`` seconds; query teardown flushes whatever remains.
+    tuples; the partly filled rest ships when the input is punctuated (a
+    base table's scan has handed over its snapshot), else on a straggler
+    timer ``flush_interval`` seconds after it began to fill; query
+    teardown flushes whatever remains.
     A flush whose rows would not fit one datagram ships as several
     batches (:func:`~repro.runtime.sizing.datagram_runs`).
 
@@ -119,13 +141,16 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
             self.param("batch_size", context.extras.get("exchange_batch_size", 1))
         )
         self.flush_interval = float(
-            self.param("flush_interval", context.extras.get("exchange_flush_interval", 0.25))
+            self.param(
+                "flush_interval",
+                context.extras.get("exchange_flush_interval", STRAGGLER_FLUSH_INTERVAL),
+            )
         )
         if self.batch_size > 1 and self.flush_interval <= 0:
             # Without a straggler timer, partitions below batch_size would
             # only flush at teardown — after consumer graphs have stopped —
             # and their tuples would be lost.  Batching always keeps a timer.
-            self.flush_interval = 0.25
+            self.flush_interval = STRAGGLER_FLUSH_INTERVAL
         self.tuples_published = 0
         self.batches_published = 0
         self._buffers: Dict[Any, List[Any]] = {}
@@ -207,6 +232,7 @@ class Queue(PhysicalOperator):
         super().__init__(spec, context)
         self._buffer: Deque[PyTuple[Tuple, str]] = deque()
         self._drain_scheduled = False
+        self._punctuate_after_drain = False
         self.batch = int(self.param("batch", 64))
 
     def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
@@ -221,9 +247,21 @@ class Queue(PhysicalOperator):
             self._buffer.clear()
             return
         self._reinject(min(self.batch, len(self._buffer)))
-        if self._buffer and not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.arm_timer(0.0, self._drain)
+        if self._buffer:
+            if not self._drain_scheduled:
+                self._drain_scheduled = True
+                self.arm_timer(0.0, self._drain)
+        elif self._punctuate_after_drain:
+            self._punctuate_after_drain = False
+            super().drained()
+
+    def drained(self) -> None:
+        # Pass the punctuation on behind the rows it follows: at once when
+        # nothing is buffered, else from the drain that empties the buffer.
+        if self._buffer:
+            self._punctuate_after_drain = True
+        else:
+            super().drained()
 
     def _reinject(self, count: int) -> None:
         """Emit the ``count`` oldest buffered tuples, consecutive tuples
@@ -267,10 +305,13 @@ class ResultHandler(_StragglerFlushTimer, PhysicalOperator):
     (a batch that would not fit one datagram is sent as several).
     Params: optional ``batch`` (default 1), ``table`` (rename of results),
     ``flush_interval`` (seconds; default from the execution context's
-    ``result_flush_interval`` extra, 0 disables).  A flush interval ships
-    partially filled batches periodically, so sparse per-node results reach
-    the client stream long before the query-timeout flush — streaming
-    sessions (``PIERNetwork.stream``) turn it on through plan metadata.
+    ``result_flush_interval`` extra, 0 disables).  A partly filled batch
+    ships at once when its input is punctuated (a ``SELECT … FROM t``
+    handler after the base table's snapshot).  Otherwise a flush interval
+    ships it one interval after it began to fill, so sparse per-node
+    results reach the client stream long before the query-timeout flush —
+    streaming sessions (``PIERNetwork.stream``) turn it on through plan
+    metadata.
     """
 
     op_type = "result_handler"

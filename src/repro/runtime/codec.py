@@ -33,7 +33,10 @@ interned-schema tuples from the hot-path overhaul:
   count, the schema's header once, then each row's packed values.  It
   decodes to the same list of tuples, the schema interned once.  Any
   other list (mixed schemas, a ``Tuple`` subclass, fewer than two rows)
-  keeps the plain list form.
+  keeps the plain list form.  A :class:`SizedList` — a batch that
+  :func:`repro.runtime.sizing.datagram_runs` already sized — encodes as
+  the list it is and carries its size, so the message around it is sized
+  without walking its rows again.
 * **Query envelopes** (:class:`~repro.qp.opgraph.QueryEnvelope`) carry a
   query's opgraphs, in the plan's vocabulary (operator types and param
   keys are well-known strings), down the distribution tree.  An envelope
@@ -159,6 +162,14 @@ _WELLKNOWN_INDEX: Dict[str, int] = {
 }
 
 
+class SizedList(list):
+    """A list that carries its :func:`encoded_size` in ``size``, set when
+    it was cut to fit a datagram.  It is encoded, and decodes, as a plain
+    list; like every payload it is not changed once built."""
+
+    __slots__ = ("size",)
+
+
 class CodecError(Exception):
     """Raised when a byte stream does not parse as a codec value."""
 
@@ -220,6 +231,8 @@ def _encode_value(value: Any, parts: List[bytes]) -> None:
         parts.append(value.schema.packed_header)
         parts.append(value.packed_values())
         return
+    if kind is SizedList:
+        kind = list
     if kind is list and len(value) > 1 and _one_schema(value):
         parts.append(_U8.pack(TAG_ROWS) + _U32.pack(len(value)))
         parts.append(value[0].schema.packed_header)
@@ -356,6 +369,8 @@ def encoded_size(value: Any) -> int:
         return 1
     if kind is float:
         return 9
+    if kind is SizedList:
+        return value.size
     if kind is bytes:
         return 5 + len(value)
     if kind is set or kind is frozenset:

@@ -15,14 +15,17 @@ once no matter how many hops or batches carry it.
 (the exchange's ``put_batch`` and the result handler's direct message)
 cut a batch so that each message fits one datagram of the physical
 runtime.  Both runtimes cut at the same rows, so the simulator still
-charges what the sockets would send.
+charges what the sockets would send.  A batch that fits is handed back
+as a :class:`~repro.runtime.codec.SizedList` carrying the size just
+measured, so the message that carries it is sized without a second walk
+of its rows.
 """
 
 from __future__ import annotations
 
 from typing import Any, List
 
-from repro.runtime.codec import ENVELOPE_BYTES, MAX_DATAGRAM, encoded_size
+from repro.runtime.codec import ENVELOPE_BYTES, MAX_DATAGRAM, SizedList, encoded_size
 
 # The bytes of one datagram a batch of rows may fill.  The rest is left to
 # the carrying message's routing fields (kind, namespace, partitioning key,
@@ -44,15 +47,19 @@ estimate_message_size = wire_size
 def datagram_runs(rows: List[Any]) -> List[List[Any]]:
     """``rows`` cut, in order, into runs that each fit one datagram.
 
-    A list whose encoding fits :data:`ROW_BATCH_BYTES` is one run.  A
-    longer one is cut so that each run's rows, at their sizes in the
-    lone-tuple form (memoized, and never less than what a row adds to the
-    schema-once form), sum to at most that.  A single row larger than the
+    A list whose encoding fits :data:`ROW_BATCH_BYTES` is one run, a
+    :class:`~repro.runtime.codec.SizedList` that carries that encoding's
+    size.  A longer one is cut so that each run's rows, at their sizes in
+    the lone-tuple form (memoized, and never less than what a row adds to
+    the schema-once form), sum to at most that.  A single row larger than the
     limit is a run of its own: the physical runtime cannot send it (a
     known limit).
     """
-    if encoded_size(rows) <= ROW_BATCH_BYTES:
-        return [rows]
+    size = encoded_size(rows)
+    if size <= ROW_BATCH_BYTES:
+        run = SizedList(rows)
+        run.size = size
+        return [run]
     runs: List[List[Any]] = []
     start, total = 0, 5
     for index, row in enumerate(rows):

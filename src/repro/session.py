@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
+from repro.qp.operators.exchange import STRAGGLER_FLUSH_INTERVAL
 from repro.qp.opgraph import QueryPlan
 from repro.qp.tuples import Tuple
 
@@ -55,7 +56,7 @@ class StreamingQuery:
         # Ship partially filled result batches periodically so the stream
         # observes first-result latency, not the query-timeout flush.  The
         # knob travels in the dissemination envelope like the exchange knobs.
-        plan.metadata.setdefault("result_flush_interval", max(step, 0.25))
+        plan.metadata.setdefault("result_flush_interval", max(step, STRAGGLER_FLUSH_INTERVAL))
         self._result_callbacks: List[ResultCallback] = []
         self._done_callbacks: List[DoneCallback] = []
         self._yielded = 0

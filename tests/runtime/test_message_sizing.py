@@ -205,6 +205,21 @@ def test_a_batch_over_one_datagram_is_cut_into_runs_that_fit():
     assert datagram_runs([rows[0], huge, rows[1]]) == [[rows[0]], [huge], [rows[1]]]
 
 
+def test_a_batch_that_fits_carries_its_size_and_encodes_as_a_list():
+    """The message around a run that fits is sized without walking its
+    rows again, to the same bytes, and sent as the plain list."""
+    rows = [Tuple.make("r", k=i, label=f"evt-{i}") for i in range(8)]
+    (run,) = datagram_runs(rows)
+    assert isinstance(run, codec.SizedList) and run == rows
+    assert run.size == codec.encoded_size(list(rows))
+    message = {"kind": "put_batch", "namespace": "q:n", "values": run, "lifetime": 60.0}
+    plain = dict(message, values=list(rows))
+    assert codec.encode(message) == codec.encode(plain)
+    assert wire_size(message) == wire_size(plain) == codec.ENVELOPE_BYTES + len(codec.encode(plain))
+    decoded = codec.decode(codec.encode(message))["values"]
+    assert type(decoded) is list and decoded == rows
+
+
 # -- objects the codec does not know: their counted pickle frame --------------------- #
 
 

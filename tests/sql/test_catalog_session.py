@@ -261,12 +261,15 @@ def test_cancel_refuses_in_flight_opgraph_installs(events_network):
     prevent late installs — the query stops producing traffic for good."""
     net = events_network
     stream = net.stream("SELECT node FROM events TIMEOUT 60")
-    stream.cancel()  # before the envelopes reach any node
+    # Only the proxy's own node has installed: at submit, shipping its
+    # snapshot at once.
+    assert [row["node"] for row in stream.results] == [0, 0]
+    stream.cancel()  # before the envelopes reach any other node
     net.run(5.0)
     for node in net.nodes:
         for installed in node.executor.installed_graphs():
             assert installed.query_id != stream.query_id or installed.finished
-    assert stream.results == []
+    assert [row["node"] for row in stream.results] == [0, 0]
 
 
 def test_stream_cancel_stops_the_query_everywhere(events_network):
@@ -323,7 +326,9 @@ def test_stream_iteration_terminates_when_deployment_dies(events_network):
     for address in range(len(net)):
         net.fail_node(address)
     consumed = list(stream)
-    assert consumed == []  # nothing arrived, and — crucially — we returned
+    # Only the proxy's own snapshot arrived (shipped at submit, before the
+    # nodes failed), and — crucially — we returned.
+    assert [row["node"] for row in consumed] == [0, 0]
 
 
 def test_stream_done_callback_fires_on_cancel(events_network):
