@@ -6,8 +6,6 @@
 * A3 — flat (rehash) vs hierarchical aggregation: maximum in-bandwidth at
   any single node.
 * A4 — query dissemination: broadcast tree vs equality-predicate index.
-* A7 — hierarchical join: out-bandwidth of the hot-bucket owner under skew.
-* A8 — eddy adaptive ordering vs a fixed operator order.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from conftest import print_table
 
 from repro import PIERNetwork
-from repro.qp.opgraph import DisseminationSpec, QueryPlan
 from repro.qp.plans import (
     JoinStep,
     equality_lookup_plan,
@@ -189,113 +186,3 @@ def test_a4_equality_index_limits_dissemination(benchmark):
     assert results["broadcast"]["rows"] == results["equality"]["rows"] == 4
     assert results["equality"]["nodes_running_query"] <= 3
     assert results["broadcast"]["nodes_running_query"] == 36
-
-
-# --------------------------------------------------------------------------- #
-# A7: hierarchical join under skew (out-bandwidth of the hot-bucket owner)     #
-# --------------------------------------------------------------------------- #
-def _run_hierarchical_join_skew() -> dict:
-    results = {}
-    node_count = 30
-    for label in ("rehash + local join", "hierarchical join"):
-        network = PIERNetwork(node_count, seed=SEED)
-        # Heavily skewed workload: every tuple joins on the same hot key.
-        left_rows = [[Tuple.make("left", k="hot", a=address)] for address in range(node_count)]
-        right_rows = [[Tuple.make("right", k="hot", b=address)] for address in range(node_count)]
-        network.create_table("left", source="local")
-        network.create_table("right", source="local")
-        network.distribute_local_table("left", left_rows)
-        network.distribute_local_table("right", right_rows)
-        sent_before = dict(network.environment.bytes_sent_by_node)
-        if label == "hierarchical join":
-            plan = QueryPlan(timeout=18.0)
-            graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-            graph.add_operator("scan_left", "local_table", {"table": "left"})
-            graph.add_operator("scan_right", "local_table", {"table": "right"})
-            graph.add_operator(
-                "join", "hierarchical_join",
-                {"namespace": "hj", "left_columns": ["k"], "right_columns": ["k"]},
-                inputs=["scan_left", "scan_right"],
-            )
-            graph.add_operator("results", "result_handler", {"batch": 32}, inputs=["join"])
-        else:
-            plan = symmetric_hash_join_plan(
-                "left", "right", ["k"], ["k"], source="local_table", timeout=18
-            )
-        result = network.execute(plan, proxy=0)
-        deltas = {
-            address: network.environment.bytes_sent_by_node.get(address, 0)
-            - sent_before.get(address, 0)
-            for address in range(node_count)
-        }
-        results[label] = {
-            "rows": len(result),
-            "max_out_bytes": max(deltas.values()),
-            "expected_rows": node_count * node_count,
-        }
-    return results
-
-
-def test_a7_hierarchical_join_offloads_hot_bucket(benchmark):
-    results = benchmark.pedantic(_run_hierarchical_join_skew, rounds=1, iterations=1)
-    print_table(
-        "A7 — skewed join (every tuple in one hot bucket), 30 nodes",
-        ["strategy", "result rows", "max outbound bytes at any node"],
-        [[label, row["rows"], row["max_out_bytes"]] for label, row in results.items()],
-    )
-    benchmark.extra_info.update({label: row["max_out_bytes"] for label, row in results.items()})
-    for row in results.values():
-        assert row["rows"] == row["expected_rows"]
-    # Early in-path joins shift result shipping off the hot-bucket owner.
-    assert (
-        results["hierarchical join"]["max_out_bytes"]
-        < results["rehash + local join"]["max_out_bytes"]
-    )
-
-
-# --------------------------------------------------------------------------- #
-# A8: eddy adaptive ordering vs fixed order                                    #
-# --------------------------------------------------------------------------- #
-def _run_eddy() -> dict:
-    from repro.qp.opgraph import OperatorSpec
-    from repro.qp.operators.base import ExecutionContext, build_operator
-    from repro.simnet import build_overlay
-
-    deployment = build_overlay(1, seed=SEED)
-    members = [
-        # Declared order puts the expensive, unselective predicate first —
-        # the worst case for a fixed ordering.
-        {"name": "expensive_pass_all", "predicate": [">", ["col", "value"], ["lit", -1]], "cost": 10.0},
-        {"name": "cheap_selective", "predicate": ["eq", ["col", "flag"], ["lit", 1]], "cost": 1.0},
-    ]
-    results = {}
-    for policy in ("fixed", "lottery"):
-        context = ExecutionContext(
-            overlay=deployment.node(0), query_id=f"eddy-{policy}", timeout=30,
-            proxy_address=deployment.node(0).address,
-        )
-        eddy = build_operator(
-            OperatorSpec("eddy", "eddy", {"members": members, "policy": policy, "seed": 7}),
-            context,
-        )
-        eddy.receive(
-            [Tuple.make("t", value=index, flag=1 if index % 10 == 0 else 0) for index in range(2000)]
-        )
-        weighted_cost = sum(
-            stats.seen * stats.cost for stats in eddy.member_stats.values()
-        )
-        results[policy] = {"evaluations": eddy.evaluations, "weighted_cost": weighted_cost}
-    return results
-
-
-def test_a8_eddy_adapts_operator_order(benchmark):
-    results = benchmark.pedantic(_run_eddy, rounds=1, iterations=1)
-    print_table(
-        "A8 — eddy routing policy (2000 tuples, 10% selectivity)",
-        ["policy", "predicate evaluations", "weighted work"],
-        [[policy, row["evaluations"], f"{row['weighted_cost']:.0f}"] for policy, row in results.items()],
-    )
-    benchmark.extra_info.update({p: r["weighted_cost"] for p, r in results.items()})
-    # The adaptive lottery learns to run the cheap selective predicate first,
-    # so its weighted work must beat the badly-chosen fixed order.
-    assert results["lottery"]["weighted_cost"] < results["fixed"]["weighted_cost"]

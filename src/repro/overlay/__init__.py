@@ -13,7 +13,7 @@ from repro.overlay.naming import ObjectName
 from repro.overlay.object_manager import ObjectManager, StoredObject
 from repro.overlay.router import ChordRouter
 from repro.overlay.bamboo import BambooRouter
-from repro.overlay.wrapper import DHTWrapper, OverlayNode
+from repro.overlay.wrapper import OverlayNode
 
 __all__ = [
     "ID_BITS",
@@ -25,6 +25,5 @@ __all__ = [
     "StoredObject",
     "ChordRouter",
     "BambooRouter",
-    "DHTWrapper",
     "OverlayNode",
 ]

@@ -170,8 +170,14 @@ class DistributionTree:
         self._handlers.append(handler)
 
     def broadcast(self, broadcast_id: str, payload: object) -> None:
-        """Send ``payload`` to every node in the tree (including this one)."""
-        self._deliver_locally(broadcast_id, payload)
+        """Send ``payload`` to every node in the tree (including this one).
+
+        This node takes its own copy from a zero-delay event, as every other
+        node takes it from a message — the root too, when its copy comes
+        straight back: nothing a handler does (installing a query, shipping
+        its first rows) happens inside the caller."""
+        if self._first_sighting(broadcast_id):
+            self.overlay.runtime.schedule_event(0.0, payload, self._deliver_locally)
         self.overlay.send(
             self._broadcast_namespace(),
             self.root_key,
@@ -184,13 +190,16 @@ class DistributionTree:
     def _on_broadcast_arrival(self, _namespace: str, _key: object, value: object) -> None:
         if not isinstance(value, dict) or "broadcast_id" not in value:
             return
-        self._deliver_locally(value["broadcast_id"], value["payload"])
+        if self._first_sighting(value["broadcast_id"]):
+            self._deliver_locally(value["payload"])
         self._forward_to_children(value)
 
-    def _deliver_locally(self, broadcast_id: str, payload: object) -> None:
+    def _first_sighting(self, broadcast_id: str) -> bool:
+        """Whether this node sees ``broadcast_id`` for the first time (and
+        remembers it for a broadcast's lifetime)."""
         seen = self._seen_broadcasts
         if broadcast_id in seen:
-            return
+            return False
         now = self.overlay.runtime.get_current_time()
         while seen:
             oldest = next(iter(seen))
@@ -198,6 +207,9 @@ class DistributionTree:
                 break
             del seen[oldest]
         seen[broadcast_id] = now
+        return True
+
+    def _deliver_locally(self, payload: object) -> None:
         for handler in self._handlers:
             handler(payload)
 

@@ -880,7 +880,3 @@ class OverlayNode:
         if pending is not None:
             pending.timer.cancel()
             pending.callback(result)
-
-
-# Backwards-compatible alias: the paper calls this component the "wrapper".
-DHTWrapper = OverlayNode

@@ -19,13 +19,12 @@ that data plus the scan-then-subscribe access methods let late starters
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.overlay.wrapper import OverlayNode
 from repro.qp.opgraph import DecodedGraph, OpGraph
 from repro.qp.operators.base import ExecutionContext, FinishedOperators, build_operator
-from repro.qp.operators.control import ControlFlowManager
 from repro.qp.tuples import Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - completion imports the operators
@@ -104,7 +103,6 @@ class QueryExecutor:
         self._installed: Dict[str, InstalledGraph] = {}
         # Node-local data sources shared by every query on this node.
         self.local_tables: Dict[str, List[Tuple]] = {}
-        self.streams: Dict[str, Callable[[float], List[Tuple]]] = {}
         # Live subscribers to node-local tables: standing queries' scans
         # register here so rows appended mid-query flow into the dataflow
         # (the local-table analogue of the DHT scan's newData upcall).
@@ -156,10 +154,6 @@ class QueryExecutor:
 
         return unsubscribe
 
-    def register_stream(self, name: str, producer: Callable[[float], List[Tuple]]) -> None:
-        """Expose a stream producer to ``stream_source`` access methods."""
-        self.streams[name] = producer
-
     def setting(self, metadata: Optional[Dict[str, Any]], knob: str) -> Any:
         """A query's execution setting: the plan's, else this node's default."""
         return (metadata or {}).get(knob, self.exchange_defaults.get(knob))
@@ -190,7 +184,6 @@ class QueryExecutor:
             return None
         extras: Dict[str, Any] = {
             "local_tables": self.local_tables,
-            "streams": self.streams,
             "subscribe_local_table": self.subscribe_local_table,
         }
         for knob in ("exchange_batch_size", "exchange_flush_interval", "result_flush_interval"):
@@ -273,21 +266,15 @@ class QueryExecutor:
         )
 
     def _start(self, installed: InstalledGraph) -> None:
-        order = list(installed.operators.values())
-        for operator in order:
+        operators = installed.operators
+        # Resolved up front: a probe that ends the query (a result delivered
+        # on the proxy's own node) swaps the record's operators for counters.
+        sources = [operators[spec.operator_id] for spec in installed.decoded.sources]
+        for operator in operators.values():
             operator.start()
-        # Control channel: a ControlFlowManager drives probes if present,
-        # otherwise the executor probes every source operator once.
-        controls = [op for op in order if isinstance(op, ControlFlowManager)]
-        sources = [installed.operators[spec.operator_id] for spec in installed.decoded.sources]
-        if controls:
-            for control in controls:
-                for source in sources:
-                    control.register_child(source)
-                control.start()
-        else:
-            for source in sources:
-                source.probe()
+        # Control channel: the executor probes every source operator once.
+        for source in sources:
+            source.probe()
 
     # -- teardown ------------------------------------------------------------------ #
     def _on_timeout(self, install_key: str) -> None:
@@ -423,7 +410,7 @@ class QueryExecutor:
         """Forget a finished record.  Its operators go with it, by
         reference count: the dataflow only points downstream, and stop()
         has undone what pointed back at an operator (timers, overlay
-        registrations, a control-flow manager's probe targets)."""
+        registrations)."""
         installed = self._installed.pop(install_key)
         self._finished.pop(install_key, None)
         installed.operators = {}

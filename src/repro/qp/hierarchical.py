@@ -7,26 +7,19 @@ upcall, merges it with its own pending partial state, waits briefly for
 more children, then forwards one combined partial aggregate a hop closer to
 the root.  Distributive and algebraic aggregates need only constant state
 per group at every step.
-
-*Hierarchical joins* reduce the out-bandwidth of the node owning a hot hash
-bucket: while tuples are being rehashed (``send``) toward their bucket,
-every intermediate node caches passing tuples, joins freshly cached pairs
-whose forwarding paths have not met before, and emits those "early" results
-straight to the proxy.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple as PyTuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple as PyTuple
 
 from repro.overlay.identifiers import object_identifier
 from repro.overlay.naming import random_suffix
 from repro.qp.integrity import INTEGRITY_NAMESPACE, replica_sampled
 from repro.qp.ledger import Groups, OriginLedger, Pairs, partial_keys, partial_pairs, wire_partials
-from repro.qp.operators.base import PhysicalOperator, register_operator
+from repro.qp.operators.base import register_operator
 from repro.qp.operators.groupby import _BaseGroupBy, merge_partials
-from repro.qp.tuples import Tuple
 from repro.security.spot_check import commit_to_states
 
 
@@ -601,133 +594,3 @@ class HierarchicalAggregate(_BaseGroupBy):
             self.context.proxy_address, INTEGRITY_NAMESPACE, self.context.query_id, payload
         )
 
-
-@register_operator
-class HierarchicalJoinExchange(PhysicalOperator):
-    """Rehash phase of a parallel hash join with in-path ("early") joins.
-
-    Both join inputs are pushed into this operator (slots 0 and 1).  Each
-    tuple is routed toward the DHT bucket for its join key with ``send``;
-    every node it passes through caches a copy annotated with the list of
-    node identifiers visited so far.  When a passing tuple joins with a
-    cached tuple of the other side whose path it has never shared, the
-    result is emitted immediately (and shipped by the downstream
-    result_handler), off-loading out-bandwidth from the bucket owner.  The
-    bucket owner still receives every tuple and performs the complete join,
-    skipping pairs whose paths met earlier.
-
-    Params: ``namespace`` (rehash rendezvous), ``left_columns``,
-    ``right_columns``, optional ``output_table``, ``lifetime``.
-    """
-
-    op_type = "hierarchical_join"
-
-    def __init__(self, spec, context) -> None:  # noqa: ANN001
-        super().__init__(spec, context)
-        self.namespace = context.scoped_namespace(self.require_param("namespace"))
-        self.left_columns: List[str] = list(self.require_param("left_columns"))
-        self.right_columns: List[str] = list(self.require_param("right_columns"))
-        self.output_table: Optional[str] = self.param("output_table")
-        self.lifetime = float(self.param("lifetime", context.lifetime))
-        # Cache of tuples seen at this node, per join key and side.
-        self._cache: Dict[Any, PyTuple[List[Dict[str, Any]], List[Dict[str, Any]]]] = {}
-        # Envelope ids already cached/joined at this node: a tuple can reach
-        # the same node more than once (e.g. as an upcall and again as the
-        # stored bucket copy) and must be processed exactly once.
-        self._processed: Set[str] = set()
-        self.early_results = 0
-        self.final_results = 0
-
-    def start(self) -> None:
-        self.intercept(self.namespace, self._on_upcall)
-        self.listen(self.namespace, self._on_bucket_arrival)
-        # Nodes are only loosely synchronised: envelopes rehashed by nodes
-        # that started earlier may already be stored here.  Catch up on them
-        # (Section 3.3.4, "No Global Synchronization").
-        self.context.overlay.local_scan(
-            self.namespace, lambda _ns, _key, value: self._on_bucket_arrival(_ns, _key, value)
-        )
-
-    # -- local input ---------------------------------------------------------- #
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        columns = self.left_columns if slot == 0 else self.right_columns
-        key = tup.key(columns)
-        partition_key = key[0] if len(key) == 1 else key
-        envelope = {
-            "envelope_id": random_suffix(),
-            "side": slot,
-            "key": list(key),
-            "tuple": tup.to_wire(),
-            "path": [self.context.overlay.identifier],
-        }
-        self._process(envelope, emit_early=True)
-        self.context.overlay.send(
-            self.namespace,
-            key=partition_key,
-            suffix=envelope["envelope_id"],
-            value=envelope,
-            lifetime=self.lifetime,
-        )
-
-    # -- in-path interception ---------------------------------------------------- #
-    def _on_upcall(self, _namespace: str, _key: object, value: object) -> bool:
-        if not isinstance(value, dict) or "side" not in value:
-            return True
-        # Routed-envelope exception: "path" is per-hop routing state that the
-        # envelope accumulates as it travels (like the wrapper's hop count),
-        # mutated only by the node that currently owns the message.
-        value["path"] = list(value.get("path", [])) + [  # pierlint: disable=P02
-            self.context.overlay.identifier
-        ]
-        self._process(value, emit_early=True)
-        return True  # keep routing toward the bucket owner
-
-    def _on_bucket_arrival(self, _namespace: str, _key: object, value: object) -> None:
-        if not isinstance(value, dict) or "side" not in value:
-            return
-        self._process(value, emit_early=False)
-
-    def _process(self, envelope: Dict[str, Any], emit_early: bool) -> None:
-        envelope_id = envelope.get("envelope_id")
-        if envelope_id in self._processed:
-            return
-        self._processed.add(envelope_id)
-        # Cache a snapshot: the in-flight message keeps accumulating path
-        # entries as it travels, but this node saw it with the path as-is.
-        snapshot = dict(envelope)
-        snapshot["path"] = list(envelope.get("path", []))
-        self._join_against_cache(snapshot, emit_early=emit_early)
-        self._cache_envelope(snapshot)
-
-    # -- join machinery -------------------------------------------------------------#
-    def _cache_envelope(self, envelope: Dict[str, Any]) -> None:
-        key = tuple(envelope["key"])
-        sides = self._cache.setdefault(key, ([], []))
-        sides[envelope["side"]].append(envelope)
-
-    def _join_against_cache(self, envelope: Dict[str, Any], emit_early: bool) -> None:
-        key = tuple(envelope["key"])
-        sides = self._cache.get(key)
-        if sides is None:
-            return
-        other_side = 1 - envelope["side"]
-        own_identifier = self.context.overlay.identifier
-        for cached in sides[other_side]:
-            met_before = (
-                set(cached.get("path", [])) & set(envelope.get("path", []))
-            ) - {own_identifier}
-            if met_before:
-                # The two tuples already met at an earlier node, which
-                # produced this result there ("annotated with a matching
-                # node identifier"): skip to avoid duplicates.
-                continue
-            left_env, right_env = (
-                (envelope, cached) if envelope["side"] == 0 else (cached, envelope)
-            )
-            left = Tuple.from_wire(left_env["tuple"])
-            right = Tuple.from_wire(right_env["tuple"])
-            if emit_early:
-                self.early_results += 1
-            else:
-                self.final_results += 1
-            self.emit([left.join(right, table=self.output_table)])

@@ -124,9 +124,6 @@ class PIERNode:
     def append_local_rows(self, name: str, rows: Iterable[Tuple]) -> None:
         self.executor.append_local_rows(name, list(rows))
 
-    def register_stream(self, name: str, producer: Callable[[float], List[Tuple]]) -> None:
-        self.executor.register_stream(name, producer)
-
     # -- query submission (this node acts as the client's proxy) ----------------------#
     def submit(
         self,

@@ -1,9 +1,10 @@
 """Physical dataflow operators (paper Section 3.3.4).
 
 Every operator follows the non-blocking iterator model of Section 3.3.5:
-control (probes) flows from parents to children via plain function calls,
-and data is pushed from children to parents as it arrives, with queue
-operators breaking the call stack so the event loop can breathe.
+the executor probes an opgraph's sources once when it starts, and data is
+pushed from children to parents, a batch at a time, as it arrives.  No
+operator blocks: one that must wait — for a window to close, a straggler
+batch, a hierarchical hold — arms a timer and returns to the scheduler.
 """
 
 from repro.qp.operators.base import (
@@ -20,9 +21,7 @@ from repro.qp.operators import relational  # noqa: F401
 from repro.qp.operators import joins  # noqa: F401
 from repro.qp.operators import groupby  # noqa: F401
 from repro.qp.operators import exchange  # noqa: F401
-from repro.qp.operators import control  # noqa: F401
-from repro.qp.operators import eddy  # noqa: F401
-from repro.qp import hierarchical  # noqa: F401  (hierarchical agg / join operators)
+from repro.qp import hierarchical  # noqa: F401  (the hierarchical aggregate)
 
 __all__ = [
     "ExecutionContext",

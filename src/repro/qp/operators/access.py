@@ -1,7 +1,7 @@
 """Access methods: the sources of every opgraph (paper Section 3.3.1).
 
-Access methods contact a data source (the internal DHT, node-local tables,
-or a stream), convert items into PIER's self-describing tuple format, and
+Access methods contact a data source (the internal DHT or node-local
+tables), convert items into PIER's self-describing tuple format, and
 inject them into the dataflow.  Type inference/conversion happens here;
 type *checking* is deferred to downstream operators.
 """
@@ -35,10 +35,9 @@ def coerce_tuple(table: str, value: Any) -> Optional[Tuple]:
 class _AccessMethod(PhysicalOperator):
     """A source operator: no inputs; whatever the data source hands over in
     one go enters the dataflow as one batch.  A source whose hand-over is
-    all it has — a base table's snapshot, a ``get`` reply — follows it with
+    all it has — a base table's snapshot — follows it with
     :meth:`~PhysicalOperator.drained`; rows that may still arrive (a
-    rendezvous namespace, ``newData``, appended rows, stream ticks) are
-    not punctuated and leave buffering operators on their timers."""
+    rendezvous namespace, ``newData``, appended rows) are not punctuated and leave buffering operators on their timers."""
 
     table: str  # what a bare mapping from the source is a row of
     # Objects the source handed over, before coercion dropped any: what a
@@ -104,32 +103,6 @@ class DHTScanAccess(_AccessMethod):
 
 
 @register_operator
-class DHTGetAccess(_AccessMethod):
-    """Equality-predicate access: fetch all objects published under one
-    partitioning-key value with a DHT ``get`` (a distributed index lookup).
-
-    Params: ``namespace``, ``key``.
-    """
-
-    op_type = "dht_get"
-
-    def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
-        super().__init__(spec, context)
-        self.namespace = self.require_param("namespace")
-        if self.param("scoped", False):
-            self.namespace = context.scoped_namespace(self.namespace)
-        self.key = self.require_param("key")
-        self.table = self.param("table", self.require_param("namespace"))
-
-    def probe(self, tag: str = DEFAULT_PROBE_TAG) -> None:
-        def on_get(_namespace: str, _key: object, objects: List[object]) -> None:
-            self._inject(objects, tag)
-            self.drained()
-
-        self.context.overlay.get(self.namespace, self.key, on_get)
-
-
-@register_operator
 class LocalTableAccess(_AccessMethod):
     """Scan a node-local, in-memory table registered with the executor.
 
@@ -169,38 +142,3 @@ class LocalTableAccess(_AccessMethod):
         if not self._stopped:
             self._inject(rows, DEFAULT_PROBE_TAG)
 
-
-@register_operator
-class StreamAccess(_AccessMethod):
-    """A push-based streaming source driven by timers.
-
-    A generator callable registered under ``extras['streams'][name]`` is
-    polled every ``interval`` seconds; each call may return zero or more
-    tuples which are injected into the dataflow.  This models continuously
-    arriving monitoring data.
-    Params: ``stream`` (name), ``interval`` (seconds, default 1.0).
-    """
-
-    op_type = "stream_source"
-
-    def __init__(self, spec: OperatorSpec, context: ExecutionContext) -> None:
-        super().__init__(spec, context)
-        self.table = self.require_param("stream")
-        self.interval = float(self.param("interval", 1.0))
-        self._active = False
-
-    def start(self) -> None:
-        self._active = True
-        self.arm_timer(self.interval, self._tick)
-
-    def stop(self) -> None:
-        self._active = False
-        super().stop()
-
-    def _tick(self, _data: object) -> None:
-        if not self._active or self._stopped:
-            return
-        producer = self.context.extras.get("streams", {}).get(self.table)
-        if producer is not None:
-            self._inject(producer(self.context.now), DEFAULT_PROBE_TAG)
-        self.arm_timer(self.interval, self._tick)

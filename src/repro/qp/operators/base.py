@@ -39,8 +39,8 @@ DEFAULT_PROBE_TAG = "main"
 
 @dataclass(slots=True)
 class OperatorStats:
-    """Per-operator counters, mirroring what an eddy would observe, plus
-    the EXPLAIN ANALYZE actuals: network messages the operator caused and
+    """Per-operator counters (tuples in, out and dropped), plus the
+    EXPLAIN ANALYZE actuals: network messages the operator caused and
     their codec-sized wire bytes (measured for traced queries only).
 
     A finished graph's install record keeps them packed

@@ -1,20 +1,17 @@
-"""Dataflow plumbing operators: put (exchange), queue, and result handler.
+"""Dataflow plumbing operators: put (exchange) and result handler.
 
 ``put`` is PIER's analogue of the Exchange operator [Graefe 90]: it
 repartitions tuples across the network by publishing them into a DHT
 namespace keyed on chosen columns, where the consumer opgraph picks them up
-with a ``dht_scan`` access method.  ``queue`` breaks the local call stack
-so dataflow "comes up for air" and yields to the Main Scheduler.  The
-result handler ships answer tuples to the query's proxy node.
+with a ``dht_scan`` access method.  The result handler ships answer tuples to the query's proxy node.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple as PyTuple
+from typing import Any, Dict, List
 
 from repro.overlay.naming import random_suffix
-from repro.qp.operators.base import DEFAULT_PROBE_TAG, PhysicalOperator, register_operator
+from repro.qp.operators.base import PhysicalOperator, register_operator
 from repro.qp.tuples import Tuple
 from repro.runtime.sizing import datagram_runs, wire_size
 
@@ -215,84 +212,6 @@ class PutExchange(_StragglerFlushTimer, PhysicalOperator):
 
     def residual_buffered(self) -> int:
         return self.buffered
-
-
-@register_operator
-class Queue(PhysicalOperator):
-    """Decouple producer and consumer: buffered tuples are re-injected from
-    a zero-delay timer event, unwinding the producer's call stack
-    (Section 3.3.5).
-    Params: optional ``batch`` (tuples drained per scheduler event).
-    """
-
-    op_type = "queue"
-    streaming = True
-
-    def __init__(self, spec, context) -> None:  # noqa: ANN001
-        super().__init__(spec, context)
-        self._buffer: Deque[PyTuple[Tuple, str]] = deque()
-        self._drain_scheduled = False
-        self._punctuate_after_drain = False
-        self.batch = int(self.param("batch", 64))
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        self._buffer.append((tup, tag))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.arm_timer(0.0, self._drain)
-
-    def _drain(self, _data: object) -> None:
-        self._drain_scheduled = False
-        if self._stopped:
-            self._buffer.clear()
-            return
-        self._reinject(min(self.batch, len(self._buffer)))
-        if self._buffer:
-            if not self._drain_scheduled:
-                self._drain_scheduled = True
-                self.arm_timer(0.0, self._drain)
-        elif self._punctuate_after_drain:
-            self._punctuate_after_drain = False
-            super().drained()
-
-    def drained(self) -> None:
-        # Pass the punctuation on behind the rows it follows: at once when
-        # nothing is buffered, else from the drain that empties the buffer.
-        if self._buffer:
-            self._punctuate_after_drain = True
-        else:
-            super().drained()
-
-    def _reinject(self, count: int) -> None:
-        """Emit the ``count`` oldest buffered tuples, consecutive tuples
-        of one probe tag as one batch."""
-        run: List[Tuple] = []
-        run_tag = DEFAULT_PROBE_TAG
-        for _ in range(count):
-            tup, tag = self._buffer.popleft()
-            if tag != run_tag and run:
-                self.emit(run, run_tag)
-                run = []
-            run_tag = tag
-            run.append(tup)
-        self.emit(run, run_tag)
-
-    def flush(self) -> None:
-        self._reinject(len(self._buffer))
-
-    def stop(self) -> None:
-        # Teardown drops whatever a pending drain would have re-injected;
-        # the drain timer itself is cancelled by the base stop().
-        super().stop()
-        self._buffer.clear()
-        self._drain_scheduled = False
-
-    @property
-    def depth(self) -> int:
-        return len(self._buffer)
-
-    def residual_buffered(self) -> int:
-        return len(self._buffer)
 
 
 @register_operator

@@ -1,11 +1,11 @@
 """Group-by / aggregation operators (paper Section 3.3.4).
 
-``groupby_hash`` keeps one mergeable partial state per group (see
-:mod:`repro.qp.aggregates`) and emits on flush or on a periodic window for
-continuous queries.  ``partial_aggregate`` emits partial states (rather
-than final results) so that they can be combined downstream — either by a
-rehash exchange (flat multi-phase aggregation) or by the hierarchical
-aggregation tree of :mod:`repro.qp.hierarchical`.
+Every variant keeps one mergeable partial state per group (see
+:mod:`repro.qp.aggregates`).  ``partial_aggregate`` emits partial states
+(rather than final results) so that they can be combined downstream —
+either by a rehash exchange into ``merge_aggregate`` (flat multi-phase
+aggregation) or by the hierarchical aggregation tree of
+:mod:`repro.qp.hierarchical`.
 
 Two window mechanisms coexist:
 
@@ -191,7 +191,7 @@ class _BaseGroupBy(PhysicalOperator):
 
     def _emit_window(self, epoch: int, states: Groups) -> None:
         """Pane-close hook: what becomes of one closed window's states."""
-        self._emit_epoch(epoch, states)
+        raise NotImplementedError
 
     def _emit_epoch(
         self, epoch: int, states: Groups, contributors: Optional[int] = None
@@ -385,25 +385,6 @@ class _BaseGroupBy(PhysicalOperator):
                 payload.update(stamp)
             rows.append(self._group_tuple(key, payload))
         return rows
-
-
-@register_operator
-class HashGroupBy(_BaseGroupBy):
-    """Final aggregation: emits one result tuple per group on flush/window.
-
-    Params: ``group_columns``, ``aggregates``, optional ``output_table``,
-    ``window`` (seconds, emit-then-reset periodic emission) or
-    ``window_spec`` (continuous-query window; emitted rows carry epoch
-    stamps and panes outside the window are evicted).
-    """
-
-    op_type = "groupby_hash"
-
-    def flush(self) -> None:
-        # With a window spec, complete epochs were emitted at their pane
-        # closes; the in-progress partial window is dropped by design (a
-        # standing query only reports complete windows).
-        self.emit(self._result_rows(self._groups))
 
 
 @register_operator

@@ -121,37 +121,6 @@ class FetchMatchesJoin(PhysicalOperator):
         self.context.overlay.get(self.inner_namespace, lookup_key, on_fetch)
 
 
-@register_operator
-class NestedLoopJoin(PhysicalOperator):
-    """Node-local nested-loop join with an arbitrary predicate.
-
-    Used for non-equi joins after data has already been co-located (e.g. by
-    a ``put`` exchange); both inputs are buffered in memory.
-    Params: ``predicate`` (see :mod:`repro.qp.expressions`, evaluated over
-    the concatenated tuple), optional ``output_table``.
-    """
-
-    op_type = "nested_loop_join"
-
-    def __init__(self, spec, context) -> None:  # noqa: ANN001
-        super().__init__(spec, context)
-        self._buffers: PyTuple[List[Tuple], List[Tuple]] = ([], [])
-
-    def on_receive(self, tup: Tuple, slot: int, tag: str) -> None:
-        from repro.qp.expressions import matches
-
-        if slot not in (0, 1):
-            raise MalformedTupleError(f"join received tuple on unknown slot {slot}")
-        self._buffers[slot].append(tup)
-        other = 1 - slot
-        predicate = self.param("predicate")
-        for match in self._buffers[other]:
-            left, right = (tup, match) if slot == 0 else (match, tup)
-            joined = left.join(right, table=self.param("output_table"))
-            if matches(predicate, joined):
-                self.emit([joined], tag)
-
-
 class BloomFilter:
     """A simple counting-free Bloom filter over join keys.
 

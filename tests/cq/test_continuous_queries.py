@@ -103,22 +103,24 @@ def test_window_spec_epoch_arithmetic():
 
 def test_legacy_window_flush_emits_then_resets():
     """Regression: the periodic window flush must report only the tuples
-    of its own period — cumulative re-emission would double-report."""
+    of its own period — cumulative re-emission would double-report.  (The
+    flat GROUP BY's partial aggregate ships on this clock; a COUNT's
+    shipped state is the count.)"""
     from operator_harness import OperatorHarness
 
     harness = OperatorHarness()
     groupby = harness.build(
-        "groupby_hash",
+        "partial_aggregate",
         {"group_columns": ["src"], "aggregates": [("count", None, "n")], "window": 1.0},
     )
     groupby.start()
     for _ in range(3):
         groupby.receive(Tuple.make("events", src="a"))
     harness.run(1.1)  # first window fires
-    assert [t.get("n") for t in harness.results] == [3]
+    assert [t["__partial_states__"] for t in harness.results] == [[3]]
     groupby.receive(Tuple.make("events", src="a"))
     harness.run(1.0)  # second window: only the new tuple, not 4
-    assert [t.get("n") for t in harness.results] == [3, 1]
+    assert [t["__partial_states__"] for t in harness.results] == [[3], [1]]
     # One-shot flush semantics unchanged: nothing buffered, nothing emitted.
     groupby.flush()
     assert len(harness.results) == 2
@@ -130,7 +132,7 @@ def test_windowed_operator_evicts_dead_panes():
     harness = OperatorHarness()
     spec = {"window": 2.0, "slide": 1.0, "lifetime": 60.0, "grace": 0.5}
     groupby = harness.build(
-        "groupby_hash",
+        "partial_aggregate",
         {"group_columns": ["src"], "aggregates": [("count", None, "n")], "window_spec": spec},
     )
     groupby.start()
@@ -139,7 +141,7 @@ def test_windowed_operator_evicts_dead_panes():
         harness.run(1.0)
     assert groupby.panes_evicted >= 3, "panes outside every live window must be evicted"
     assert len(groupby._panes) <= 2
-    emitted = [(t.get(EPOCH_COLUMN), t.get("n")) for t in harness.results]
+    emitted = [(t[EPOCH_COLUMN], t["__partial_states__"]) for t in harness.results]
     assert emitted, "each closing epoch emits stamped rows"
 
 

@@ -130,7 +130,9 @@ def test_identical_subscribers_share_one_install_with_exact_epochs():
     assert network.sharing.shared_installs == 1
     assert network.sharing.attachments == 2
     assert first.shared.subscriber_count == 2
-    # Exactly one standing query runs in the deployment.
+    # Exactly one standing query runs in the deployment.  (The proxy's own
+    # node installs from a zero-delay event, not inside subscribe().)
+    network.run(0.0)
     running_ids = {
         graph.query_id
         for node in network.nodes

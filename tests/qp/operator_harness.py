@@ -51,7 +51,7 @@ class OperatorHarness:
 
     def __init__(self, node_count: int = 1, seed: int = 0, timeout: float = 30.0) -> None:
         self.deployment: OverlayDeployment = build_overlay(node_count, seed=seed)
-        self.extras: Dict[str, Any] = {"local_tables": {}, "streams": {}}
+        self.extras: Dict[str, Any] = {"local_tables": {}}
         self.context = ExecutionContext(
             overlay=self.deployment.node(0),
             query_id="qtest",

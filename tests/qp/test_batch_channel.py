@@ -27,9 +27,9 @@ WINDOW_SPEC = {"window": 2.0, "slide": 1.0, "lifetime": 60.0, "grace": 0.5}
 
 # (op_type, extra params, how long to run before flushing)
 VARIANTS = {
-    "flat": ("groupby_hash", {}, 0.0),
+    "flat": ("partial_aggregate", {}, 0.0),
     "hierarchical": ("hierarchical_aggregate", {"local_wait": 0.5}, 1.0),
-    "windowed": ("groupby_hash", {"window_spec": WINDOW_SPEC}, 2.5),
+    "windowed": ("partial_aggregate", {"window_spec": WINDOW_SPEC}, 2.5),
 }
 
 
@@ -105,11 +105,14 @@ def test_fold_does_not_depend_on_how_rows_are_batched(variant, aggregates, rows,
 
 
 def _flat_groupby(harness: OperatorHarness, aggregates: List[Any]):
-    return harness.build("groupby_hash", {"group_columns": ["src"], "aggregates": aggregates})
+    """A node's step of the flat GROUP BY: it ships partial states."""
+    return harness.build("partial_aggregate", {"group_columns": ["src"], "aggregates": aggregates})
 
 
-def _results(harness: OperatorHarness, column: str) -> Dict[str, Any]:
-    return {tup["src"]: tup[column] for tup in harness.results}
+def _states(harness: OperatorHarness) -> Dict[str, List[Any]]:
+    """Each group's shipped states, in aggregate order (a COUNT's state is
+    the count, a SUM's the sum)."""
+    return {tup["src"]: list(tup["__partial_states__"]) for tup in harness.results}
 
 
 def test_malformed_row_mid_batch_is_dropped_once_and_neighbours_fold():
@@ -127,8 +130,7 @@ def test_malformed_row_mid_batch_is_dropped_once_and_neighbours_fold():
     )
     operator.flush()
     assert (operator.stats.tuples_in, operator.stats.tuples_dropped) == (6, 3)
-    assert _results(harness, "n") == {"a": 2, "b": 1}
-    assert _results(harness, "total") == {"a": 15, "b": 7}
+    assert _states(harness) == {"a": [2, 15], "b": [1, 7]}
 
 
 def test_batch_mixing_schemas_resolves_positions_per_schema():
@@ -138,7 +140,7 @@ def test_batch_mixing_schemas_resolves_positions_per_schema():
     operator.receive([_row(shape, "a", index + 1) for index, shape in enumerate(shapes)])
     operator.flush()
     assert operator.stats.tuples_dropped == 0
-    assert _results(harness, "total") == {"a": 21}
+    assert _states(harness) == {"a": [21]}
     resolved = {_row(shape, "a", 0).schema.positions(("src", "bytes")) for shape in shapes}
     assert resolved == {(0, 1), (2, 0)}
 

@@ -1,10 +1,10 @@
-"""Integration tests for hierarchical operators, dissemination strategies,
-and query execution under churn / malformed data."""
+"""Integration tests for the hierarchical aggregate, dissemination
+strategies, and query execution under churn / malformed data."""
 
 import pytest
 
 from repro import PIERNetwork
-from repro.qp.opgraph import DisseminationSpec, QueryPlan
+from repro.qp.opgraph import QueryPlan
 from repro.qp.plans import flat_aggregation_plan, hierarchical_aggregation_plan
 from repro.qp.tuples import Tuple
 from repro.runtime.churn import ChurnProcess
@@ -18,43 +18,6 @@ def _load_events(network, rows_per_node=3, groups=4):
             "events",
             [Tuple.make("events", src=f"s{address % groups}", n=1) for _ in range(rows_per_node)],
         )
-
-
-def test_hierarchical_join_produces_each_result_once():
-    network = PIERNetwork(16, seed=31)
-    left = [Tuple.make("left", k=i % 4, a=i) for i in range(12)]
-    right = [Tuple.make("right", k=i % 4, b=i) for i in range(8)]
-    network.create_table("left", source="local")
-    network.create_table("right", source="local")
-    for index, tup in enumerate(left):
-        network.register_local_table(index % 16, "left", [])
-    # Place tuples as node-local tables spread over the network.
-    per_node_left = [[] for _ in range(16)]
-    per_node_right = [[] for _ in range(16)]
-    for index, tup in enumerate(left):
-        per_node_left[index % 16].append(tup)
-    for index, tup in enumerate(right):
-        per_node_right[(index * 3) % 16].append(tup)
-    network.distribute_local_table("left", per_node_left)
-    network.distribute_local_table("right", per_node_right)
-
-    plan = QueryPlan(timeout=15.0)
-    graph = plan.new_graph(dissemination=DisseminationSpec(strategy="broadcast"))
-    graph.add_operator("scan_left", "local_table", {"table": "left"})
-    graph.add_operator("scan_right", "local_table", {"table": "right"})
-    graph.add_operator(
-        "hier_join",
-        "hierarchical_join",
-        {"namespace": "hj", "left_columns": ["k"], "right_columns": ["k"], "output_table": "j"},
-        inputs=["scan_left", "scan_right"],
-    )
-    graph.add_operator("results", "result_handler", {"batch": 8}, inputs=["hier_join"])
-    result = network.execute(plan, proxy=0)
-
-    expected_pairs = {(l["a"], r["b"]) for l in left for r in right if l["k"] == r["k"]}
-    produced = [(row["a"], row["b"]) for row in result.rows()]
-    assert len(produced) == len(set(produced)), "no duplicate join results"
-    assert set(produced) == expected_pairs
 
 
 def test_equality_dissemination_installs_on_few_nodes():
@@ -96,10 +59,13 @@ def test_continuous_query_sees_newly_published_tuples():
     plan = QueryPlan(timeout=14)
     graph = plan.new_graph()
     graph.add_operator("scan", "dht_scan", {"namespace": "live_table"})
-    # A per-node limit holds state until the deadline, so the query runs to
-    # its timeout (a plain scan of an empty table ends with its data).
-    graph.add_operator("limit", "limit", {"count": 100}, inputs=["scan"])
-    graph.add_operator("results", "result_handler", {}, inputs=["limit"])
+    # A per-node GROUP BY holds state until the deadline, so the query runs
+    # to its timeout (a plain scan of an empty table ends with its data).
+    graph.add_operator(
+        "group", "merge_aggregate",
+        {"group_columns": ["seq"], "aggregates": [("count", None, "n")]}, inputs=["scan"],
+    )
+    graph.add_operator("results", "result_handler", {}, inputs=["group"])
     handle = network.submit(plan, proxy=0)
     network.run(2.0)
     rows = [Tuple.make("live_table", seq=i) for i in range(6)]

@@ -35,17 +35,6 @@ def test_symmetric_hash_join_multi_column_keys():
     assert len(harness.results) == 1
 
 
-def test_nested_loop_join_applies_arbitrary_predicate():
-    harness = OperatorHarness()
-    join = harness.build(
-        "nested_loop_join", {"predicate": ["<", ["col", "a"], ["col", "b"]]}
-    )
-    join.receive(Tuple.make("l", a=5), slot=0)
-    join.receive(Tuple.make("r", b=10), slot=1)
-    join.receive(Tuple.make("r", b=1), slot=1)
-    assert len(harness.results) == 1
-
-
 def test_fetch_matches_join_probes_the_dht_index(small_overlay):
     deployment = small_overlay
     # Publish the inner table partitioned on the join key.
@@ -99,10 +88,10 @@ def test_bloom_filter_rejects_most_absent_keys():
     assert false_positives < 100  # far from "everything matches"
 
 
-def test_groupby_hash_counts_per_group():
+def test_merge_aggregate_folds_raw_rows_per_group():
     harness = OperatorHarness()
     op = harness.build(
-        "groupby_hash",
+        "merge_aggregate",
         {"group_columns": ["src"], "aggregates": [("count", None, "n"), ("sum", "bytes", "total")],
          "output_table": "agg"},
     )
@@ -142,26 +131,28 @@ def test_partial_and_merge_aggregate_compose():
 
 
 def test_groupby_window_emits_periodically():
+    """The flat GROUP BY's shipping clock: a node's partial aggregate ships
+    every ``window`` seconds what arrived since it last shipped."""
     harness = OperatorHarness()
     op = harness.build(
-        "groupby_hash",
+        "partial_aggregate",
         {"group_columns": [], "aggregates": [("count", None, "n")], "window": 1.0},
     )
     op.start()
     op.receive(Tuple.make("t", x=1))
     op.receive(Tuple.make("t", x=2))
     harness.run(1.5)
-    assert harness.results and harness.results[0]["n"] == 2
+    assert harness.results and harness.results[0]["__partial_states__"] == [2]
     # After the window the groups reset.
     op.receive(Tuple.make("t", x=3))
     harness.run(1.0)
-    assert harness.results[-1]["n"] == 1
+    assert harness.results[-1]["__partial_states__"] == [1]
 
 
 def test_global_aggregate_without_group_columns():
     harness = OperatorHarness()
     op = harness.build(
-        "groupby_hash", {"group_columns": [], "aggregates": [("avg", "v", "mean")]}
+        "merge_aggregate", {"group_columns": [], "aggregates": [("avg", "v", "mean")]}
     )
     for value in (2, 4, 6):
         op.receive(Tuple.make("t", v=value))

@@ -28,9 +28,9 @@ def test_sources_and_sinks():
 
 def test_duplicate_operator_ids_rejected():
     graph = OpGraph("g")
-    graph.add_operator("a", "tee")
+    graph.add_operator("a", "selection", {"predicate": ["true"]})
     with pytest.raises(ValueError):
-        graph.add_operator("a", "tee")
+        graph.add_operator("a", "selection", {"predicate": ["true"]})
 
 
 def test_unknown_input_reference_rejected():
@@ -42,8 +42,8 @@ def test_unknown_input_reference_rejected():
 
 def test_cycles_are_rejected():
     graph = OpGraph("g")
-    graph.add_operator("a", "tee", inputs=["b"])
-    graph.add_operator("b", "tee", inputs=["a"])
+    graph.add_operator("a", "selection", {"predicate": ["true"]}, inputs=["b"])
+    graph.add_operator("b", "selection", {"predicate": ["true"]}, inputs=["a"])
     with pytest.raises(ValueError):
         graph.validate()
 

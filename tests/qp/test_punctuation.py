@@ -1,13 +1,12 @@
 """Sources punctuate their snapshots.
 
 A source whose hand-over is all it has — a base table's ``localScan``, a
-node-local table, a ``get`` reply — follows it with
+node-local table — follows it with
 ``PhysicalOperator.drained()``.  Streaming operators pass the punctuation
 on once every input has drained, an exchange or result handler ships
-what it holds first, a blocking operator keeps it, and a queue passes it
-on behind the rows it re-injects.  Input that may still grow — a query's
-rendezvous namespace, ``newData``, appended rows, stream ticks — is not
-punctuated and leaves buffering operators on their straggler timers.
+what it holds first, and a blocking operator keeps it.  Input that may
+still grow — a query's rendezvous namespace, ``newData``, appended rows —
+is not punctuated and leaves buffering operators on their straggler timers.
 """
 
 from __future__ import annotations
@@ -65,7 +64,9 @@ def test_a_streaming_operator_passes_the_punctuation_on():
     assert recorder.drained_at == [3]
 
 
-@pytest.mark.parametrize("op_type", ["groupby_hash", "hierarchical_aggregate"])
+@pytest.mark.parametrize(
+    "op_type", ["merge_aggregate", "partial_aggregate", "hierarchical_aggregate"]
+)
 def test_a_blocking_operator_absorbs_the_punctuation(op_type):
     harness = OperatorHarness()
     params = {"group_columns": ["src"], "aggregates": [("count", None, "n")]}
@@ -76,19 +77,6 @@ def test_a_blocking_operator_absorbs_the_punctuation(op_type):
     harness.run(0.5)
     assert recorder.drained_at == []
     assert recorder.collected == []  # its state still waits for the flush
-
-
-def test_a_queue_passes_the_punctuation_on_after_it_drains():
-    harness = OperatorHarness()
-    queue, recorder = recorded(harness, "queue", {"batch": 64})
-    queue.receive(rows(150))  # three drains of at most 64
-    queue.on_drained(0)
-    assert recorder.drained_at == []  # nothing re-injected yet
-    harness.run(0.1)
-    assert len(recorder.collected) == 150
-    assert recorder.drained_at == [150]
-    queue.on_drained(0)  # nothing buffered: at once
-    assert recorder.drained_at == [150, 150]
 
 
 def test_a_join_is_drained_once_both_inputs_are():

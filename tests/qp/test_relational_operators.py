@@ -1,5 +1,5 @@
-"""Unit tests for selection, projection, tee, union, dup-elim, rename, limit,
-materializer, queue and the best-effort malformed-tuple policy."""
+"""Unit tests for selection, projection, the symmetric hash join's batch
+path and the best-effort malformed-tuple policy."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -238,116 +238,9 @@ def test_join_emits_once_per_input_batch():
     assert [len(batch) for batch in batches] == [4, 1 + 3]
 
 
-def test_tee_and_union_pass_everything():
-    harness = OperatorHarness()
-    tee = harness.build("tee")
-    union = harness.build("union")
-    for tup in _rows(1, 2):
-        tee.receive(tup)
-        union.receive(tup, slot=0)
-        union.receive(tup, slot=1)
-    assert len(harness.results) == 2 + 4
-
-
-def test_dupelim_full_tuple_and_key_columns():
-    harness = OperatorHarness()
-    op = harness.build("dupelim")
-    op.receive(Tuple.make("t", a=1))
-    op.receive(Tuple.make("t", a=1))
-    op.receive(Tuple.make("t", a=2))
-    assert harness.result_values("a") == [1, 2]
-
-    harness2 = OperatorHarness()
-    keyed = harness2.build("dupelim", {"key_columns": ["a"]})
-    keyed.receive(Tuple.make("t", a=1, b="first"))
-    keyed.receive(Tuple.make("t", a=1, b="second"))
-    assert harness2.result_values("b") == ["first"]
-
-
-def test_dupelim_full_tuple_ignores_column_order():
-    harness = OperatorHarness()
-    op = harness.build("dupelim")
-    op.receive(Tuple("t", {"a": 1, "b": 2}))
-    op.receive(Tuple("t", {"b": 2, "a": 1}))  # the same row, columns swapped
-    op.receive(Tuple("t", {"a": 2, "b": 1}))
-    assert harness.result_values("a") == [1, 2]
-
-
-def test_rename_table_and_columns():
-    harness = OperatorHarness()
-    op = harness.build("rename", {"table": "renamed", "columns": {"a": "alpha"}})
-    op.receive(Tuple.make("t", a=1, b=2))
-    (result,) = harness.results
-    assert result.table == "renamed"
-    assert result.as_mapping() == {"alpha": 1, "b": 2}
-
-
-def test_limit_caps_output():
-    harness = OperatorHarness()
-    op = harness.build("limit", {"count": 2})
-    for tup in _rows(1, 2, 3, 4):
-        op.receive(tup)
-    assert len(harness.results) == 2
-
-
-def test_materializer_buffers_and_flushes():
-    harness = OperatorHarness()
-    op = harness.build("materializer", {"table": "buffered"})
-    for tup in _rows(1, 2, 3):
-        op.receive(tup)
-    assert harness.results == []
-    assert len(harness.extras["local_tables"]["buffered"]) == 3
-    op.flush()
-    assert len(harness.results) == 3
-
-
-def test_queue_defers_delivery_to_a_scheduler_event():
-    harness = OperatorHarness()
-    op = harness.build("queue")
-    op.receive(Tuple.make("t", value=1))
-    assert harness.results == []  # nothing until the zero-delay timer fires
-    harness.run(0.1)
-    assert harness.result_values("value") == [1]
-
-
-def test_queue_flush_drains_immediately():
-    harness = OperatorHarness()
-    op = harness.build("queue")
-    for tup in _rows(1, 2, 3):
-        op.receive(tup)
-    op.flush()
-    assert len(harness.results) == 3
-
-
 def test_stopped_operator_ignores_input():
     harness = OperatorHarness()
-    op = harness.build("tee")
+    op = harness.build("selection", {"predicate": ["eq", ["col", "a"], ["lit", 1]]})
     op.stop()
-    op.receive(Tuple.make("t", a=1))
+    op.receive(Tuple.make("t", a=1))  # a row the predicate passes
     assert harness.results == []
-
-
-def test_eddy_routes_and_filters():
-    harness = OperatorHarness()
-    members = [
-        {"name": "cheap_selective", "predicate": ["eq", ["col", "parity"], ["lit", 0]], "cost": 1.0},
-        {"name": "expensive", "predicate": [">", ["col", "value"], ["lit", 0]], "cost": 10.0},
-    ]
-    op = harness.build("eddy", {"members": members, "policy": "lottery", "seed": 1})
-    for tup in _rows(*range(1, 41)):
-        op.receive(tup)
-    # Only even values survive both predicates.
-    assert all(value % 2 == 0 for value in harness.result_values("value"))
-    assert len(harness.results) == 20
-    stats = op.member_stats["cheap_selective"]
-    assert stats.seen > 0 and 0.0 <= stats.selectivity <= 1.0
-
-
-def test_eddy_fixed_policy_preserves_declared_order():
-    harness = OperatorHarness()
-    members = [
-        {"name": "first", "predicate": ["true"]},
-        {"name": "second", "predicate": ["true"]},
-    ]
-    op = harness.build("eddy", {"members": members, "policy": "fixed"})
-    assert op._choose_order() == ["first", "second"]

@@ -15,12 +15,12 @@ from collections import Counter
 from typing import Any, Callable, Dict, List, Tuple as PyTuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import PIERNetwork
 from repro.qp.dissemination import query_envelope
 from repro.qp.executor import FINISHED_RETENTION, TOMBSTONE_LIFETIME
-from repro.qp.opgraph import OpGraph, QueryPlan
+from repro.qp.opgraph import OpGraph
 from repro.qp.operators.base import ExecutionContext, PhysicalOperator
 from repro.qp.plans import (
     JoinStep,
@@ -113,17 +113,6 @@ def fetch_join(net: PIERNetwork, proxy: int) -> None:
     assert len(net.execute(plan, proxy=proxy)) == 12
 
 
-def reprobed_scan(net: PIERNetwork, proxy: int) -> None:
-    """A hand-built plan whose control-flow manager holds its sources (the
-    one operator that points back up the dataflow)."""
-    plan = QueryPlan(timeout=3.0)
-    graph = plan.new_graph()
-    graph.add_operator("scan", "dht_scan", {"namespace": "dim_k"})
-    graph.add_operator("control", "control", {"reprobe_interval": 1.0}, inputs=["scan"])
-    graph.add_operator("results", "result_handler", {"batch": 16}, inputs=["control"])
-    assert {tup["k"] for tup in net.execute(plan, proxy=proxy).tuples} == {0, 1, 2}
-
-
 def flat_group_by(net: PIERNetwork, proxy: int) -> None:
     result = net.query("SELECT src, COUNT(*) AS n FROM events GROUP BY src TIMEOUT 5", proxy=proxy)
     assert sum(row["n"] for row in result.rows()) == 2 * NODES
@@ -148,13 +137,10 @@ def cancelled_mid_flight(net: PIERNetwork, proxy: int) -> None:
 
 def cancelled_before_install(net: PIERNetwork, proxy: int) -> None:
     stream = net.stream("SELECT src FROM events TIMEOUT 30", proxy=proxy)
-    # The proxy's own node installs at submit and ships its snapshot at
-    # once; no other node installs after the cancel.
-    local = list(stream.results)
-    assert [row["src"] for row in local] == [f"s{proxy % 3}"] * 2
+    # No node installs before submit returns, the proxy's own included.
     assert stream.cancel()
     net.run(1.0)
-    assert stream.results == local
+    assert stream.results == []
 
 
 def standing_past_lifetime(net: PIERNetwork, proxy: int) -> None:
@@ -172,7 +158,6 @@ SHAPES: List[Callable[[PIERNetwork, int], None]] = [
     rehash_join,
     bloom_join,
     fetch_join,
-    reprobed_scan,
     flat_group_by,
     hierarchical_group_by,
     cancelled_mid_flight,
@@ -429,6 +414,9 @@ OPERATIONS = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(operations=OPERATIONS)
+# A row published at the instant a query is submitted on its own proxy node
+# and cancelled: nothing of the query may arrive inside submit().
+@example(operations=[("publish", 2, 2), ("cancel", 0, 0), ("submit", 2, 1), ("cancel", 0, 0)])
 def test_random_interleavings_answer_right_and_release_everything(operations):
     net = PIERNetwork(NODES, seed=41)
     for table in TABLES:
